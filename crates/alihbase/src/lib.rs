@@ -42,8 +42,6 @@ pub use fault::{
 };
 pub use region::{RegionedTable, ReopenReport, SplitConfig, StoreOpCounts};
 pub use sstable::RowPresence;
-pub use store::{
-    CompactionMode, ReadStatsSnapshot, Store, StoreConfig, TickReport, WriteStatsSnapshot,
-};
+pub use store::{ReadStatsSnapshot, Store, StoreConfig, TickReport, WriteStatsSnapshot};
 pub use types::{Cell, CellKey, ColumnFamily, Qualifier, RowKey, Version};
 pub use wal::{SyncPolicy, WalStats};

@@ -14,40 +14,14 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Who runs compaction when `max_runs` is exceeded.
-///
-/// * [`CompactionMode::Inline`] — the pre-scheduler baseline: the flush
-///   that pushes the store past `max_runs` performs a **full** merge of
-///   every run synchronously on the writer's thread, applying
-///   `max_versions` trimming and tombstone dropping (lossy by contract for
-///   old versions). Simple, but the unlucky writer stalls for the whole
-///   merge.
-/// * [`CompactionMode::Scheduled`] — writers never compact. An explicit,
-///   deterministic [`Store::tick`] performs at most one **size-tiered**
-///   merge per call: the cheapest contiguous window of adjacent runs is
-///   merged conservatively (every version and tombstone kept, duplicate
-///   versions deduped newest-run-wins), so a tick is pure physical
-///   reorganisation — reads before, during, and after are byte-identical.
-///   Like the fault layer, there is no wall clock and no free-running
-///   thread: results are a pure function of the op sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CompactionMode {
-    /// Full synchronous merge on the writer's thread (baseline).
-    Inline,
-    /// Tick-driven background-style size-tiered merges.
-    #[default]
-    Scheduled,
-}
-
 /// Store tuning knobs.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// Flush the memtable once it holds roughly this many bytes.
     pub memtable_flush_bytes: usize,
-    /// Compact once this many runs accumulate.
+    /// A [`Store::tick`] merges once more than this many runs accumulate;
+    /// writers never compact.
     pub max_runs: usize,
-    /// Who reacts to `max_runs` being exceeded (see [`CompactionMode`]).
-    pub compaction: CompactionMode,
     /// Versions retained per cell at compaction (TitAnt keeps a few model
     /// versions for rollback).
     pub max_versions: usize,
@@ -71,7 +45,6 @@ impl Default for StoreConfig {
         Self {
             memtable_flush_bytes: 4 << 20,
             max_runs: 6,
-            compaction: CompactionMode::default(),
             max_versions: 3,
             dir: None,
             sync: SyncPolicy::default(),
@@ -186,22 +159,32 @@ impl WriteStatsSnapshot {
         self.orphans_cleaned += other.orphans_cleaned;
     }
 
-    /// Field-wise delta against an earlier snapshot.
+    /// Field-wise delta against an earlier snapshot, saturating at zero
+    /// like [`crate::StoreOpCounts::since`].
     pub fn since(&self, earlier: &WriteStatsSnapshot) -> WriteStatsSnapshot {
         WriteStatsSnapshot {
-            lock_acquisitions: self.lock_acquisitions - earlier.lock_acquisitions,
-            cells_written: self.cells_written - earlier.cells_written,
-            batches: self.batches - earlier.batches,
-            wal_frames: self.wal_frames - earlier.wal_frames,
-            wal_records: self.wal_records - earlier.wal_records,
-            wal_syncs: self.wal_syncs - earlier.wal_syncs,
-            wal_bytes: self.wal_bytes - earlier.wal_bytes,
-            wal_simulated_wait_micros: self.wal_simulated_wait_micros
-                - earlier.wal_simulated_wait_micros,
-            wal_append_failures: self.wal_append_failures - earlier.wal_append_failures,
-            wal_sync_failures: self.wal_sync_failures - earlier.wal_sync_failures,
-            power_loss_recoveries: self.power_loss_recoveries - earlier.power_loss_recoveries,
-            orphans_cleaned: self.orphans_cleaned - earlier.orphans_cleaned,
+            lock_acquisitions: self
+                .lock_acquisitions
+                .saturating_sub(earlier.lock_acquisitions),
+            cells_written: self.cells_written.saturating_sub(earlier.cells_written),
+            batches: self.batches.saturating_sub(earlier.batches),
+            wal_frames: self.wal_frames.saturating_sub(earlier.wal_frames),
+            wal_records: self.wal_records.saturating_sub(earlier.wal_records),
+            wal_syncs: self.wal_syncs.saturating_sub(earlier.wal_syncs),
+            wal_bytes: self.wal_bytes.saturating_sub(earlier.wal_bytes),
+            wal_simulated_wait_micros: self
+                .wal_simulated_wait_micros
+                .saturating_sub(earlier.wal_simulated_wait_micros),
+            wal_append_failures: self
+                .wal_append_failures
+                .saturating_sub(earlier.wal_append_failures),
+            wal_sync_failures: self
+                .wal_sync_failures
+                .saturating_sub(earlier.wal_sync_failures),
+            power_loss_recoveries: self
+                .power_loss_recoveries
+                .saturating_sub(earlier.power_loss_recoveries),
+            orphans_cleaned: self.orphans_cleaned.saturating_sub(earlier.orphans_cleaned),
         }
     }
 }
@@ -403,10 +386,9 @@ impl Store {
     }
 
     /// Apply a batch of cell writes (values and tombstones) under **one**
-    /// lock acquisition and **one** multi-record WAL frame — the write-side
-    /// analogue of [`Store::get_rows`]. The WAL frame's single CRC makes
-    /// crash recovery all-or-nothing for the batch: a torn tail can lose
-    /// the whole batch but never replay a prefix of it.
+    /// lock acquisition and **one** multi-record WAL frame. The frame's
+    /// single CRC makes crash recovery all-or-nothing for the batch: a torn
+    /// tail can lose the whole batch but never replay a prefix of it.
     ///
     /// The memtable flush threshold is checked once, after the whole batch
     /// is applied. Returns the simulated group-commit wait charged to this
@@ -595,28 +577,6 @@ impl Store {
     /// get per qualifier — the store side of the serving fast path.
     pub fn get_row(&self, row: &crate::types::RowKey, as_of: Version) -> Vec<(CellKey, Bytes)> {
         let inner = self.inner.read();
-        self.get_row_locked(&inner, row, as_of)
-    }
-
-    /// Read several rows under a single lock acquisition — the store side of
-    /// batched scoring. Results keep the input order.
-    pub fn get_rows(
-        &self,
-        rows: &[&crate::types::RowKey],
-        as_of: Version,
-    ) -> Vec<Vec<(CellKey, Bytes)>> {
-        let inner = self.inner.read();
-        rows.iter()
-            .map(|row| self.get_row_locked(&inner, row, as_of))
-            .collect()
-    }
-
-    fn get_row_locked(
-        &self,
-        inner: &Inner,
-        row: &crate::types::RowKey,
-        as_of: Version,
-    ) -> Vec<(CellKey, Bytes)> {
         use std::collections::BTreeMap;
         let mut best: BTreeMap<&CellKey, &Cell> = BTreeMap::new();
         for (k, cells) in inner.memtable.iter_row(row) {
@@ -796,21 +756,9 @@ impl Store {
         self.flush_locked(&mut inner)
     }
 
+    /// Drain the memtable into a new newest run. Never compacts: a backlog
+    /// past `max_runs` waits for the next [`Self::tick`].
     fn flush_locked(&self, inner: &mut Inner) -> std::io::Result<()> {
-        self.flush_into_run(inner)?;
-        // Inline mode keeps the baseline behaviour: the writer that tips
-        // the store past `max_runs` pays for a full merge. Scheduled mode
-        // leaves the backlog for the next `tick()`.
-        if self.config.compaction == CompactionMode::Inline
-            && inner.runs.len() > self.config.max_runs
-        {
-            self.compact_locked(inner)?;
-        }
-        Ok(())
-    }
-
-    /// Drain the memtable into a new newest run (no compaction trigger).
-    fn flush_into_run(&self, inner: &mut Inner) -> std::io::Result<()> {
         if inner.memtable.is_empty() {
             return Ok(());
         }
@@ -831,17 +779,13 @@ impl Store {
 
     /// Merge all runs into one, dropping superseded versions and tombstones.
     pub fn compact(&self) -> std::io::Result<()> {
-        let mut inner = self.inner.write();
-        self.compact_locked(&mut inner)
-    }
-
-    fn compact_locked(&self, inner: &mut Inner) -> std::io::Result<()> {
+        let inner = &mut *self.inner.write();
         // Flush the memtable first so its cells join the merge. A full
         // compaction drops a newest-version tombstone entirely; if an
         // older-version put were still sitting in the memtable, that drop
         // would resurrect it on the next read. Folding the memtable into
         // the merge keeps tombstone shadowing exact.
-        self.flush_into_run(inner)?;
+        self.flush_locked(inner)?;
         if inner.runs.len() <= 1 {
             return Ok(());
         }
@@ -879,10 +823,10 @@ impl Store {
     /// A tick does two things:
     /// 1. closes any open WAL group-commit window (the deterministic
     ///    stand-in for `max_wait` expiring), and
-    /// 2. under [`CompactionMode::Scheduled`], performs at most one
-    ///    size-tiered merge when the store is over `max_runs`: the
-    ///    cheapest (fewest total cells) contiguous window of adjacent runs
-    ///    wide enough to bring the store back to `max_runs` is merged
+    /// 2. performs at most one size-tiered merge when the store is over
+    ///    `max_runs` (writers never compact): the cheapest (fewest total
+    ///    cells) contiguous window of adjacent runs wide enough to bring
+    ///    the store back to `max_runs` is merged
     ///    **conservatively** — every version and tombstone kept, duplicate
     ///    `(key, version)` entries deduped newest-run-wins — and spliced
     ///    back in place under the window's newest run id. Reads mid-stream
@@ -905,13 +849,11 @@ impl Store {
                 }
             }
         }
-        if self.config.compaction == CompactionMode::Scheduled {
-            let sizes: Vec<usize> = inner.runs.iter().map(|r| r.len()).collect();
-            if let Some(window) = select_tier_window(&sizes, self.config.max_runs) {
-                report.compactions = 1;
-                report.runs_merged = window.len() as u64;
-                self.merge_window_locked(&mut inner, window)?;
-            }
+        let sizes: Vec<usize> = inner.runs.iter().map(|r| r.len()).collect();
+        if let Some(window) = select_tier_window(&sizes, self.config.max_runs) {
+            report.compactions = 1;
+            report.runs_merged = window.len() as u64;
+            self.merge_window_locked(&mut inner, window)?;
         }
         Ok(report)
     }
@@ -1742,7 +1684,7 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_mode_defers_compaction_to_tick() {
+    fn compaction_is_deferred_to_tick() {
         let s = Store::open(StoreConfig {
             max_runs: 3,
             ..Default::default()
@@ -1753,7 +1695,7 @@ mod tests {
                 .unwrap();
             s.flush().unwrap();
         }
-        assert_eq!(s.run_count(), 6, "writers never compact in Scheduled mode");
+        assert_eq!(s.run_count(), 6, "writers never compact");
         // Each tick performs one tiered merge bringing the store to max_runs.
         let report = s.tick().unwrap();
         assert_eq!(report.compactions, 1);
@@ -1771,30 +1713,6 @@ mod tests {
                 "version {v} must survive a tiered merge"
             );
         }
-    }
-
-    #[test]
-    fn inline_mode_keeps_the_synchronous_baseline() {
-        let s = Store::open(StoreConfig {
-            max_runs: 3,
-            compaction: CompactionMode::Inline,
-            ..Default::default()
-        })
-        .unwrap();
-        for v in 0..6u64 {
-            s.put(key("u1", "age"), v, Bytes::from(format!("v{v}")))
-                .unwrap();
-            s.flush().unwrap();
-        }
-        // The flush that reached 4 runs (> max_runs) full-compacted on the
-        // writer's thread, so the store never exceeds the limit afterwards.
-        assert_eq!(s.run_count(), 3, "inline mode compacts on the writer");
-        // …and that full compaction was lossy by contract: at the merge the
-        // store held versions 0–3, and max_versions = 3 trimmed version 0.
-        assert!(s.get_versioned(&key("u1", "age"), 0).is_none());
-        assert!(s.get_versioned(&key("u1", "age"), 1).is_some());
-        // Inline ticks never merge (only the WAL group-commit timer fires).
-        assert_eq!(s.tick().unwrap().compactions, 0);
     }
 
     #[test]

@@ -1,26 +1,21 @@
 //! Property test: background (size-tiered, tick-driven) compaction is
 //! invisible to readers.
 //!
-//! Three stores receive the exact same random workload of puts, deletes,
+//! Two stores receive the exact same random workload of puts, deletes,
 //! flushes and ticks:
 //!
-//! * `scheduled` — the new default: `max_runs` pressure is resolved by
-//!   explicit `tick()`s doing conservative size-tiered merges;
+//! * `scheduled` — `max_runs` pressure is resolved by explicit `tick()`s
+//!   doing conservative size-tiered merges;
 //! * `reference` — never compacts (`max_runs` effectively infinite), the
-//!   ground truth for what every read should see;
-//! * `inline` — the old synchronous baseline: the writer full-compacts
-//!   inside `flush` the moment `max_runs` is exceeded.
+//!   ground truth for what every read should see.
 //!
 //! The contract: `scheduled` must match `reference` **at every `as_of`
-//! cut** (conservative merges keep all versions and tombstones), and must
-//! match `inline` at `as_of = MAX` (inline's full compaction is lossy below
-//! the newest version by design — `max_versions` trim and tombstone
-//! dropping — but the newest visible state is the same). Versions are
-//! monotone, as in production where they are upload date-times.
+//! cut** (conservative merges keep all versions and tombstones). Versions
+//! are monotone, as in production where they are upload date-times.
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use titant_alihbase::{CellKey, CompactionMode, RowKey, Store, StoreConfig};
+use titant_alihbase::{CellKey, RowKey, Store, StoreConfig};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -64,9 +59,8 @@ fn apply(store: &Store, op: &Op, version: u64) {
     }
 }
 
-fn store(compaction: CompactionMode, max_runs: usize) -> Store {
+fn store(max_runs: usize) -> Store {
     Store::open(StoreConfig {
-        compaction,
         max_runs,
         ..Default::default()
     })
@@ -75,12 +69,11 @@ fn store(compaction: CompactionMode, max_runs: usize) -> Store {
 
 proptest! {
     #[test]
-    fn scheduled_compaction_reads_match_both_baselines(
+    fn scheduled_compaction_reads_match_the_uncompacted_reference(
         raw_ops in prop::collection::vec((0u8..255, 0u64..24, 0u8..3), 1..150)
     ) {
-        let scheduled = store(CompactionMode::Scheduled, 2);
-        let inline = store(CompactionMode::Inline, 2);
-        let reference = store(CompactionMode::Scheduled, 10_000);
+        let scheduled = store(2);
+        let reference = store(10_000);
         let mut version = 0u64;
         for raw in &raw_ops {
             let op = decode(raw);
@@ -88,7 +81,6 @@ proptest! {
                 version += 1;
             }
             apply(&scheduled, &op, version);
-            apply(&inline, &op, version);
             apply(&reference, &op, version);
         }
         let max_version = version;
@@ -102,12 +94,6 @@ proptest! {
                     reference.get_row(&row, as_of)
                 );
             }
-            // The old synchronous full compaction is lossy below the newest
-            // version by design; the newest visible state must agree.
-            prop_assert_eq!(
-                scheduled.get_row(&row, u64::MAX),
-                inline.get_row(&row, u64::MAX)
-            );
             for qual in 0..3u8 {
                 let key = cell_key(user, qual);
                 for as_of in [5, max_version, u64::MAX] {
@@ -116,10 +102,6 @@ proptest! {
                         reference.get_versioned(&key, as_of)
                     );
                 }
-                prop_assert_eq!(
-                    scheduled.get_versioned(&key, u64::MAX),
-                    inline.get_versioned(&key, u64::MAX)
-                );
             }
         }
         // The reference never compacts; the scheduled store never exceeds
@@ -133,8 +115,8 @@ proptest! {
 /// the equivalence above is not vacuous (scheduled ticks really compact).
 #[test]
 fn ticks_do_merge_and_reads_stay_identical() {
-    let scheduled = store(CompactionMode::Scheduled, 2);
-    let reference = store(CompactionMode::Scheduled, 10_000);
+    let scheduled = store(2);
+    let reference = store(10_000);
     for round in 0..6u64 {
         for user in 0..4u64 {
             let version = round * 4 + user + 1;

@@ -20,7 +20,7 @@ use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use titant_alihbase::{
-    CellKey, CompactionMode, RegionedTable, RowKey, SplitConfig, Store, StoreConfig, SyncPolicy,
+    CellKey, RegionedTable, RowKey, SplitConfig, Store, StoreConfig, SyncPolicy,
 };
 
 /// Recursive snapshot: relative path → file bytes. Directories appear
@@ -82,13 +82,11 @@ fn merge_window_crash_states_read_identical() {
     let cfg = StoreConfig {
         dir: Some(dir.clone()),
         sync: SyncPolicy::Always,
-        compaction: CompactionMode::Scheduled,
         max_runs: 2,
         ..Default::default()
     };
     let disk = Store::open(cfg.clone()).unwrap();
     let reference = Store::open(StoreConfig {
-        compaction: CompactionMode::Scheduled,
         max_runs: 10_000,
         ..Default::default()
     })

@@ -40,9 +40,7 @@ use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use titant_alihbase::{
-    CellKey, CompactionMode, RegionedTable, RowKey, SplitConfig, StoreConfig, SyncPolicy,
-};
+use titant_alihbase::{CellKey, RegionedTable, RowKey, SplitConfig, StoreConfig, SyncPolicy};
 use titant_bench::harness;
 use titant_core::prelude::*;
 use titant_modelserver::{
@@ -324,7 +322,6 @@ fn run_level(
         },
         memtable_flush_bytes: 16 << 10,
         max_runs: 4,
-        compaction: CompactionMode::Scheduled,
         replicas: 2,
         ..Default::default()
     };

@@ -6,13 +6,12 @@
 //! cargo run --release -p titant-bench --bin predict_latency -- --quick # gate sizes
 //! ```
 //!
-//! Drives one deterministic Zipf traffic panel ([`TrafficGen`]) through two
-//! Model Servers over the same feature table — one serving the compiled
-//! [`FlatForest`] (the default engine), one forced onto the reference enum
-//! walk — and gates on:
+//! Drives one deterministic Zipf traffic panel ([`TrafficGen`]) through a
+//! Model Server serving the compiled [`FlatForest`] and gates on:
 //!
-//! * **bit-identity** — every probability from the flat engine equals the
-//!   reference walk's bit for bit, across the whole panel: hot Zipf users,
+//! * **bit-identity** — on every row the server assembled, `raw_score`
+//!   equals the retained `raw_score_reference` enum walk bit for bit, and
+//!   the served probability is that row's `predict_proba`: hot Zipf users,
 //!   unknown users (zero-filled context-only rows), and requests whose
 //!   context carries NaN (NaN-left routing end to end);
 //! * **replay and worker invariance** — a re-run of the flat stream and a
@@ -25,9 +24,9 @@
 //!   switched tree, the cache-line-equivalent cost the container's single
 //!   core cannot show as wall time.
 //!
-//! Wall-clock predict-stage means for both engines are reported alongside,
-//! informational only — the pass/fail gate rests on bit-identity and the
-//! counted traversal model.
+//! The wall-clock predict-stage mean is reported alongside, informational
+//! only — the pass/fail gate rests on bit-identity and the counted
+//! traversal model.
 //!
 //! Writes `BENCH_predict.json`. Exits nonzero when any gate fails.
 
@@ -36,7 +35,7 @@ use std::sync::Arc;
 use titant_alihbase::{RegionedTable, StoreConfig};
 use titant_bench::harness;
 use titant_datagen::{TrafficConfig, TrafficGen};
-use titant_models::{Dataset, FlatForest, GbdtConfig, PredictEngine, TraversalCounts};
+use titant_models::{Classifier, Dataset, FlatForest, GbdtConfig, TraversalCounts};
 use titant_modelserver::{
     FeatureCodec, FeatureLayout, ModelFile, ModelServer, ScoreRequest, ServableModel, SloConfig,
     Stage, UserFeatures,
@@ -262,7 +261,6 @@ struct Report {
     rerun_identical: bool,
     workers_identical: bool,
     predict_stage_flat_us: f64,
-    predict_stage_reference_us: f64,
     counted: CountedReport,
     pass: bool,
 }
@@ -319,15 +317,16 @@ fn main() {
     let model = gbdt(n_trees);
     let mut pass = true;
 
-    // Gate (a): flat engine bit-identical to the reference walk end to end.
+    // Gate (a): flat engine bit-identical to the reference walk on every
+    // row the server scored, and the served bits are those rows' scores.
     let flat_server = server_over(&table, model_file(model.clone()));
-    let reference_server = server_over(
-        &table,
-        model_file(model.clone().with_engine(PredictEngine::Reference)),
-    );
     let (flat_bits, predict_flat_us) = drive(&flat_server, &stream);
-    let (reference_bits, predict_reference_us) = drive(&reference_server, &stream);
-    let flat_vs_reference_identical = flat_bits == reference_bits;
+    let panel = assembled_panel(&stream);
+    let flat_vs_reference_identical = flat_bits.iter().enumerate().all(|(i, &served)| {
+        let row = panel.row(i);
+        model.raw_score(row).to_bits() == model.raw_score_reference(row).to_bits()
+            && model.predict_proba(row).to_bits() == served
+    });
     if !flat_vs_reference_identical {
         eprintln!("FAIL: flat engine diverged from the reference walk");
     }
@@ -336,10 +335,7 @@ fn main() {
         "  flat vs reference: identical={} ({} NaN rows, {} context-only rows)",
         flat_vs_reference_identical, nan_rows, context_only_rows
     );
-    eprintln!(
-        "  predict-stage mean: flat {:.2}us, reference {:.2}us (informational on 1 core)",
-        predict_flat_us, predict_reference_us
-    );
+    eprintln!("  predict-stage mean: {predict_flat_us:.2}us (informational on 1 core)");
 
     // Gate (b): replay and worker-count invariance of the flat engine.
     let (rerun_bits, _) = drive(&flat_server, &stream);
@@ -361,7 +357,6 @@ fn main() {
     );
 
     // Gate (c): counted traversal work on the assembled row panel.
-    let panel = assembled_panel(&stream);
     let counted = counted_gate(model.flat(), &panel);
     if !counted.visits_conserved {
         eprintln!(
@@ -406,7 +401,6 @@ fn main() {
         rerun_identical,
         workers_identical,
         predict_stage_flat_us: predict_flat_us,
-        predict_stage_reference_us: predict_reference_us,
         counted,
         pass,
     };

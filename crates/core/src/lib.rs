@@ -56,7 +56,7 @@ pub mod prelude {
     pub use crate::tplus1::{DailyResult, TPlusOneDriver};
     pub use titant_alihbase::{FaultPlan, FaultPlanConfig, UnavailableWindow};
     pub use titant_datagen::{DatasetSlice, World, WorldConfig};
-    pub use titant_models::{Classifier, Dataset, FlatForest, PredictEngine, TraversalCounts};
+    pub use titant_models::{Classifier, Dataset, FlatForest, TraversalCounts};
     pub use titant_modelserver::{
         HedgePolicy, ResilienceSnapshot, RetryPolicy, RowCacheConfig, RowCacheStats, SloConfig,
     };

@@ -91,19 +91,6 @@ impl Default for GbdtConfig {
     }
 }
 
-/// Which traversal serves predictions. The compiled flat engine is the
-/// default everywhere; the reference walk is retained so the
-/// `predict_latency` bench (and any doubter) can A/B the two end to end.
-/// The knob is never serialized — a loaded model always serves flat.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PredictEngine {
-    /// Compiled [`FlatForest`] kernels (single-row descent; blocked batch).
-    #[default]
-    Flat,
-    /// The original per-tree `RegNode` enum walk.
-    Reference,
-}
-
 /// A trained gradient-boosted ensemble.
 #[derive(Debug, Clone)]
 pub struct Gbdt {
@@ -114,9 +101,6 @@ pub struct Gbdt {
     /// Batch-prediction worker count carried over from the training config
     /// (`0` = auto). Row-parallel scoring never changes the per-row result.
     threads: usize,
-    /// Serving engine selector; defaults to [`PredictEngine::Flat`] and is
-    /// deliberately not persisted.
-    engine: PredictEngine,
     /// Compiled flat form, built once per model (at fit time, on first use
     /// after deserialization, or eagerly via [`Gbdt::flat`]).
     flat: OnceLock<FlatForest>,
@@ -125,11 +109,10 @@ pub struct Gbdt {
     pool: OnceLock<Pool>,
 }
 
-/// Manual serde impls: the compiled flat form, the engine knob and the
-/// worker pool are serving-time state, not model state — only the five
-/// fields the derived impl used to emit are persisted, so the artifact
-/// format is unchanged and a loaded model recompiles (and always serves
-/// the flat engine) on its own.
+/// Manual serde impls: the compiled flat form and the worker pool are
+/// serving-time state, not model state — only the five fields the derived
+/// impl used to emit are persisted, so the artifact format is unchanged and
+/// a loaded model recompiles on its own.
 impl Serialize for Gbdt {
     fn serialize(&self) -> serde::Value {
         serde::Value::Map(vec![
@@ -153,7 +136,6 @@ impl Deserialize for Gbdt {
             objective: Deserialize::deserialize(serde::field(entries, "objective")?)?,
             n_features: Deserialize::deserialize(serde::field(entries, "n_features")?)?,
             threads: Deserialize::deserialize(serde::field(entries, "threads")?)?,
-            engine: PredictEngine::default(),
             flat: OnceLock::new(),
             pool: OnceLock::new(),
         })
@@ -259,7 +241,6 @@ impl GbdtConfig {
             objective: self.objective,
             n_features: n_feats,
             threads: self.threads,
-            engine: PredictEngine::default(),
             flat: OnceLock::new(),
             pool: OnceLock::new(),
         };
@@ -285,12 +266,6 @@ impl Gbdt {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self.pool = OnceLock::new();
-        self
-    }
-
-    /// Select the serving engine (bench/debug knob; flat is the default).
-    pub fn with_engine(mut self, engine: PredictEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -322,12 +297,9 @@ impl Gbdt {
     }
 
     /// Raw additive score before the objective's output transform, served
-    /// by the engine selected via [`Gbdt::with_engine`].
+    /// by the compiled [`FlatForest`].
     pub fn raw_score(&self, features: &[f32]) -> f64 {
-        match self.engine {
-            PredictEngine::Flat => self.flat().raw_score(features),
-            PredictEngine::Reference => self.raw_score_reference(features),
-        }
+        self.flat().raw_score(features)
     }
 
     /// The original per-tree `RegNode` enum walk. Kept as the ground truth
@@ -360,8 +332,8 @@ impl Classifier for Gbdt {
 
     /// Row-parallel batch scoring: rows are scored independently over
     /// contiguous chunks and concatenated in chunk order, so the output
-    /// equals the serial row-by-row map exactly. The flat engine scores
-    /// each chunk with the blocked tree-at-a-time kernel; raw sums keep
+    /// equals the serial row-by-row map exactly. Each chunk is scored
+    /// with the blocked tree-at-a-time kernel; raw sums keep
     /// tree order, so every element still matches `predict_proba` of that
     /// row bit for bit. The worker pool is built once and reused across
     /// calls (a fresh scoped-pool spawn per batch used to sit on the
@@ -369,28 +341,16 @@ impl Classifier for Gbdt {
     fn predict_batch(&self, data: &Dataset) -> Vec<f32> {
         let n = data.n_rows();
         let pool = self.pool();
-        if let PredictEngine::Flat = self.engine {
-            let flat = self.flat();
-            if pool.threads() <= 1 || n < 1024 {
-                let mut out = vec![0f32; n];
-                flat.predict_blocked_into(data, 0..n, |s| self.transform(s), &mut out);
-                return out;
-            }
-            let chunks = pool.map_ranges(n, |_, r| {
-                let mut out = vec![0f32; r.len()];
-                flat.predict_blocked_into(data, r, |s| self.transform(s), &mut out);
-                out
-            });
-            return chunks.concat();
-        }
+        let flat = self.flat();
+        let score = |rows: std::ops::Range<usize>| {
+            let mut out = vec![0f32; rows.len()];
+            flat.predict_blocked_into(data, rows, |s| self.transform(s), &mut out);
+            out
+        };
         if pool.threads() <= 1 || n < 1024 {
-            return (0..n).map(|i| self.predict_proba(data.row(i))).collect();
+            return score(0..n);
         }
-        let chunks = pool.map_ranges(n, |_, r| {
-            r.map(|i| self.predict_proba(data.row(i)))
-                .collect::<Vec<f32>>()
-        });
-        chunks.concat()
+        pool.map_ranges(n, |_, rows| score(rows)).concat()
     }
 
     fn name(&self) -> &'static str {
@@ -553,25 +513,16 @@ mod tests {
         }
         .fit(&d);
         assert!(m.is_compiled(), "fit should compile the flat form eagerly");
-        let reference = m.clone().with_engine(PredictEngine::Reference);
+        let mut ref_batch = Vec::with_capacity(d.n_rows());
         for i in 0..d.n_rows() {
             let row = d.row(i);
-            assert_eq!(
-                m.raw_score(row).to_bits(),
-                reference.raw_score(row).to_bits(),
-                "row {i}"
-            );
-            assert_eq!(
-                m.predict_proba(row).to_bits(),
-                reference.predict_proba(row).to_bits()
-            );
+            let raw = m.raw_score_reference(row);
+            assert_eq!(m.raw_score(row).to_bits(), raw.to_bits(), "row {i}");
+            let proba = m.transform(raw).to_bits();
+            assert_eq!(m.predict_proba(row).to_bits(), proba);
+            ref_batch.push(proba);
         }
         let flat_batch: Vec<u32> = m.predict_batch(&d).iter().map(|p| p.to_bits()).collect();
-        let ref_batch: Vec<u32> = reference
-            .predict_batch(&d)
-            .iter()
-            .map(|p| p.to_bits())
-            .collect();
         assert_eq!(flat_batch, ref_batch);
     }
 

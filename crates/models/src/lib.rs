@@ -26,7 +26,7 @@ pub mod tree;
 pub use dataset::Dataset;
 pub use discretize::{BinningStrategy, Discretizer};
 pub use gbdt::flat::{FlatForest, TraversalCounts, BLOCK_ROWS};
-pub use gbdt::{Gbdt, GbdtConfig, GbdtObjective, PredictEngine};
+pub use gbdt::{Gbdt, GbdtConfig, GbdtObjective};
 pub use iforest::{IsolationForest, IsolationForestConfig};
 pub use linear::{LogisticRegression, LogisticRegressionConfig};
 pub use traits::Classifier;

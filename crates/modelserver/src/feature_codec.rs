@@ -140,6 +140,23 @@ fn qual_table() -> &'static QualTable {
     QUALIFIERS.get_or_init(QualTable::build)
 }
 
+/// One encoded cell: the little-endian `f32` at `family:qualifier` of `row`.
+fn cell(
+    row: &RowKey,
+    family: &ColumnFamily,
+    qualifier: Qualifier,
+    value: f32,
+    version: Version,
+) -> (CellKey, Version, Option<Bytes>) {
+    let key = CellKey {
+        row: row.clone(),
+        family: family.clone(),
+        qualifier,
+    };
+    let value = Bytes::copy_from_slice(&value.to_le_bytes());
+    (key, version, Some(value))
+}
+
 /// Per-user serving payload: what the offline stage uploads and the MS
 /// fetches per transfer party.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -225,49 +242,21 @@ impl FeatureCodec {
         let mut cells = Vec::with_capacity(
             features.payer_side.len() + features.receiver_side.len() + features.embedding.len(),
         );
-        for (i, v) in features.payer_side.iter().enumerate() {
-            cells.push((
-                CellKey {
-                    row: row.clone(),
-                    family: quals.basic.clone(),
-                    qualifier: quals.payer_qualifier(i),
-                },
-                version,
-                Some(Bytes::copy_from_slice(&v.to_le_bytes())),
-            ));
+        for (i, &v) in features.payer_side.iter().enumerate() {
+            let qualifier = quals.payer_qualifier(i);
+            cells.push(cell(&row, &quals.basic, qualifier, v, version));
         }
-        for (i, v) in features.receiver_side.iter().enumerate() {
-            cells.push((
-                CellKey {
-                    row: row.clone(),
-                    family: quals.basic.clone(),
-                    qualifier: quals.receiver_qualifier(i),
-                },
-                version,
-                Some(Bytes::copy_from_slice(&v.to_le_bytes())),
-            ));
+        for (i, &v) in features.receiver_side.iter().enumerate() {
+            let qualifier = quals.receiver_qualifier(i);
+            cells.push(cell(&row, &quals.basic, qualifier, v, version));
         }
-        for (i, v) in features.embedding.iter().enumerate() {
-            cells.push((
-                CellKey {
-                    row: row.clone(),
-                    family: quals.embedding_family.clone(),
-                    qualifier: quals.embedding_qualifier(i),
-                },
-                version,
-                Some(Bytes::copy_from_slice(&v.to_le_bytes())),
-            ));
+        for (i, &v) in features.embedding.iter().enumerate() {
+            let qualifier = quals.embedding_qualifier(i);
+            cells.push(cell(&row, &quals.embedding_family, qualifier, v, version));
         }
-        for (i, v) in features.velocity.iter().enumerate() {
-            cells.push((
-                CellKey {
-                    row: row.clone(),
-                    family: quals.velocity_family.clone(),
-                    qualifier: quals.velocity_qualifier(i),
-                },
-                version,
-                Some(Bytes::copy_from_slice(&v.to_le_bytes())),
-            ));
+        for (i, &v) in features.velocity.iter().enumerate() {
+            let qualifier = quals.velocity_qualifier(i);
+            cells.push(cell(&row, &quals.velocity_family, qualifier, v, version));
         }
         cells
     }
@@ -288,60 +277,32 @@ impl FeatureCodec {
         let mut cells = Vec::with_capacity(delta.len());
         for &(i, v) in &delta.payer {
             assert!(i < self.payer_width, "payer delta index {i} out of layout");
-            cells.push((
-                CellKey {
-                    row: row.clone(),
-                    family: quals.basic.clone(),
-                    qualifier: quals.payer_qualifier(i),
-                },
-                version,
-                Some(Bytes::copy_from_slice(&v.to_le_bytes())),
-            ));
+            let qualifier = quals.payer_qualifier(i);
+            cells.push(cell(&row, &quals.basic, qualifier, v, version));
         }
         for &(i, v) in &delta.receiver {
             assert!(
                 i < self.receiver_width,
                 "receiver delta index {i} out of layout"
             );
-            cells.push((
-                CellKey {
-                    row: row.clone(),
-                    family: quals.basic.clone(),
-                    qualifier: quals.receiver_qualifier(i),
-                },
-                version,
-                Some(Bytes::copy_from_slice(&v.to_le_bytes())),
-            ));
+            let qualifier = quals.receiver_qualifier(i);
+            cells.push(cell(&row, &quals.basic, qualifier, v, version));
         }
         for &(i, v) in &delta.embedding {
             assert!(
                 i < self.embedding_dim,
                 "embedding delta index {i} out of layout"
             );
-            cells.push((
-                CellKey {
-                    row: row.clone(),
-                    family: quals.embedding_family.clone(),
-                    qualifier: quals.embedding_qualifier(i),
-                },
-                version,
-                Some(Bytes::copy_from_slice(&v.to_le_bytes())),
-            ));
+            let qualifier = quals.embedding_qualifier(i);
+            cells.push(cell(&row, &quals.embedding_family, qualifier, v, version));
         }
         for &(i, v) in &delta.velocity {
             assert!(
                 i < self.velocity_width,
                 "velocity delta index {i} out of layout"
             );
-            cells.push((
-                CellKey {
-                    row: row.clone(),
-                    family: quals.velocity_family.clone(),
-                    qualifier: quals.velocity_qualifier(i),
-                },
-                version,
-                Some(Bytes::copy_from_slice(&v.to_le_bytes())),
-            ));
+            let qualifier = quals.velocity_qualifier(i);
+            cells.push(cell(&row, &quals.velocity_family, qualifier, v, version));
         }
         cells
     }
@@ -378,23 +339,20 @@ impl FeatureCodec {
         self.decode_cells(user, &table.get_row(&row, as_of))
     }
 
-    /// Batched [`Self::get_user`]: fetch every row in one
-    /// [`RegionedTable::get_rows`] call (a single store-lock acquisition per
-    /// owning region) and decode per user. Results keep the input order;
-    /// each user decodes independently, so one torn row degrades only its
-    /// own slot.
+    /// One [`Self::get_user`] per user, in input order. Hidden: nothing in
+    /// the workspace calls it; the name and signature stay only because
+    /// `benchmark/src/api.rs` pins them, and removing it is a benchmark
+    /// issue of its own.
+    #[doc(hidden)]
     pub fn get_users(
         &self,
         table: &RegionedTable,
         users: &[u64],
         as_of: Version,
     ) -> Vec<Result<Option<UserFeatures>, ServeError>> {
-        let rows: Vec<RowKey> = users.iter().map(|&u| Self::row_key(u)).collect();
-        let batches = table.get_rows(&rows, as_of);
         users
             .iter()
-            .zip(&batches)
-            .map(|(&user, cells)| self.decode_cells(user, cells))
+            .map(|&user| self.get_user(table, user, as_of))
             .collect()
     }
 

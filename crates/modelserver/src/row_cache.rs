@@ -1,8 +1,8 @@
 //! Sharded, capacity-bounded row cache for decoded user features.
 //!
-//! Sits in front of [`crate::FeatureCodec::get_user`] on the serving hot
-//! path. Keys are `(user, as_of)` so a versioned read never aliases a
-//! latest read. Two rules keep it correct:
+//! Sits in front of the per-party feature fetch on the serving hot path,
+//! keyed by user: the server only ever reads the latest version, so one
+//! entry per user is the whole key space. Two rules keep it correct:
 //!
 //! * **Invalidation on version bumps** — the server clears the cache on
 //!   every [`crate::ModelServer::deploy`] and callers that upload a new
@@ -15,8 +15,8 @@
 //!   and a torn decode must never be served to a later healthy request.
 //!
 //! Sharding bounds lock contention: each shard is an independent
-//! `Mutex<HashMap + FIFO queue>`, and batch lookups take each shard's lock
-//! at most once.
+//! `Mutex<HashMap + FIFO queue>`, and every operation on one user takes
+//! exactly that user's shard lock.
 //!
 //! Payloads are `Arc<UserFeatures>`: a hit hands back a pointer clone, not
 //! a deep copy of the embedding/velocity vectors, so the per-request cost
@@ -24,6 +24,7 @@
 //! are immutable once inserted (first write wins), so sharing is safe.
 
 use crate::feature_codec::UserFeatures;
+use crate::slo::splitmix64;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,15 +71,13 @@ impl RowCacheStats {
     }
 }
 
-type Key = (u64, u64);
-
 #[derive(Default)]
 struct Shard {
     /// `None` caches a confirmed-absent user (a clean read of an empty
     /// row), distinct from "not cached".
-    map: HashMap<Key, Option<Arc<UserFeatures>>>,
+    map: HashMap<u64, Option<Arc<UserFeatures>>>,
     /// FIFO insertion order for eviction.
-    order: VecDeque<Key>,
+    order: VecDeque<u64>,
 }
 
 /// The cache proper. Cheap to share behind the server's `Arc`.
@@ -90,14 +89,6 @@ pub struct RowCache {
     inserted: AtomicU64,
     evicted: AtomicU64,
     invalidations: AtomicU64,
-}
-
-/// SplitMix64 — maps user ids onto shards without clustering sequential ids.
-fn shard_hash(user: u64) -> u64 {
-    let mut z = user.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl RowCache {
@@ -122,15 +113,17 @@ impl RowCache {
         }
     }
 
+    /// SplitMix64 maps user ids onto shards without clustering
+    /// sequential ids.
     fn shard_of(&self, user: u64) -> usize {
-        (shard_hash(user) % self.shards.len() as u64) as usize
+        (splitmix64(user) % self.shards.len() as u64) as usize
     }
 
-    /// Look up one `(user, as_of)` entry. Outer `None` = miss; inner
-    /// `Option` is the cached decode (`None` = user confirmed absent).
-    pub fn get(&self, user: u64, as_of: u64) -> Option<Option<Arc<UserFeatures>>> {
+    /// Look up one user. Outer `None` = miss; inner `Option` is the cached
+    /// decode (`None` = user confirmed absent).
+    pub fn get(&self, user: u64) -> Option<Option<Arc<UserFeatures>>> {
         let shard = self.shards[self.shard_of(user)].lock();
-        match shard.map.get(&(user, as_of)) {
+        match shard.map.get(&user) {
             Some(cached) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(cached.clone())
@@ -145,16 +138,12 @@ impl RowCache {
     /// Insert a *clean* decode. First write wins: a concurrent duplicate
     /// insert is dropped, so cached contents never flap. Callers must not
     /// insert results of degraded (torn/faulted) reads.
-    pub fn insert(&self, user: u64, as_of: u64, features: Option<Arc<UserFeatures>>) {
+    pub fn insert(&self, user: u64, features: Option<Arc<UserFeatures>>) {
         if self.per_shard_cap == 0 {
             return;
         }
         let mut shard = self.shards[self.shard_of(user)].lock();
-        self.insert_locked(&mut shard, (user, as_of), features);
-    }
-
-    fn insert_locked(&self, shard: &mut Shard, key: Key, features: Option<Arc<UserFeatures>>) {
-        if shard.map.contains_key(&key) {
+        if shard.map.contains_key(&user) {
             return;
         }
         while shard.map.len() >= self.per_shard_cap {
@@ -166,82 +155,29 @@ impl RowCache {
                 None => break,
             }
         }
-        shard.map.insert(key, features);
-        shard.order.push_back(key);
+        shard.map.insert(user, features);
+        shard.order.push_back(user);
         self.inserted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Batched lookup: group users by shard and take each shard lock once.
-    /// Result slots mirror `users` (outer `None` = miss).
-    pub fn get_batch(&self, users: &[u64], as_of: u64) -> Vec<Option<Option<Arc<UserFeatures>>>> {
-        let mut out: Vec<Option<Option<Arc<UserFeatures>>>> = vec![None; users.len()];
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, &user) in users.iter().enumerate() {
-            by_shard[self.shard_of(user)].push(i);
-        }
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for (shard_idx, indices) in by_shard.iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            let shard = self.shards[shard_idx].lock();
-            for &i in indices {
-                match shard.map.get(&(users[i], as_of)) {
-                    Some(cached) => {
-                        hits += 1;
-                        out[i] = Some(cached.clone());
-                    }
-                    None => misses += 1,
-                }
-            }
-        }
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
-        out
-    }
-
-    /// Batched insert of clean decodes, one lock acquisition per shard.
-    pub fn insert_batch(&self, entries: Vec<(u64, u64, Option<Arc<UserFeatures>>)>) {
-        if self.per_shard_cap == 0 {
-            return;
-        }
-        let mut by_shard: Vec<Vec<(Key, Option<Arc<UserFeatures>>)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for (user, as_of, features) in entries {
-            by_shard[self.shard_of(user)].push(((user, as_of), features));
-        }
-        for (shard_idx, batch) in by_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[shard_idx].lock();
-            for (key, features) in batch {
-                self.insert_locked(&mut shard, key, features);
-            }
-        }
-    }
-
-    /// Drop every cached entry for one user (all `as_of` variants).
+    /// Drop one user's cached entry.
     ///
     /// This is the streaming-update path: a
     /// [`crate::ModelServer::ingest_update`] patches one user's row, so
-    /// only that user's decodes can be stale — the rest of the cache stays
+    /// only that user's decode can be stale — the rest of the cache stays
     /// hot. Touches exactly one shard lock. Returns how many entries were
-    /// dropped.
+    /// dropped (0 or 1).
     pub fn invalidate_user(&self, user: u64) -> usize {
         let mut shard = self.shards[self.shard_of(user)].lock();
-        let before = shard.map.len();
-        shard.map.retain(|&(u, _), _| u != user);
-        let dropped = before - shard.map.len();
-        if dropped > 0 {
-            // Drop the user's keys from the FIFO queue too: a ghost key
-            // left behind would later pop without a matching map entry and
-            // silently shrink the shard's effective capacity accounting.
-            shard.order.retain(|&(u, _)| u != user);
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
+        if shard.map.remove(&user).is_none() {
+            return 0;
         }
-        dropped
+        // Drop the user's key from the FIFO queue too: a ghost key left
+        // behind would later pop without a matching map entry and silently
+        // shrink the shard's effective capacity accounting.
+        shard.order.retain(|&u| u != user);
+        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        1
     }
 
     /// Drop every entry (deploy / feature-upload version bump).
@@ -292,20 +228,18 @@ mod tests {
     #[test]
     fn hit_after_insert_miss_before() {
         let cache = RowCache::new(RowCacheConfig::default());
-        assert!(cache.get(7, u64::MAX).is_none());
-        cache.insert(7, u64::MAX, feats(1.0));
-        assert_eq!(cache.get(7, u64::MAX), Some(feats(1.0)));
-        // Different as_of is a different entry.
-        assert!(cache.get(7, 5).is_none());
+        assert!(cache.get(7).is_none());
+        cache.insert(7, feats(1.0));
+        assert_eq!(cache.get(7), Some(feats(1.0)));
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 2));
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]
     fn absent_user_is_cached_distinctly_from_miss() {
         let cache = RowCache::new(RowCacheConfig::default());
-        cache.insert(9, u64::MAX, None);
-        assert_eq!(cache.get(9, u64::MAX), Some(None));
+        cache.insert(9, None);
+        assert_eq!(cache.get(9), Some(None));
     }
 
     #[test]
@@ -315,13 +249,13 @@ mod tests {
             shards: 1,
         });
         for user in 0..10u64 {
-            cache.insert(user, 1, feats(user as f32));
+            cache.insert(user, feats(user as f32));
         }
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.stats().evicted, 6);
         // The newest entries survive.
-        assert!(cache.get(9, 1).is_some());
-        assert!(cache.get(0, 1).is_none());
+        assert!(cache.get(9).is_some());
+        assert!(cache.get(0).is_none());
     }
 
     #[test]
@@ -330,17 +264,17 @@ mod tests {
             capacity: 0,
             shards: 4,
         });
-        cache.insert(1, 1, feats(1.0));
-        assert!(cache.get(1, 1).is_none());
+        cache.insert(1, feats(1.0));
+        assert!(cache.get(1).is_none());
         assert_eq!(cache.len(), 0);
     }
 
     #[test]
     fn first_insert_wins() {
         let cache = RowCache::new(RowCacheConfig::default());
-        cache.insert(3, 1, feats(1.0));
-        cache.insert(3, 1, feats(2.0));
-        assert_eq!(cache.get(3, 1), Some(feats(1.0)));
+        cache.insert(3, feats(1.0));
+        cache.insert(3, feats(2.0));
+        assert_eq!(cache.get(3), Some(feats(1.0)));
         assert_eq!(cache.stats().inserted, 1);
     }
 
@@ -348,12 +282,12 @@ mod tests {
     fn clear_invalidates_everything() {
         let cache = RowCache::new(RowCacheConfig::default());
         for user in 0..20u64 {
-            cache.insert(user, 1, feats(user as f32));
+            cache.insert(user, feats(user as f32));
         }
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().invalidations, 1);
-        assert!(cache.get(5, 1).is_none());
+        assert!(cache.get(5).is_none());
     }
 
     #[test]
@@ -362,13 +296,11 @@ mod tests {
             capacity: 64,
             shards: 2,
         });
-        cache.insert(7, u64::MAX, feats(1.0));
-        cache.insert(7, 5, feats(2.0));
-        cache.insert(8, u64::MAX, feats(3.0));
-        assert_eq!(cache.invalidate_user(7), 2);
-        assert!(cache.get(7, u64::MAX).is_none());
-        assert!(cache.get(7, 5).is_none());
-        assert_eq!(cache.get(8, u64::MAX), Some(feats(3.0)));
+        cache.insert(7, feats(1.0));
+        cache.insert(8, feats(3.0));
+        assert_eq!(cache.invalidate_user(7), 1);
+        assert!(cache.get(7).is_none());
+        assert_eq!(cache.get(8), Some(feats(3.0)));
         assert_eq!(cache.stats().invalidations, 1);
         // Invalidating an uncached user is a counted-free no-op.
         assert_eq!(cache.invalidate_user(999), 0);
@@ -381,39 +313,21 @@ mod tests {
             capacity: 3,
             shards: 1,
         });
-        cache.insert(1, 1, feats(1.0));
-        cache.insert(2, 1, feats(2.0));
-        cache.insert(3, 1, feats(3.0));
+        cache.insert(1, feats(1.0));
+        cache.insert(2, feats(2.0));
+        cache.insert(3, feats(3.0));
         cache.invalidate_user(1);
         // Refill to capacity; the eviction loop must not burn pops on the
         // invalidated user's ghost key.
-        cache.insert(4, 1, feats(4.0));
-        cache.insert(5, 1, feats(5.0));
+        cache.insert(4, feats(4.0));
+        cache.insert(5, feats(5.0));
         assert_eq!(cache.len(), 3);
         // FIFO order without ghosts: 2 is the oldest survivor and must be
         // the one evicted by the insert of 5.
-        assert!(cache.get(2, 1).is_none());
-        assert!(cache.get(3, 1).is_some());
-        assert!(cache.get(4, 1).is_some());
-        assert!(cache.get(5, 1).is_some());
+        assert!(cache.get(2).is_none());
+        assert!(cache.get(3).is_some());
+        assert!(cache.get(4).is_some());
+        assert!(cache.get(5).is_some());
         assert_eq!(cache.stats().evicted, 1);
-    }
-
-    #[test]
-    fn batch_round_trip_matches_single_ops() {
-        let cache = RowCache::new(RowCacheConfig {
-            capacity: 64,
-            shards: 4,
-        });
-        let users: Vec<u64> = (0..16).collect();
-        cache.insert_batch(users.iter().map(|&u| (u, 1, feats(u as f32))).collect());
-        let got = cache.get_batch(&users, 1);
-        for (&user, slot) in users.iter().zip(&got) {
-            assert_eq!(slot.as_ref(), Some(&feats(user as f32)), "user {user}");
-            assert_eq!(cache.get(user, 1), feats(user as f32).into());
-        }
-        // A miss stays an outer None.
-        let got = cache.get_batch(&[999], 1);
-        assert!(got[0].is_none());
     }
 }

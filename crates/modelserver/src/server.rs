@@ -14,7 +14,7 @@ use crate::row_cache::{RowCache, RowCacheConfig, RowCacheStats};
 use crate::slo::{Deadline, ReqRng, ResilienceCounters, ResilienceSnapshot, SloConfig};
 use crossbeam::channel::{bounded, SendError, Sender, TrySendError};
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -127,6 +127,10 @@ impl FeatureLayout {
         Ok(())
     }
 }
+
+/// What the fetch stage yields: `[payer, receiver]` and whether either
+/// fetch degraded.
+type Parties = ([Option<Arc<UserFeatures>>; 2], bool);
 
 /// A model server instance. Cheap to clone (shared internals) — clones act
 /// as additional serving replicas over the same store and model.
@@ -285,7 +289,7 @@ impl ModelServer {
     /// This is the online half of the write path: instead of waiting for
     /// the next full T+1 upload, a correction job patches a handful of
     /// qualifiers per user. The whole call goes through
-    /// [`RegionedTable::put_rows`] — one lock acquisition and one WAL frame
+    /// [`RegionedTable::try_put_rows`] — one lock and one WAL frame
     /// per owning region, all-or-nothing on crash replay — and then drives
     /// one deterministic [`RegionedTable::tick`] so background compaction
     /// and any open group-commit window make progress on the writer's
@@ -391,18 +395,7 @@ impl ModelServer {
                                 message: fault.to_string(),
                             });
                         }
-                        let pause = inner.slo.retry.backoff(prev, &mut rng);
-                        prev = pause;
-                        // Never pause past the budget (same cap as the read
-                        // path): an uncapped backoff could charge the
-                        // deadline far beyond its budget before the next
-                        // attempt even runs.
-                        let pause = match deadline.remaining() {
-                            Some(left) => pause.min(left),
-                            None => pause,
-                        };
-                        deadline.charge(pause);
-                        std::thread::sleep(pause);
+                        deadline.back_off(&inner.slo.retry, &mut prev, &mut rng);
                         inner.resilience.record_write_retry();
                         report.write_retries += 1;
                         attempt += 1;
@@ -468,9 +461,9 @@ impl ModelServer {
     ///
     /// Exhausting retries/replicas degrades to `None` (context-only
     /// scoring, counted); only an exhausted deadline budget fails the
-    /// request, as [`ServeError::DeadlineExceeded`]. Torn rows/cells
-    /// degrade as before. Every decision is a pure function of the fault
-    /// plan and the request's seed — never of wall-clock time.
+    /// request, as [`ServeError::DeadlineExceeded`] (counted here). Torn
+    /// rows/cells degrade too. Every decision is a pure function of the
+    /// fault plan and the request's seed — never of wall-clock time.
     fn fetch_party(
         &self,
         tx_id: u64,
@@ -481,16 +474,19 @@ impl ModelServer {
     ) -> Result<Option<Arc<UserFeatures>>, ServeError> {
         let inner = &self.inner;
         if let Some(cache) = &inner.cache {
-            if let Some(cached) = cache.get(user, u64::MAX) {
+            if let Some(cached) = cache.get(user) {
                 return Ok(cached);
             }
         }
         let slo = &inner.slo;
         let n_replicas = inner.table.replica_count();
-        let deadline_err = |d: &Deadline| ServeError::DeadlineExceeded {
-            tx_id,
-            budget: d.budget().unwrap_or_default(),
-            charged: d.charged(),
+        let deadline_err = |d: &Deadline| {
+            inner.resilience.record_deadline_exceeded();
+            ServeError::DeadlineExceeded {
+                tx_id,
+                budget: d.budget().unwrap_or_default(),
+                charged: d.charged(),
+            }
         };
         let mut replica = 0usize;
         let mut attempt = 0u32;
@@ -529,7 +525,7 @@ impl ModelServer {
                     // pointer clone, so later hits never deep-copy it.
                     let found = found.map(Arc::new);
                     if let Some(cache) = &inner.cache {
-                        cache.insert(user, u64::MAX, found.clone());
+                        cache.insert(user, found.clone());
                     }
                     return Ok(found);
                 }
@@ -542,15 +538,7 @@ impl ModelServer {
                         FaultKind::Transient if retries_left > 0 => {
                             retries_left -= 1;
                             attempt += 1;
-                            let pause = slo.retry.backoff(prev_backoff, rng);
-                            prev_backoff = pause;
-                            // Never pause past the budget.
-                            let pause = match deadline.remaining() {
-                                Some(left) => pause.min(left),
-                                None => pause,
-                            };
-                            deadline.charge(pause);
-                            std::thread::sleep(pause);
+                            deadline.back_off(&slo.retry, &mut prev_backoff, rng);
                             inner.resilience.record_retry();
                         }
                         FaultKind::Unavailable if failovers_left > 0 => {
@@ -565,19 +553,15 @@ impl ModelServer {
                             replica = (replica + 1) % n_replicas;
                             inner.resilience.record_hedge();
                         }
-                        // A replica index the region does not have: a
-                        // routing bug surfaced as a typed fault, not a
-                        // storage fault. Nothing ran, so no retry, hedge,
-                        // or failover is recorded — pre-fix the table
-                        // silently wrapped onto the primary here and the
-                        // SLO layer believed its hedge had landed on
-                        // different hardware.
-                        FaultKind::NoSuchReplica => {
-                            *degraded = true;
-                            return Ok(None);
-                        }
                         // Out of options for this fault kind: degrade to
-                        // context-only scoring.
+                        // context-only scoring. That includes
+                        // `NoSuchReplica`, a replica index the region does
+                        // not have: a routing bug surfaced as a typed
+                        // fault, not a storage fault. Nothing ran, so no
+                        // retry, hedge, or failover is recorded — pre-fix
+                        // the table silently wrapped onto the primary here
+                        // and the SLO layer believed its hedge had landed
+                        // on different hardware.
                         _ => {
                             *degraded = true;
                             return Ok(None);
@@ -593,6 +577,31 @@ impl ModelServer {
         }
     }
 
+    /// The front half of both scoring entries: reject a context of the
+    /// wrong width, then fetch payer and receiver through
+    /// [`Self::fetch_party`] under one deadline budget and one jitter RNG
+    /// per request. The budget is virtual (charged in simulated time) and
+    /// the RNG is seeded by `tx_id`, so a request meets the same faults,
+    /// retries and deadline alone, in a batch, or on a replay.
+    fn fetch_parties(&self, req: &ScoreRequest) -> Result<Parties, ServeError> {
+        let inner = &self.inner;
+        let expected = inner.layout.context_slots.len();
+        if req.context.len() != expected {
+            return Err(ServeError::ContextWidth {
+                tx_id: req.tx_id,
+                expected,
+                got: req.context.len(),
+            });
+        }
+        let mut deadline = Deadline::new(inner.slo.deadline);
+        let mut rng = ReqRng::new(inner.slo.seed ^ req.tx_id);
+        let mut degraded = false;
+        let mut fetch =
+            |user| self.fetch_party(req.tx_id, user, &mut deadline, &mut rng, &mut degraded);
+        let parties = [fetch(req.transferor)?, fetch(req.transferee)?];
+        Ok((parties, degraded))
+    }
+
     /// Score one transaction synchronously: HBase fetch for both parties,
     /// vector assembly, model evaluation. Per-stage latencies land in
     /// [`Self::latency`].
@@ -602,219 +611,97 @@ impl ModelServer {
     /// request — the affected party's slots serve zeros (the cold-start
     /// input the models trained on) and the response is marked degraded.
     pub fn score(&self, req: &ScoreRequest) -> Result<ScoreResponse, ServeError> {
-        let layout = &self.inner.layout;
-        if req.context.len() != layout.context_slots.len() {
-            return Err(ServeError::ContextWidth {
-                tx_id: req.tx_id,
-                expected: layout.context_slots.len(),
-                got: req.context.len(),
-            });
-        }
         let start = Instant::now();
         let model = Arc::clone(&self.inner.model.read());
-
-        // The deadline budget is virtual (charged in simulated time) and
-        // the jitter RNG is seeded per request, so SLO outcomes replay
-        // bit-identically under the same fault plan.
-        let mut deadline = Deadline::new(self.inner.slo.deadline);
-        let mut rng = ReqRng::new(self.inner.slo.seed ^ req.tx_id);
-        let mut degraded = false;
-        let parties = self
-            .fetch_party(
-                req.tx_id,
-                req.transferor,
-                &mut deadline,
-                &mut rng,
-                &mut degraded,
-            )
-            .and_then(|payer| {
-                let recv = self.fetch_party(
-                    req.tx_id,
-                    req.transferee,
-                    &mut deadline,
-                    &mut rng,
-                    &mut degraded,
-                )?;
-                Ok((payer, recv))
-            });
-        let (payer, recv) = match parties {
-            Ok(p) => p,
-            Err(e) => {
-                if matches!(e, ServeError::DeadlineExceeded { .. }) {
-                    self.inner.resilience.record_deadline_exceeded();
-                }
-                return Err(e);
-            }
-        };
+        let ([payer, recv], degraded) = self.fetch_parties(req)?;
         let fetched = Instant::now();
 
+        let layout = &self.inner.layout;
         let features = assemble_features(layout, payer.as_deref(), recv.as_deref(), &req.context);
         let assembled = Instant::now();
 
         let probability = model.model.predict_proba(&features);
         let done = Instant::now();
 
-        if degraded {
-            self.inner.degraded.fetch_add(1, Ordering::Relaxed);
+        self.record_stages(start, fetched, assembled, done);
+        Ok(self.respond(req, &model, probability, degraded))
+    }
+
+    /// Score a batch of transactions: each request fetches its two parties
+    /// exactly as [`Self::score`] does — same deadline, retries, hedging,
+    /// failover and row-cache lookups, in input order — and every assembled
+    /// row then goes through the model's blocked batch predictor in one
+    /// call. Results mirror the input order; each slot (response, error,
+    /// `degraded` flag) and every counter equals what per-request `score`
+    /// calls would have produced against the same table and fault plan.
+    ///
+    /// The two entries differ only in the predict kernel; `score` is not a
+    /// batch of one because a cache-hit request is ~1 µs and cannot absorb
+    /// the `Vec`/`Dataset` a batch allocates (DESIGN.md §9 has the numbers).
+    /// One latency sample per call: the stages measure the batch, not a
+    /// synthetic per-request split.
+    pub fn score_batch(&self, reqs: &[ScoreRequest]) -> Vec<Result<ScoreResponse, ServeError>> {
+        let layout = &self.inner.layout;
+        let start = Instant::now();
+        let model = Arc::clone(&self.inner.model.read());
+        let parties: Vec<_> = reqs.iter().map(|req| self.fetch_parties(req)).collect();
+        let fetched = Instant::now();
+
+        // One row per request that fetched, in input order.
+        let mut dataset = Dataset::new(layout.width());
+        for (req, outcome) in reqs.iter().zip(&parties) {
+            if let Ok(([payer, recv], _)) = outcome {
+                let features =
+                    assemble_features(layout, payer.as_deref(), recv.as_deref(), &req.context);
+                dataset.push_row(&features, 0.0);
+            }
         }
+        let assembled = Instant::now();
+
+        let probabilities = model.model.predict_batch(&dataset);
+        let done = Instant::now();
+
+        if !reqs.is_empty() {
+            self.record_stages(start, fetched, assembled, done);
+        }
+        let mut row = 0;
+        reqs.iter()
+            .zip(parties)
+            .map(|(req, outcome)| {
+                let (_, degraded) = outcome?;
+                let probability = probabilities[row];
+                row += 1;
+                Ok(self.respond(req, &model, probability, degraded))
+            })
+            .collect()
+    }
+
+    /// One sample per stage from the four instants a scoring call takes.
+    fn record_stages(&self, start: Instant, fetched: Instant, assembled: Instant, done: Instant) {
         let latency = &self.inner.latency;
         latency.record_stage(Stage::Fetch, fetched - start);
         latency.record_stage(Stage::Assemble, assembled - fetched);
         latency.record_stage(Stage::Predict, done - assembled);
         latency.record_stage(Stage::Total, done - start);
+    }
 
-        Ok(ScoreResponse {
+    /// The verdict for one scored request; counts it when it was degraded.
+    fn respond(
+        &self,
+        req: &ScoreRequest,
+        model: &ModelFile,
+        probability: f32,
+        degraded: bool,
+    ) -> ScoreResponse {
+        if degraded {
+            self.inner.degraded.fetch_add(1, Ordering::Relaxed);
+        }
+        ScoreResponse {
             tx_id: req.tx_id,
             probability,
             alert: probability >= model.alert_threshold,
             degraded,
-        })
-    }
-
-    /// Score a batch of transactions in one pass: unique users are fetched
-    /// with a single store lookup per region (one lock acquisition instead
-    /// of one per request) and every assembled row goes through the model's
-    /// batched predictor. Results mirror the input order, and each response
-    /// is bit-identical to what [`Self::score`] would have produced for the
-    /// same request against the same snapshot.
-    ///
-    /// The batch path reads through the clean (non-fault-injected) store
-    /// path; torn rows still degrade the affected requests to context-only
-    /// scoring exactly like the single-request path. When a row cache is
-    /// configured it is consulted first and filled from clean decodes only.
-    pub fn score_batch(&self, reqs: &[ScoreRequest]) -> Vec<Result<ScoreResponse, ServeError>> {
-        let inner = &self.inner;
-        let layout = &inner.layout;
-        let start = Instant::now();
-        let model = Arc::clone(&inner.model.read());
-
-        // Reject malformed requests up front; only valid ones fetch.
-        let mut results: Vec<Option<Result<ScoreResponse, ServeError>>> = reqs
-            .iter()
-            .map(|req| {
-                if req.context.len() != layout.context_slots.len() {
-                    Some(Err(ServeError::ContextWidth {
-                        tx_id: req.tx_id,
-                        expected: layout.context_slots.len(),
-                        got: req.context.len(),
-                    }))
-                } else {
-                    None
-                }
-            })
-            .collect();
-
-        // Unique users across the batch, in deterministic order.
-        let mut wanted: BTreeMap<u64, ()> = BTreeMap::new();
-        for (i, req) in reqs.iter().enumerate() {
-            if results[i].is_none() {
-                wanted.insert(req.transferor, ());
-                wanted.insert(req.transferee, ());
-            }
         }
-        let users: Vec<u64> = wanted.into_keys().collect();
-
-        // Resolve each user: cache hit, clean fetch, or degraded decode.
-        // Payloads are shared `Arc`s — a cache hit costs a refcount bump,
-        // not a deep copy of the embedding/velocity vectors.
-        let mut fetched: BTreeMap<u64, (Option<Arc<UserFeatures>>, bool)> = BTreeMap::new();
-        let mut fatal: BTreeMap<u64, ServeError> = BTreeMap::new();
-        let cached = inner.cache.as_ref().map(|c| c.get_batch(&users, u64::MAX));
-        let mut misses: Vec<u64> = Vec::new();
-        for (idx, &user) in users.iter().enumerate() {
-            match cached.as_ref().and_then(|slots| slots[idx].clone()) {
-                Some(found) => {
-                    fetched.insert(user, (found, false));
-                }
-                None => misses.push(user),
-            }
-        }
-        if !misses.is_empty() {
-            let looked_up = inner.codec.get_users(&inner.table, &misses, u64::MAX);
-            let mut clean: Vec<(u64, u64, Option<Arc<UserFeatures>>)> = Vec::new();
-            for (&user, res) in misses.iter().zip(looked_up) {
-                match res {
-                    Ok(found) => {
-                        let found = found.map(Arc::new);
-                        clean.push((user, u64::MAX, found.clone()));
-                        fetched.insert(user, (found, false));
-                    }
-                    Err(e) if e.is_degradable() => {
-                        // Context-only fallback; never cached, so the torn
-                        // row is re-observed (and re-counted) every time.
-                        fetched.insert(user, (None, true));
-                    }
-                    Err(e) => {
-                        fatal.insert(user, e);
-                    }
-                }
-            }
-            if let Some(cache) = &inner.cache {
-                cache.insert_batch(clean);
-            }
-        }
-        let fetched_at = Instant::now();
-
-        // Assemble every scoreable request into one dataset.
-        let mut dataset = Dataset::new(layout.width());
-        let mut scored: Vec<(usize, bool)> = Vec::new();
-        for (i, req) in reqs.iter().enumerate() {
-            if results[i].is_some() {
-                continue;
-            }
-            if let Some(e) = fatal
-                .get(&req.transferor)
-                .or_else(|| fatal.get(&req.transferee))
-            {
-                results[i] = Some(Err(e.clone()));
-                continue;
-            }
-            let absent = (None, false);
-            let (payer, payer_degraded) = fetched.get(&req.transferor).unwrap_or(&absent);
-            let (recv, recv_degraded) = fetched.get(&req.transferee).unwrap_or(&absent);
-            let degraded = *payer_degraded || *recv_degraded;
-            let features =
-                assemble_features(layout, payer.as_deref(), recv.as_deref(), &req.context);
-            dataset.push_row(&features, 0.0);
-            scored.push((i, degraded));
-        }
-        let assembled_at = Instant::now();
-
-        let probabilities = model.model.predict_batch(&dataset);
-        let done = Instant::now();
-
-        for (&(i, degraded), &probability) in scored.iter().zip(&probabilities) {
-            if degraded {
-                inner.degraded.fetch_add(1, Ordering::Relaxed);
-            }
-            results[i] = Some(Ok(ScoreResponse {
-                tx_id: reqs[i].tx_id,
-                probability,
-                alert: probability >= model.alert_threshold,
-                degraded,
-            }));
-        }
-
-        // One latency sample per batch call: the stages measure the batch,
-        // not a synthetic per-request split.
-        if !reqs.is_empty() {
-            let latency = &inner.latency;
-            latency.record_stage(Stage::Fetch, fetched_at - start);
-            latency.record_stage(Stage::Assemble, assembled_at - fetched_at);
-            latency.record_stage(Stage::Predict, done - assembled_at);
-            latency.record_stage(Stage::Total, done - start);
-        }
-
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.unwrap_or(Err(ServeError::WorkerPanic {
-                    tx_id: reqs[i].tx_id,
-                    message: "batch slot left unscored".to_string(),
-                }))
-            })
-            .collect()
     }
 
     /// Spawn `n_threads` serving workers draining a bounded request queue —
@@ -1598,9 +1485,9 @@ mod tests {
         assert_eq!(ms.resilience().shed, errors.len() as u64);
     }
 
-    /// Drive `n` requests through a fresh chaos server and return every
-    /// deterministic counter: (ok, deadline-errors, degraded, resilience).
-    fn chaos_run(seed: u64, workers: Option<usize>) -> (u64, u64, u64, ResilienceSnapshot) {
+    /// A fresh 2-replica server under a tight SLO with a seeded
+    /// [`FaultPlan`] installed on its table.
+    fn chaos_server(seed: u64) -> ModelServer {
         let slo = SloConfig {
             deadline: Some(Duration::from_micros(900)),
             retry: RetryPolicy {
@@ -1629,6 +1516,13 @@ mod tests {
             // Write-fault rates stay at their default-off zeros.
             ..FaultPlanConfig::default()
         }))));
+        ms
+    }
+
+    /// Drive `n` requests through a fresh chaos server and return every
+    /// deterministic counter: (ok, deadline-errors, degraded, resilience).
+    fn chaos_run(seed: u64, workers: Option<usize>) -> (u64, u64, u64, ResilienceSnapshot) {
+        let ms = chaos_server(seed);
         let n = 80u64;
         let ok = Arc::new(AtomicU64::new(0));
         let deadline_errs = Arc::new(AtomicU64::new(0));
@@ -2308,28 +2202,52 @@ mod tests {
             }
             reqs.push(request);
         }
-        let batch = ms.score_batch(&reqs);
-        assert_eq!(batch.len(), reqs.len());
-        for (request, got) in reqs.iter().zip(&batch) {
-            let single = ms.score(request);
-            match (got, &single) {
-                (Ok(b), Ok(s)) => {
-                    assert_eq!(b.probability.to_bits(), s.probability.to_bits());
-                    assert_eq!(
-                        (b.tx_id, b.alert, b.degraded),
-                        (s.tx_id, s.alert, s.degraded)
-                    );
+        let same_slots = |batch: &[Result<ScoreResponse, ServeError>], single: &ModelServer| {
+            assert_eq!(batch.len(), reqs.len());
+            for (request, got) in reqs.iter().zip(batch) {
+                match (got, &single.score(request)) {
+                    (Ok(b), Ok(s)) => {
+                        assert_eq!(b.probability.to_bits(), s.probability.to_bits());
+                        assert_eq!(
+                            (b.tx_id, b.alert, b.degraded),
+                            (s.tx_id, s.alert, s.degraded)
+                        );
+                    }
+                    (Err(b), Err(s)) => assert_eq!(b, s),
+                    (b, s) => panic!("batch={b:?} single={s:?} diverged"),
                 }
-                (Err(b), Err(s)) => assert_eq!(b, s),
-                (b, s) => panic!("batch={b:?} single={s:?} diverged"),
             }
-        }
+        };
+        let batch = ms.score_batch(&reqs);
+        same_slots(&batch, &ms);
         // Degradations were counted on both paths.
         let batch_degraded = batch
             .iter()
             .filter(|r| matches!(r, Ok(resp) if resp.degraded))
             .count();
         assert!(batch_degraded > 0);
+        assert_eq!(ms.degraded_count(), 2 * batch_degraded as u64);
+
+        // Under a seeded fault plan a batch meets what its requests would
+        // have met one by one: the same retries, hedges, failovers and
+        // deadline misses, slot for slot and counter for counter. Twin
+        // servers, because faults are keyed by `tx_id` and counters
+        // accumulate.
+        let (batched, single) = (chaos_server(7), chaos_server(7));
+        let batch = batched.score_batch(&reqs);
+        same_slots(&batch, &single);
+        assert_eq!(batched.resilience(), single.resilience());
+        assert_eq!(batched.degraded_count(), single.degraded_count());
+        let r = batched.resilience();
+        assert!(
+            r.retried > 0 && r.hedged > 0 && r.failovers > 0,
+            "the plan never bit: {r:?}"
+        );
+        let missed = batch
+            .iter()
+            .filter(|r| matches!(r, Err(ServeError::DeadlineExceeded { .. })))
+            .count();
+        assert_eq!(missed as u64, r.deadline_exceeded);
     }
 
     #[test]
@@ -2338,11 +2256,16 @@ mod tests {
         let reqs: Vec<ScoreRequest> = (0..10).map(|i| req(i, 0.4)).collect();
         let first = ms.score_batch(&reqs);
         let stats = ms.row_cache_stats().unwrap();
-        // One batched lookup resolved both unique users once.
-        assert_eq!((stats.misses, stats.inserted), (2, 2));
+        // Per-party lookups, as in `score`: each of the two users missed
+        // and was filled once, every later party of the batch hit.
+        assert_eq!((stats.misses, stats.inserted, stats.hits), (2, 2, 18));
         let second = ms.score_batch(&reqs);
         let stats = ms.row_cache_stats().unwrap();
-        assert_eq!(stats.misses, 2, "warm batch must not re-fetch");
+        assert_eq!(
+            (stats.misses, stats.hits),
+            (2, 38),
+            "warm batch must not re-fetch"
+        );
         for (a, b) in first.iter().zip(&second) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
             assert_eq!(a.probability.to_bits(), b.probability.to_bits());

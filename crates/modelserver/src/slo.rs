@@ -13,8 +13,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// SplitMix64 finalizer shared by the per-request RNG.
-fn splitmix64(seed: u64) -> u64 {
+/// SplitMix64 finalizer shared by the per-request RNG and the row cache's
+/// shard choice.
+pub(crate) fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -139,6 +140,18 @@ impl Deadline {
     /// Budget left (`None` = unlimited).
     pub fn remaining(&self) -> Option<Duration> {
         self.budget.map(|b| b.saturating_sub(self.charged))
+    }
+
+    /// One retry pause, the step the read and the write retry loops share:
+    /// draw the next decorrelated-jitter backoff (which becomes `prev`),
+    /// cap it at the remaining budget — an uncapped pause could charge the
+    /// deadline far past its budget before the next attempt even runs —
+    /// then charge it and sleep it.
+    pub(crate) fn back_off(&mut self, retry: &RetryPolicy, prev: &mut Duration, rng: &mut ReqRng) {
+        *prev = retry.backoff(*prev, rng);
+        let pause = self.remaining().map_or(*prev, |left| left.min(*prev));
+        self.charge(pause);
+        std::thread::sleep(pause);
     }
 }
 

@@ -3,34 +3,18 @@
 # Run from anywhere; exits non-zero on the first failure.
 #
 #   ./scripts/verify.sh           # build + tests + clippy + fmt + bench compile
-#   ./scripts/verify.sh --quick   # also smoke-run the offline-throughput
-#                                 # bench on a tiny world (cross-thread
-#                                 # determinism gate; writes BENCH_offline.json),
-#                                 # the chaos-replay gate (seeded fault
-#                                 # injection vs serving SLOs; writes
-#                                 # BENCH_chaos.json), the serving-scale
-#                                 # gate (blooms/bounds/row-cache/batch read
-#                                 # path; writes BENCH_serving_scale.json),
-#                                 # the ingest-throughput gate (batched
-#                                 # writes / WAL group commit counters;
-#                                 # writes BENCH_ingest.json), the
-#                                 # serving-million gate (dynamic region
-#                                 # splitting under Zipf-hot traffic;
-#                                 # writes BENCH_serving_million.json),
-#                                 # the distributed-SQL gate
-#                                 # (coordinator/worker byte-identity +
-#                                 # counted-work scaling; writes
-#                                 # BENCH_offline_sql.json), the
-#                                 # crash-replay gate (write-path fault
-#                                 # injection + crash-restart recovery;
-#                                 # writes BENCH_crash.json), the
-#                                 # stream-freshness gate (windowed
-#                                 # velocity features closing the T+1 gap;
-#                                 # writes BENCH_stream.json), and the
-#                                 # predict-latency gate (flat-ensemble
-#                                 # inference bit-identity + counted
-#                                 # traversal-cache model; writes
-#                                 # BENCH_predict.json)
+#                                 # + benchmark/ package build and clippy
+#   ./scripts/verify.sh --quick   # also run the nine gates, each writing its
+#                                 # BENCH_*.json at the repo root:
+#     offline_throughput  cross-thread determinism of the offline fit
+#     chaos_replay        seeded read faults vs the serving SLOs
+#     serving_scale       blooms, row cache, batch == single scores
+#     ingest_throughput   batched writes and WAL group commit, counted
+#     serving_million     dynamic region splitting under Zipf-hot traffic
+#     offline_sql         distributed SQL byte-identity and work scaling
+#     crash_replay        write faults and crash-restart recovery
+#     stream_freshness    windowed velocity features closing the T+1 gap
+#     predict_latency     flat inference bit-identity, counted traversal
 #
 # The clippy gate runs with -D warnings across every target (libs, tests,
 # benches, examples); crates/modelserver additionally denies unwrap/expect
@@ -64,6 +48,13 @@ cargo fmt --all -- --check
 
 echo "==> cargo bench --no-run"
 cargo bench --no-run
+
+# benchmark/ is a package of its own (not a workspace member) that names
+# every crate item it uses in benchmark/src/api.rs; building it here makes
+# a rename of a pinned item fail verify instead of the benchmark run.
+echo "==> benchmark package: build + clippy"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo clippy --release --offline --manifest-path benchmark/Cargo.toml -- -D warnings
 
 if [[ $QUICK -eq 1 ]]; then
     echo "==> offline-throughput smoke run (--quick)"
