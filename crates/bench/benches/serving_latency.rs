@@ -42,22 +42,10 @@ fn setup() -> Setup {
     })
     .run(&world, &slice)
     .expect("offline pipeline");
-    let deployment = OnlineDeployment::new(&world, &slice, artifacts).expect("deployable model");
+    let deployment = OnlineDeployment::new(artifacts).expect("deployable model");
     let requests: Vec<ScoreRequest> = world
         .record_range(slice.test_day..slice.test_day + 1)
-        .map(|i| {
-            let rec = &world.records()[i];
-            let context = world
-                .features_of(i)
-                .map(|row| layout::split_row(row).2)
-                .unwrap_or_else(|| vec![0.0; layout::CONTEXT_SLOTS.len()]);
-            ScoreRequest {
-                tx_id: rec.tx_id.0,
-                transferor: rec.transferor.0,
-                transferee: rec.transferee.0,
-                context,
-            }
-        })
+        .map(|i| layout::score_request(&world, i))
         .collect();
     Setup {
         deployment,
@@ -101,12 +89,7 @@ fn bench_serving(c: &mut Criterion) {
 
 fn bench_store_reads(c: &mut Criterion) {
     let table = Arc::new(RegionedTable::single(StoreConfig::default()).unwrap());
-    let codec = titant_modelserver::FeatureCodec {
-        embedding_dim: 32,
-        payer_width: 18,
-        receiver_width: 19,
-        velocity_width: 0,
-    };
+    let codec = layout::serving_layout(32).codec();
     for user in 0..2_000u64 {
         codec
             .put_user(

@@ -30,7 +30,7 @@ fn main() {
     })
     .run(&world, &slice)
     .expect("offline pipeline");
-    let deployment = OnlineDeployment::new(&world, &slice, artifacts).expect("deployable model");
+    let deployment = OnlineDeployment::new(artifacts).expect("deployable model");
 
     eprintln!("replaying the test day…");
     let report = deployment.replay_test_day(&world, &slice);

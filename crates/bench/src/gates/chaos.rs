@@ -1,10 +1,5 @@
 //! **Chaos replay** — the serving path under escalating seeded fault plans.
 //!
-//! ```sh
-//! cargo run --release -p titant-bench --bin chaos_replay            # full gate
-//! cargo run --release -p titant-bench --bin chaos_replay -- --quick # smaller side levels
-//! ```
-//!
 //! Replays a request stream (test-day transactions, cycled) through a
 //! Model Server whose feature table carries a seeded
 //! [`titant_alihbase::FaultPlan`]: transient read errors, latency spikes,
@@ -22,19 +17,22 @@
 //!   the seed and request coordinates.
 //!
 //! A final burst phase drives a non-blocking flood through a small queue
-//! and asserts conservation: accepted + shed == sent. Writes
-//! `BENCH_chaos.json`. Exits nonzero when any gate fails.
+//! and asserts conservation: accepted + shed == sent.
 
+use crate::gate::{Checks, Outcome, Pipeline};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use titant_bench::harness;
 use titant_core::prelude::*;
-use titant_modelserver::{ModelFile, ModelServer, ScoreRequest, ServeError, Stage, StageSnapshot};
+use titant_modelserver::{ModelServer, ScoreRequest, ServeError, Stage, StageSnapshot};
 
+const REPLICAS: usize = 2;
+/// Pool sizes every level is replayed at, after a second synchronous run.
+const WORKER_COUNTS: [usize; 2] = [1, 3];
 /// The storm's region-unavailable window, in request ticks.
 const OUTAGE_TICKS: std::ops::Range<u64> = 2000..3000;
+const N_REQUESTS: usize = 10_000;
 
 struct Level {
     name: &'static str,
@@ -44,46 +42,39 @@ struct Level {
     latency: Duration,
     torn_cell_rate: f64,
     outage: bool,
-    n_requests: usize,
 }
 
-fn levels(quick: bool) -> Vec<Level> {
-    let side = if quick { 2_000 } else { 10_000 };
-    vec![
-        Level {
-            name: "baseline",
-            seed: 0xBA5E,
-            transient_rate: 0.0,
-            latency_rate: 0.0,
-            latency: Duration::ZERO,
-            torn_cell_rate: 0.0,
-            outage: false,
-            n_requests: side,
-        },
-        Level {
-            name: "transient",
-            seed: 0x7274,
-            transient_rate: 0.05,
-            latency_rate: 0.01,
-            latency: Duration::from_millis(2),
-            torn_cell_rate: 0.002,
-            outage: false,
-            n_requests: side,
-        },
-        // The acceptance storm: >= 5% transient + latency spikes + a
-        // region-unavailable window, always at 10k requests.
-        Level {
-            name: "storm",
-            seed: 0x5708,
-            transient_rate: 0.06,
-            latency_rate: 0.03,
-            latency: Duration::from_millis(4),
-            torn_cell_rate: 0.005,
-            outage: true,
-            n_requests: 10_000,
-        },
-    ]
-}
+const LEVELS: [Level; 3] = [
+    Level {
+        name: "baseline",
+        seed: 0xBA5E,
+        transient_rate: 0.0,
+        latency_rate: 0.0,
+        latency: Duration::ZERO,
+        torn_cell_rate: 0.0,
+        outage: false,
+    },
+    Level {
+        name: "transient",
+        seed: 0x7274,
+        transient_rate: 0.05,
+        latency_rate: 0.01,
+        latency: Duration::from_millis(2),
+        torn_cell_rate: 0.002,
+        outage: false,
+    },
+    // The acceptance storm: >= 5% transient + latency spikes + a
+    // region-unavailable window.
+    Level {
+        name: "storm",
+        seed: 0x5708,
+        transient_rate: 0.06,
+        latency_rate: 0.03,
+        latency: Duration::from_millis(4),
+        torn_cell_rate: 0.005,
+        outage: true,
+    },
+];
 
 fn fault_plan(level: &Level) -> FaultPlan {
     FaultPlan::new(FaultPlanConfig {
@@ -98,8 +89,8 @@ fn fault_plan(level: &Level) -> FaultPlan {
             from_tick: OUTAGE_TICKS.start,
             to_tick: OUTAGE_TICKS.end,
         }),
-        // Write-fault rates stay at their default-off zeros: this bench
-        // gates the read path and must stay byte-identical.
+        // Write-fault rates stay at their default-off zeros: this gate
+        // covers the read path and must stay byte-identical.
         ..FaultPlanConfig::default()
     })
 }
@@ -182,50 +173,10 @@ struct BurstReport {
 #[derive(Serialize)]
 struct Report {
     bench: String,
-    mode: String,
     replicas: usize,
     levels: Vec<LevelReport>,
     burst: BurstReport,
     pass: bool,
-}
-
-fn requests(world: &World, slice: &DatasetSlice, n: usize) -> Vec<ScoreRequest> {
-    let range = world.record_range(slice.test_day..slice.test_day + 1);
-    let indices: Vec<usize> = range.collect();
-    assert!(!indices.is_empty(), "test day must contain transactions");
-    (0..n)
-        .map(|i| {
-            let idx = indices[i % indices.len()];
-            let rec = &world.records()[idx];
-            let context = match world.features_of(idx) {
-                Some(row) => layout::split_row(row).2,
-                None => vec![0.0; layout::CONTEXT_SLOTS.len()],
-            };
-            ScoreRequest {
-                // Sequential ticks so the outage window covers a fixed
-                // request interval at every worker count.
-                tx_id: i as u64,
-                transferor: rec.transferor.0,
-                transferee: rec.transferee.0,
-                context,
-            }
-        })
-        .collect()
-}
-
-fn server_for(
-    table: &Arc<titant_alihbase::RegionedTable>,
-    model: &ModelFile,
-    embedding_dim: usize,
-    seed: u64,
-) -> ModelServer {
-    ModelServer::with_slo(
-        Arc::clone(table),
-        layout::serving_layout(embedding_dim),
-        model.clone(),
-        slo(seed),
-    )
-    .expect("serving layout matches the shipped model")
 }
 
 /// One deterministic pass over the stream; `workers == 0` runs it
@@ -294,43 +245,19 @@ fn run_stream(server: &ModelServer, stream: &[ScoreRequest], workers: usize) -> 
     )
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let replicas = 2usize;
-
-    eprintln!(
-        "chaos replay ({} mode): training the quick pipeline with {replicas} serving replicas",
-        if quick { "quick" } else { "full" }
-    );
-    let world = World::generate(WorldConfig::tiny(1337));
-    let start = world.config().feature_start_day;
-    let slice = DatasetSlice {
-        index: 0,
-        graph_days: 0..start,
-        train_days: start..world.config().n_days - 1,
-        test_day: world.config().n_days - 1,
-    };
-    let artifacts = OfflinePipeline::new(PipelineConfig {
-        serving_replicas: replicas,
-        ..PipelineConfig::quick()
-    })
-    .run(&world, &slice)
-    .expect("quick offline pipeline");
-    let table = artifacts.feature_table;
-    let model = artifacts.model_file;
-    let embedding_dim = (model.n_features - titant_datagen::N_BASIC_FEATURES) / 2;
-    assert_eq!(table.replica_count(), replicas, "replicas must be live");
-
-    let worker_counts: Vec<usize> = if quick { vec![2] } else { vec![1, 3] };
+pub fn run() -> Outcome {
+    eprintln!("chaos replay: training the quick pipeline with {REPLICAS} serving replicas");
+    let fx = Pipeline::new(1337, REPLICAS);
+    assert_eq!(fx.table.replica_count(), REPLICAS, "replicas must be live");
+    let stream = fx.requests(N_REQUESTS);
+    let mut checks = Checks::default();
     let mut level_reports = Vec::new();
-    let mut pass = true;
 
-    for level in levels(quick) {
-        let stream = requests(&world, &slice, level.n_requests);
-        table.set_fault_hook(Some(Arc::new(fault_plan(&level))));
+    for level in &LEVELS {
+        fx.table.set_fault_hook(Some(Arc::new(fault_plan(level))));
 
         // Reference run: synchronous, one fresh server.
-        let reference = server_for(&table, &model, embedding_dim, level.seed);
+        let reference = fx.server(&fx.table, slo(level.seed));
         let (counters, _) = run_stream(&reference, &stream, 0);
         let latency = reference.latency().snapshot();
 
@@ -339,9 +266,9 @@ fn main() {
         let mut reproducible = true;
         let mut zero_panics = true;
         let mut replays = vec![0usize];
-        replays.extend(worker_counts.iter().copied());
+        replays.extend(WORKER_COUNTS);
         for &workers in &replays {
-            let server = server_for(&table, &model, embedding_dim, level.seed);
+            let server = fx.server(&fx.table, slo(level.seed));
             let (replay, panic_free) = run_stream(&server, &stream, workers);
             zero_panics &= panic_free;
             if replay != counters {
@@ -353,27 +280,22 @@ fn main() {
             }
         }
 
-        let zero_lost = counters.scored + counters.deadline_exceeded == level.n_requests as u64;
-        let ok = reproducible && zero_lost && zero_panics;
-        pass &= ok;
+        let zero_lost = counters.scored + counters.deadline_exceeded == N_REQUESTS as u64;
+        checks.check(
+            &format!(
+                "level {}: counters reproduce, none lost, no panics",
+                level.name
+            ),
+            reproducible && zero_lost && zero_panics,
+        );
         eprintln!(
-            "  {:<9} n={} scored={} degraded={} deadline={} retried={} hedged={} failovers={} | repro={} lost0={} panics0={}",
+            "  {:<9} n={N_REQUESTS} {counters:?} | repro={reproducible} lost0={zero_lost} panics0={zero_panics}",
             level.name,
-            level.n_requests,
-            counters.scored,
-            counters.degraded,
-            counters.deadline_exceeded,
-            counters.retried,
-            counters.hedged,
-            counters.failovers,
-            reproducible,
-            zero_lost,
-            zero_panics,
         );
         level_reports.push(LevelReport {
             level: level.name.into(),
             seed: level.seed,
-            n_requests: level.n_requests,
+            n_requests: N_REQUESTS,
             transient_rate: level.transient_rate,
             latency_rate: level.latency_rate,
             torn_cell_rate: level.torn_cell_rate,
@@ -392,10 +314,10 @@ fn main() {
 
     // Burst phase: non-blocking floods through a small queue must shed
     // rather than stall, and every request must still be accounted for.
-    let storm = &levels(quick)[2];
-    table.set_fault_hook(Some(Arc::new(fault_plan(storm))));
-    let burst_stream = requests(&world, &slice, 2_000);
-    let server = server_for(&table, &model, embedding_dim, storm.seed);
+    let storm = &LEVELS[2];
+    fx.table.set_fault_hook(Some(Arc::new(fault_plan(storm))));
+    let burst_stream = &stream[..2_000];
+    let server = fx.server(&fx.table, slo(storm.seed));
     let scored = Arc::new(AtomicU64::new(0));
     let errored = Arc::new(AtomicU64::new(0));
     let (s2, e2) = (Arc::clone(&scored), Arc::clone(&errored));
@@ -413,42 +335,41 @@ fn main() {
             other => panic!("unexpected serve error: {other}"),
         },
     );
-    for req in &burst_stream {
+    for req in burst_stream {
         pool.submit(req.clone());
     }
     let burst_panic_free = pool.live_workers() == burst_workers;
     pool.shutdown();
+    fx.table.set_fault_hook(None);
+    let (scored, errored) = (
+        scored.load(Ordering::Relaxed),
+        errored.load(Ordering::Relaxed),
+    );
     let burst = BurstReport {
         sent: burst_stream.len(),
-        scored: scored.load(Ordering::Relaxed),
-        errored: errored.load(Ordering::Relaxed),
+        scored,
+        errored,
         shed: server.resilience().shed,
-        conserved: scored.load(Ordering::Relaxed) + errored.load(Ordering::Relaxed)
-            == burst_stream.len() as u64,
+        conserved: scored + errored == burst_stream.len() as u64,
         zero_panics: burst_panic_free,
     };
-    pass &= burst.conserved && burst.zero_panics;
+    checks.check(
+        "burst: scored + errored == sent, no panics",
+        burst.conserved && burst.zero_panics,
+    );
     eprintln!(
         "  burst: sent={} scored={} errored={} shed={} conserved={} panics0={}",
         burst.sent, burst.scored, burst.errored, burst.shed, burst.conserved, burst.zero_panics
     );
-    table.set_fault_hook(None);
 
-    let report = Report {
-        bench: "chaos_replay".into(),
-        mode: if quick { "quick" } else { "full" }.into(),
-        replicas,
-        levels: level_reports,
-        burst,
-        pass,
-    };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
-    eprintln!("results written to BENCH_chaos.json");
-    harness::save_results("chaos_replay.json", &json);
-
-    if !pass {
-        eprintln!("FAIL: chaos gate violated (see BENCH_chaos.json)");
-        std::process::exit(1);
-    }
+    Outcome::new(
+        checks.pass(),
+        &Report {
+            bench: "chaos".into(),
+            replicas: REPLICAS,
+            levels: level_reports,
+            burst,
+            pass: checks.pass(),
+        },
+    )
 }

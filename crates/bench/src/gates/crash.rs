@@ -1,11 +1,6 @@
 //! **Crash replay** — the ingest+score day under escalating seeded
 //! write-fault and power-loss plans.
 //!
-//! ```sh
-//! cargo run --release -p titant-bench --bin crash_replay            # full gate
-//! cargo run --release -p titant-bench --bin crash_replay -- --quick # fewer batches
-//! ```
-//!
 //! Replays a day of streaming feature corrections through a Model Server
 //! whose **dir-backed** feature table carries a seeded write-fault plan:
 //! WAL append errors, fsync failures, write latency, and power-loss
@@ -27,77 +22,70 @@
 //! * **bit-identical scores** — every probe scores identically to the
 //!   reference, before and after every recovery;
 //! * **bit-identical counters** — a fresh directory and a re-run
-//!   reproduce every counter exactly, and a serve pool at any worker
-//!   count reproduces the synchronous score sum.
+//!   reproduce every counter exactly, and a serve pool reproduces the
+//!   synchronous score map.
 //!
 //! The baseline level runs with **no hook installed** and asserts every
 //! write-fault counter stays zero: the fault machinery is default-off and
-//! invisible to the classic benches. Writes `BENCH_crash.json`. Exits
-//! nonzero when any gate fails.
+//! invisible to the other gates.
 
+use crate::gate::{memory_table, score_map, Checks, Outcome, Pipeline, SplitMix64};
 use bytes::Bytes;
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use titant_alihbase::{CellKey, RegionedTable, RowKey, SplitConfig, StoreConfig, SyncPolicy};
-use titant_bench::harness;
 use titant_core::prelude::*;
 use titant_modelserver::{
-    FeatureDelta, IngestOptions, ModelFile, ModelServer, ScoreRequest, ServeError,
+    FeatureDelta, FeatureLayout, IngestOptions, ModelServer, ScoreRequest, ServeError,
 };
 
 /// Versions above every offline upload's date-time stamp; each ingest
 /// batch writes a distinct version so retried rewrites are idempotent.
 const VERSION_BASE: u64 = 30_000_000;
+const N_BATCHES: u64 = 126;
+const POOL_WORKERS: usize = 3;
+/// FNV-1a offset basis and prime: the probe checksum folds with these.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 struct Level {
     name: &'static str,
     seed: u64,
-    append_rate: f64,
-    sync_rate: f64,
-    latency_rate: f64,
-    latency: Duration,
+    /// WAL append, fsync and write-latency fault rates (one value each
+    /// level), `0.0` with no hook installed at all — the default-off
+    /// baseline.
+    fault_rate: f64,
     power_loss_rate: f64,
-    /// `false` = no hook installed at all (the default-off baseline).
-    hook: bool,
 }
 
-fn levels() -> Vec<Level> {
-    vec![
-        Level {
-            name: "baseline",
-            seed: 0xD00D,
-            append_rate: 0.0,
-            sync_rate: 0.0,
-            latency_rate: 0.0,
-            latency: Duration::ZERO,
-            power_loss_rate: 0.0,
-            hook: false,
-        },
-        Level {
-            name: "faults",
-            seed: 0xFA17,
-            append_rate: 0.01,
-            sync_rate: 0.01,
-            latency_rate: 0.01,
-            latency: Duration::from_micros(300),
-            power_loss_rate: 0.0,
-            hook: true,
-        },
-        // The acceptance blackout: injected fsync/append failures plus
-        // seeded power-loss points.
-        Level {
-            name: "blackout",
-            seed: 0xB1AC,
-            append_rate: 0.01,
-            sync_rate: 0.01,
-            latency_rate: 0.01,
-            latency: Duration::from_micros(300),
-            power_loss_rate: 0.005,
-            hook: true,
-        },
-    ]
+const LEVELS: [Level; 3] = [
+    Level {
+        name: "baseline",
+        seed: 0xD00D,
+        fault_rate: 0.0,
+        power_loss_rate: 0.0,
+    },
+    Level {
+        name: "faults",
+        seed: 0xFA17,
+        fault_rate: 0.01,
+        power_loss_rate: 0.0,
+    },
+    // The acceptance blackout: injected fsync/append failures plus seeded
+    // power-loss points.
+    Level {
+        name: "blackout",
+        seed: 0xB1AC,
+        fault_rate: 0.01,
+        power_loss_rate: 0.005,
+    },
+];
+
+impl Level {
+    fn hook(&self) -> bool {
+        self.fault_rate > 0.0
+    }
 }
 
 /// Ingest SLO: a deep retry budget and no deadline — the gate is loss,
@@ -172,73 +160,29 @@ struct LevelReport {
 #[derive(Serialize)]
 struct Report {
     bench: String,
-    mode: String,
     levels: Vec<LevelReport>,
     pass: bool,
 }
 
-fn requests(world: &World, slice: &DatasetSlice, n: usize) -> Vec<ScoreRequest> {
-    let range = world.record_range(slice.test_day..slice.test_day + 1);
-    let indices: Vec<usize> = range.collect();
-    assert!(!indices.is_empty(), "test day must contain transactions");
-    (0..n)
-        .map(|i| {
-            let idx = indices[i % indices.len()];
-            let rec = &world.records()[idx];
-            let context = match world.features_of(idx) {
-                Some(row) => layout::split_row(row).2,
-                None => vec![0.0; layout::CONTEXT_SLOTS.len()],
-            };
-            ScoreRequest {
-                tx_id: i as u64,
-                transferor: rec.transferor.0,
-                transferee: rec.transferee.0,
-                context,
-            }
-        })
-        .collect()
-}
-
-/// SplitMix64 — deterministic delta values from (seed, batch, slot).
+/// Deterministic delta coordinates from (seed, batch, slot).
 fn mix(seed: u64, a: u64, b: u64) -> u64 {
-    let mut z = seed ^ a.rotate_left(24) ^ b.rotate_left(48);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn val(seed: u64, a: u64, b: u64) -> f32 {
-    (mix(seed, a, b) % 1000) as f32 / 1000.0
+    SplitMix64(seed ^ a.rotate_left(24) ^ b.rotate_left(48)).next_u64()
 }
 
 /// The streaming corrections of batch `b` — 8 users, one payer, one
 /// receiver, and one embedding slot each.
-fn deltas_for(
-    batch: u64,
-    seed: u64,
-    users: &[u64],
-    lay: &titant_modelserver::FeatureLayout,
-) -> Vec<FeatureDelta> {
+fn deltas_for(batch: u64, seed: u64, users: &[u64], lay: &FeatureLayout) -> Vec<FeatureDelta> {
+    let slot = |j: u64, width: usize| {
+        let draw = mix(seed, batch, j);
+        vec![((draw as usize) % width, (draw % 1000) as f32 / 1000.0)]
+    };
     (0..8u64)
-        .map(|j| {
-            let user = users[((batch * 5 + j * 3) as usize) % users.len()];
-            FeatureDelta {
-                user,
-                payer: vec![(
-                    (mix(seed, batch, j) as usize) % lay.payer_slots.len(),
-                    val(seed, batch, j),
-                )],
-                receiver: vec![(
-                    (mix(seed, batch, j + 100) as usize) % lay.receiver_slots.len(),
-                    val(seed, batch, j + 100),
-                )],
-                embedding: vec![(
-                    (mix(seed, batch, j + 200) as usize) % lay.embedding_dim,
-                    val(seed, batch, j + 200),
-                )],
-                velocity: Vec::new(),
-            }
+        .map(|j| FeatureDelta {
+            user: users[((batch * 5 + j * 3) as usize) % users.len()],
+            payer: slot(j, lay.payer_slots.len()),
+            receiver: slot(j + 100, lay.receiver_slots.len()),
+            embedding: slot(j + 200, lay.embedding_dim),
+            velocity: Vec::new(),
         })
         .collect()
 }
@@ -251,19 +195,17 @@ fn probe(
     stream: &[ScoreRequest],
     batch: u64,
 ) -> (u64, u64, bool) {
-    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+    let mut checksum = FNV_OFFSET;
     let mut degraded = 0u64;
     let mut matched = true;
     for j in 0..16u64 {
         let req = &stream[((batch * 13 + j) as usize) % stream.len()];
         let got = server.score(req).expect("clean read path");
         let want = reference.score(req).expect("reference read path");
-        if got.probability.to_bits() != want.probability.to_bits() || got.degraded != want.degraded
-        {
-            matched = false;
-        }
+        matched &= got.probability.to_bits() == want.probability.to_bits()
+            && got.degraded == want.degraded;
         checksum = checksum
-            .wrapping_mul(0x0000_0100_0000_01B3)
+            .wrapping_mul(FNV_PRIME)
             .wrapping_add(got.probability.to_bits() as u64)
             .wrapping_add(got.degraded as u64);
         degraded += got.degraded as u64;
@@ -291,23 +233,14 @@ fn canonical(mut cells: Export) -> Option<Export> {
     Some(out)
 }
 
-struct LevelRun {
-    counters: Counters,
-    gates: Gates,
-}
-
-#[allow(clippy::too_many_arguments)]
 fn run_level(
+    fx: &Pipeline,
     level: &Level,
     run_tag: &str,
     seed_cells: &Export,
     users: &[u64],
     stream: &[ScoreRequest],
-    model: &ModelFile,
-    embedding_dim: usize,
-    n_batches: u64,
-    pool_workers: usize,
-) -> LevelRun {
+) -> (Counters, Gates) {
     let dir = std::env::temp_dir().join(format!(
         "titant-crash-{}-{run_tag}-{}",
         level.name,
@@ -334,40 +267,32 @@ fn run_level(
                 ..Default::default()
             }),
     );
-    let reference = Arc::new(RegionedTable::single(StoreConfig::default()).unwrap());
+    let reference = memory_table();
     // Seed both tables with the offline upload before any hook exists.
     table.put_rows(seed_cells.clone()).expect("seed disk table");
     reference
         .put_rows(seed_cells.clone())
         .expect("seed reference");
 
-    if level.hook {
+    if level.hook() {
         table.set_fault_hook(Some(Arc::new(FaultPlan::new(FaultPlanConfig {
             seed: level.seed,
-            write_append_error_rate: level.append_rate,
-            write_sync_error_rate: level.sync_rate,
-            write_latency_rate: level.latency_rate,
-            write_latency: level.latency,
+            write_append_error_rate: level.fault_rate,
+            write_sync_error_rate: level.fault_rate,
+            write_latency_rate: level.fault_rate,
+            write_latency: Duration::from_micros(300),
             power_loss_rate: level.power_loss_rate,
-            // Read-fault rates stay zero: this bench gates the write path,
+            // Read-fault rates stay zero: this gate covers the write path,
             // so scores must stay clean and bit-comparable throughout.
             ..FaultPlanConfig::default()
         }))));
     }
 
-    let lay = layout::serving_layout(embedding_dim);
-    let server = ModelServer::with_slo(
-        Arc::clone(&table),
-        lay.clone(),
-        model.clone(),
-        ingest_slo(level.seed),
-    )
-    .expect("serving layout matches the shipped model");
-    let ref_server =
-        ModelServer::new(Arc::clone(&reference), lay.clone(), model.clone()).expect("reference");
+    let server = fx.server(&table, ingest_slo(level.seed));
+    let ref_server = fx.server(&reference, SloConfig::default());
 
     let mut counters = Counters {
-        batches: n_batches,
+        batches: N_BATCHES,
         acked: 0,
         exhausted: 0,
         write_retried: 0,
@@ -377,14 +302,14 @@ fn run_level(
         orphans_cleaned: 0,
         recoveries: 0,
         region_splits: 0,
-        score_checksum: 0xcbf2_9ce4_8422_2325,
+        score_checksum: FNV_OFFSET,
         degraded_probes: 0,
     };
     let mut scores_match = true;
     let mut recovery_preserves = true;
 
-    for b in 0..n_batches {
-        let deltas = deltas_for(b, level.seed, users, &lay);
+    for b in 0..N_BATCHES {
+        let deltas = deltas_for(b, level.seed, users, &fx.layout);
         match server.ingest_update_opts(&deltas, VERSION_BASE + b, IngestOptions { tick: b }) {
             Ok(rep) => {
                 counters.acked += 1;
@@ -417,7 +342,7 @@ fn run_level(
         counters.degraded_probes += degraded;
         // Periodic crash-restart: reopen every region from disk and prove
         // the acknowledged state scores identically afterwards.
-        if b % 13 == 12 || b + 1 == n_batches {
+        if b % 13 == 12 || b + 1 == N_BATCHES {
             let (pre, _, _) = probe(&server, &ref_server, stream, b);
             server.recover_table().expect("recover in place");
             counters.recoveries += 1;
@@ -431,32 +356,12 @@ fn run_level(
     // crash-restart above.
     let disk_export = canonical(table.export_cells());
     let ref_export = canonical(reference.export_cells());
-    let no_conflicting_duplicates = disk_export.is_some();
-    let content_equal = match (&disk_export, &ref_export) {
-        (Some(a), Some(b)) => a == b,
-        _ => false,
-    };
+    let content_equal = matches!((&disk_export, &ref_export), (Some(a), Some(b)) if a == b);
 
-    // Worker-count determinism: a serve pool must reproduce the
-    // synchronous score sum exactly (order-independent commutative sum).
-    let sync_sum: u64 = stream
-        .iter()
-        .map(|r| server.score(r).expect("clean read").probability.to_bits() as u64)
-        .fold(0u64, |acc, b| acc.wrapping_add(b));
-    let pool_sum = Arc::new(AtomicU64::new(0));
-    let p2 = Arc::clone(&pool_sum);
-    let pool = server.serve_pool(
-        pool_workers,
-        move |resp| {
-            p2.fetch_add(resp.probability.to_bits() as u64, Ordering::Relaxed);
-        },
-        move |err| panic!("unexpected pool error: {err}"),
-    );
-    for req in stream {
-        pool.send(req.clone()).expect("pool accepts while running");
-    }
-    pool.shutdown();
-    let pool_matches_sync = pool_sum.load(Ordering::Relaxed) == sync_sum;
+    // Worker-count determinism: a serve pool reproduces the synchronous
+    // scores request for request.
+    let pool_matches_sync =
+        score_map(&server, stream, POOL_WORKERS) == score_map(&server, stream, 0);
 
     let stats = table.write_stats();
     counters.write_retried = server.resilience().write_retried;
@@ -466,123 +371,71 @@ fn run_level(
     counters.orphans_cleaned = stats.orphans_cleaned;
 
     std::fs::remove_dir_all(&dir).ok();
-    LevelRun {
-        counters,
-        gates: Gates {
-            content_equal,
-            no_conflicting_duplicates,
-            scores_match_reference: scores_match,
-            recovery_preserves_scores: recovery_preserves,
-            pool_matches_sync,
-            no_exhausted_ingests: counters.exhausted == 0,
-        },
-    }
+    let gates = Gates {
+        content_equal,
+        no_conflicting_duplicates: disk_export.is_some(),
+        scores_match_reference: scores_match,
+        recovery_preserves_scores: recovery_preserves,
+        pool_matches_sync,
+        no_exhausted_ingests: counters.exhausted == 0,
+    };
+    (counters, gates)
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (n_batches, pool_workers) = if quick { (42u64, 2) } else { (126u64, 3) };
-
-    eprintln!(
-        "crash replay ({} mode): training the quick pipeline",
-        if quick { "quick" } else { "full" }
-    );
-    let world = World::generate(WorldConfig::tiny(4242));
-    let start = world.config().feature_start_day;
-    let slice = DatasetSlice {
-        index: 0,
-        graph_days: 0..start,
-        train_days: start..world.config().n_days - 1,
-        test_day: world.config().n_days - 1,
-    };
-    let artifacts = OfflinePipeline::new(PipelineConfig::quick())
-        .run(&world, &slice)
-        .expect("quick offline pipeline");
-    let model = artifacts.model_file;
-    let embedding_dim = (model.n_features - titant_datagen::N_BASIC_FEATURES) / 2;
+pub fn run() -> Outcome {
+    eprintln!("crash replay: training the quick pipeline");
+    let fx = Pipeline::new(4242, 1);
     // The offline upload becomes the seed content of every level's table.
-    let seed_cells = artifacts.feature_table.export_cells();
+    let seed_cells = fx.table.export_cells();
     assert!(!seed_cells.is_empty(), "the upload must carry cells");
 
-    let stream = requests(&world, &slice, 200);
+    let stream = fx.requests(200);
     let mut users: Vec<u64> = stream.iter().map(|r| r.transferor).collect();
     users.sort_unstable();
     users.dedup();
     users.truncate(64);
 
+    let mut checks = Checks::default();
     let mut level_reports = Vec::new();
-    let mut pass = true;
-    for level in levels() {
-        let a = run_level(
-            &level,
-            "a",
-            &seed_cells,
-            &users,
-            &stream,
-            &model,
-            embedding_dim,
-            n_batches,
-            pool_workers,
-        );
+    for level in &LEVELS {
+        let (counters, gates) = run_level(&fx, level, "a", &seed_cells, &users, &stream);
         // A second run in a fresh directory must reproduce every counter.
-        let b = run_level(
-            &level,
-            "b",
-            &seed_cells,
-            &users,
-            &stream,
-            &model,
-            embedding_dim,
-            n_batches,
-            pool_workers,
-        );
-        let reproducible = a.counters == b.counters;
+        let (rerun, _) = run_level(&fx, level, "b", &seed_cells, &users, &stream);
+        let reproducible = counters == rerun;
         if !reproducible {
             eprintln!(
-                "  {}: counter drift across re-runs:\n    {:?}\n    {:?}",
-                level.name, a.counters, b.counters
+                "  {}: counter drift across re-runs:\n    {counters:?}\n    {rerun:?}",
+                level.name
             );
         }
         // The baseline runs hook-free: every write-fault counter must be
         // zero or the machinery is not default-off.
-        let fault_counters_zero = (!level.hook).then_some(
-            a.counters.write_retried == 0
-                && a.counters.wal_append_failures == 0
-                && a.counters.wal_sync_failures == 0
-                && a.counters.power_loss_recoveries == 0
-                && a.counters.exhausted == 0,
+        let fault_counters_zero = (!level.hook()).then_some(
+            counters.write_retried == 0
+                && counters.wal_append_failures == 0
+                && counters.wal_sync_failures == 0
+                && counters.power_loss_recoveries == 0
+                && counters.exhausted == 0,
         );
-        let ok = a.gates.pass() && reproducible && fault_counters_zero.unwrap_or(true);
-        pass &= ok;
+        checks.check(
+            &format!("level {}: gates hold, counters reproduce", level.name),
+            gates.pass() && reproducible && fault_counters_zero.unwrap_or(true),
+        );
         eprintln!(
-            "  {:<9} batches={} acked={} retried={} appendFail={} syncFail={} powerLoss={} recoveries={} splits={} | content={} dup0={} scores={} recov={} pool={} repro={}",
-            level.name,
-            a.counters.batches,
-            a.counters.acked,
-            a.counters.write_retried,
-            a.counters.wal_append_failures,
-            a.counters.wal_sync_failures,
-            a.counters.power_loss_recoveries,
-            a.counters.recoveries,
-            a.counters.region_splits,
-            a.gates.content_equal,
-            a.gates.no_conflicting_duplicates,
-            a.gates.scores_match_reference,
-            a.gates.recovery_preserves_scores,
-            a.gates.pool_matches_sync,
-            reproducible,
+            "  {:<9} {counters:?}\n            {gates:?} repro={reproducible}",
+            level.name
         );
         level_reports.push(LevelReport {
             level: level.name.into(),
             seed: level.seed,
-            append_rate: level.append_rate,
-            sync_rate: level.sync_rate,
-            latency_rate: level.latency_rate,
+            append_rate: level.fault_rate,
+            sync_rate: level.fault_rate,
+            latency_rate: level.fault_rate,
             power_loss_rate: level.power_loss_rate,
-            hook_installed: level.hook,
-            n_batches: n_batches as usize,
-            counters: a.counters,
-            gates: a.gates,
+            hook_installed: level.hook(),
+            n_batches: N_BATCHES as usize,
+            counters,
+            gates,
             reproducible,
             fault_counters_zero,
         });
@@ -595,32 +448,19 @@ fn main() {
         .filter(|l| l.hook_installed)
         .map(|l| l.counters.wal_append_failures + l.counters.wal_sync_failures)
         .sum();
-    if faulted == 0 {
-        eprintln!("FAIL: the fault plans never injected a write fault (vacuous gate)");
-        pass = false;
-    }
+    checks.check("the fault plans injected a write fault", faulted > 0);
     let blackouts: u64 = level_reports
         .iter()
         .map(|l| l.counters.power_loss_recoveries)
         .sum();
-    if blackouts == 0 {
-        eprintln!("FAIL: the blackout level never lost power (vacuous gate)");
-        pass = false;
-    }
+    checks.check("the blackout level lost power", blackouts > 0);
 
-    let report = Report {
-        bench: "crash_replay".into(),
-        mode: if quick { "quick" } else { "full" }.into(),
-        levels: level_reports,
-        pass,
-    };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_crash.json", &json).expect("write BENCH_crash.json");
-    eprintln!("results written to BENCH_crash.json");
-    harness::save_results("crash_replay.json", &json);
-
-    if !pass {
-        eprintln!("FAIL: crash gate violated (see BENCH_crash.json)");
-        std::process::exit(1);
-    }
+    Outcome::new(
+        checks.pass(),
+        &Report {
+            bench: "crash".into(),
+            levels: level_reports,
+            pass: checks.pass(),
+        },
+    )
 }

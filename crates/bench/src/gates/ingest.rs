@@ -1,11 +1,6 @@
 //! **Ingest throughput** — the batched write path against the per-cell
 //! baseline, gated on *counted work*, not wall clock.
 //!
-//! ```sh
-//! cargo run --release -p titant-bench --bin ingest_throughput            # full
-//! cargo run --release -p titant-bench --bin ingest_throughput -- --quick
-//! ```
-//!
 //! Writes the same full-row feature workload (a paper-scale ~60-cell row
 //! per user: 26 payer + 26 receiver + 8 embedding qualifiers) into two
 //! WAL-backed tables:
@@ -24,49 +19,22 @@
 //! measures WAL group commit: under `SyncPolicy::GroupCommit` the same row
 //! stream must reach durability with a fraction of the fsyncs that
 //! `SyncPolicy::Always` issues, with the amortized wait charged in
-//! simulated time. Writes `BENCH_ingest.json`; exits nonzero on gate
-//! failure.
+//! simulated time.
 
+use crate::gate::{Checks, Outcome, Serving, VERSION};
 use serde::Serialize;
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::Instant;
 use titant_alihbase::{RegionedTable, RowKey, StoreConfig, SyncPolicy};
-use titant_bench::harness;
-use titant_modelserver::{FeatureCodec, UserFeatures};
 
-const PAYER_WIDTH: usize = 26;
-const RECEIVER_WIDTH: usize = 26;
-const EMBEDDING_DIM: usize = 8;
-const VERSION: u64 = 20170410;
-
-fn codec() -> FeatureCodec {
-    FeatureCodec {
-        embedding_dim: EMBEDDING_DIM,
-        payer_width: PAYER_WIDTH,
-        receiver_width: RECEIVER_WIDTH,
-        velocity_width: 0,
-    }
-}
-
-fn cells_per_row() -> usize {
-    PAYER_WIDTH + RECEIVER_WIDTH + EMBEDDING_DIM
-}
-
-fn features_of(user: u64) -> UserFeatures {
-    let x = (user % 97) as f32 / 97.0;
-    UserFeatures {
-        payer_side: (0..PAYER_WIDTH).map(|i| x + i as f32).collect(),
-        receiver_side: (0..RECEIVER_WIDTH).map(|i| x - i as f32).collect(),
-        embedding: (0..EMBEDDING_DIM).map(|i| x * i as f32).collect(),
-        velocity: Vec::new(),
-    }
-}
+const USERS: usize = 1_536;
+const GROUP_COMMIT_USERS: u64 = 512;
 
 /// A WAL-backed single-region table in its own scratch directory.
-fn build_table(dir: &PathBuf, sync: SyncPolicy) -> RegionedTable {
+fn build_table(dir: &Path, sync: SyncPolicy) -> RegionedTable {
     let _ = std::fs::remove_dir_all(dir);
     RegionedTable::single(StoreConfig {
-        dir: Some(dir.clone()),
+        dir: Some(dir.to_path_buf()),
         sync,
         ..Default::default()
     })
@@ -87,18 +55,18 @@ struct ModeReport {
     wall_ms: f64,
 }
 
-fn mode_report(mode: &str, users: usize, table: &RegionedTable, wall_ms: f64) -> ModeReport {
+fn mode_report(mode: &str, table: &RegionedTable, wall_ms: f64) -> ModeReport {
     let s = table.write_stats();
     ModeReport {
         mode: mode.into(),
-        users,
+        users: USERS,
         lock_acquisitions: s.lock_acquisitions,
-        locks_per_row: s.lock_acquisitions as f64 / users as f64,
+        locks_per_row: s.lock_acquisitions as f64 / USERS as f64,
         wal_frames: s.wal_frames,
-        frames_per_row: s.wal_frames as f64 / users as f64,
+        frames_per_row: s.wal_frames as f64 / USERS as f64,
         wal_records: s.wal_records,
         wal_bytes: s.wal_bytes,
-        bytes_per_row: s.wal_bytes as f64 / users as f64,
+        bytes_per_row: s.wal_bytes as f64 / USERS as f64,
         wall_ms,
     }
 }
@@ -114,7 +82,6 @@ struct GroupCommitReport {
 #[derive(Serialize)]
 struct Report {
     bench: String,
-    mode: String,
     users: usize,
     cells_per_row: usize,
     per_cell: ModeReport,
@@ -129,26 +96,21 @@ struct Report {
     pass: bool,
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let users = if quick { 192usize } else { 1_536 };
-    let gc_users = if quick { 128usize } else { 512 };
-    eprintln!(
-        "ingest throughput ({} mode): {} users × {} cells/row",
-        if quick { "quick" } else { "full" },
-        users,
-        cells_per_row()
-    );
+pub fn run() -> Outcome {
+    // No model: this gate never scores.
+    let fx = Serving::new(26, 26, 0, 8, 0, 0);
+    let c = fx.layout.codec();
+    let cells_per_row = c.payer_width + c.receiver_width + c.embedding_dim;
+    eprintln!("ingest throughput: {USERS} users × {cells_per_row} cells/row");
     let scratch = std::env::temp_dir().join(format!("titant-ingest-bench-{}", std::process::id()));
-    let c = codec();
-    let mut pass = true;
+    let row = |user: u64| c.encode_user(user, &fx.features_of(user), VERSION);
+    let mut checks = Checks::default();
 
     // ---- per-cell baseline: one put (lock + WAL frame) per qualifier ----
-    let per_cell_dir = scratch.join("per-cell");
-    let per_cell_table = build_table(&per_cell_dir, SyncPolicy::default());
+    let per_cell_table = build_table(&scratch.join("per-cell"), SyncPolicy::default());
     let start = Instant::now();
-    for user in 0..users as u64 {
-        for (key, version, value) in c.encode_user(user, &features_of(user), VERSION) {
+    for user in 0..USERS as u64 {
+        for (key, version, value) in row(user) {
             let value = value.expect("full rows carry no tombstones");
             per_cell_table.put(key, version, value).expect("put");
         }
@@ -156,24 +118,19 @@ fn main() {
     per_cell_table.flush().expect("flush");
     let per_cell = mode_report(
         "per-cell",
-        users,
         &per_cell_table,
         start.elapsed().as_secs_f64() * 1e3,
     );
 
     // ---- batched: one put_rows (one lock, one WAL frame) per row ----
-    let batched_dir = scratch.join("batched");
-    let batched_table = build_table(&batched_dir, SyncPolicy::default());
+    let batched_table = build_table(&scratch.join("batched"), SyncPolicy::default());
     let start = Instant::now();
-    for user in 0..users as u64 {
-        batched_table
-            .put_rows(c.encode_user(user, &features_of(user), VERSION))
-            .expect("put_rows");
+    for user in 0..USERS as u64 {
+        batched_table.put_rows(row(user)).expect("put_rows");
     }
     batched_table.flush().expect("flush");
     let batched = mode_report(
         "batched",
-        users,
         &batched_table,
         start.elapsed().as_secs_f64() * 1e3,
     );
@@ -192,23 +149,21 @@ fn main() {
         ("WAL bytes", byte_reduction, 1.0),
     ] {
         eprintln!("  {name}: {reduction:.1}× fewer (floor {floor}×)");
-        if reduction < floor {
-            eprintln!("FAIL: batched path reduced {name} only {reduction:.2}×");
-            pass = false;
-        }
+        checks.check(
+            &format!("batched path reduced {name} only {reduction:.2}×"),
+            reduction >= floor,
+        );
     }
 
     // Gate (b): batching is invisible to readers — byte-identical contents.
     let span = (RowKey::from_str(""), RowKey::from_str("\u{10FFFF}"));
-    let contents_identical =
-        per_cell_table.scan_rows(&span.0, &span.1) == batched_table.scan_rows(&span.0, &span.1);
-    if !contents_identical {
-        eprintln!("FAIL: batched table contents diverged from the per-cell baseline");
-        pass = false;
-    }
+    let contents_identical = checks.check(
+        "batched table contents equal the per-cell baseline",
+        per_cell_table.scan_rows(&span.0, &span.1) == batched_table.scan_rows(&span.0, &span.1),
+    );
 
     // Drain the batched table's scheduled-compaction backlog: the default
-    // mode defers `max_runs` pressure to explicit ticks, so the bench also
+    // mode defers `max_runs` pressure to explicit ticks, so the gate also
     // proves the backlog converges off the writer's path.
     let mut drained = 0u64;
     loop {
@@ -222,23 +177,19 @@ fn main() {
     // ---- WAL group commit: same stream, counted fsyncs ----
     let mut group_commit = Vec::new();
     let policies = [
-        ("always".to_string(), SyncPolicy::Always),
+        ("always", SyncPolicy::Always),
         (
-            "group-commit(8, 800us)".to_string(),
+            "group-commit(8, 800us)",
             SyncPolicy::GroupCommit {
                 max_batch: 8,
                 max_wait: std::time::Duration::from_micros(800),
             },
         ),
     ];
-    let mut syncs = Vec::new();
     for (name, sync) in policies {
-        let dir = scratch.join(format!("gc-{}", group_commit.len()));
-        let table = build_table(&dir, sync);
-        for user in 0..gc_users as u64 {
-            table
-                .put_rows(c.encode_user(user, &features_of(user), VERSION))
-                .expect("put_rows");
+        let table = build_table(&scratch.join(format!("gc-{}", group_commit.len())), sync);
+        for user in 0..GROUP_COMMIT_USERS {
+            table.put_rows(row(user)).expect("put_rows");
         }
         // Close any open group window the way the online path does: the
         // deterministic tick, not a wall-clock timer.
@@ -248,46 +199,38 @@ fn main() {
             "  sync={name}: frames={} syncs={} simulated_wait={}us",
             s.wal_frames, s.wal_syncs, s.wal_simulated_wait_micros
         );
-        syncs.push(s.wal_syncs);
         group_commit.push(GroupCommitReport {
-            policy: name,
+            policy: name.into(),
             wal_frames: s.wal_frames,
             wal_syncs: s.wal_syncs,
             simulated_wait_micros: s.wal_simulated_wait_micros,
         });
     }
     // Gate (c): group commit coalesces durability barriers ~max_batch-fold.
-    let sync_reduction = syncs[0] as f64 / syncs[1].max(1) as f64;
+    let sync_reduction = group_commit[0].wal_syncs as f64 / group_commit[1].wal_syncs.max(1) as f64;
     eprintln!("  group commit: {sync_reduction:.1}× fewer fsyncs (floor 4×)");
-    if sync_reduction < 4.0 {
-        eprintln!("FAIL: group commit reduced fsyncs only {sync_reduction:.2}×");
-        pass = false;
-    }
-
-    let report = Report {
-        bench: "ingest_throughput".into(),
-        mode: if quick { "quick" } else { "full" }.into(),
-        users,
-        cells_per_row: cells_per_row(),
-        per_cell,
-        batched,
-        lock_reduction,
-        frame_reduction,
-        byte_reduction,
-        contents_identical,
-        scheduled_compactions_drained: drained,
-        group_commit,
-        sync_reduction,
-        pass,
-    };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_ingest.json", &json).expect("write BENCH_ingest.json");
-    eprintln!("results written to BENCH_ingest.json");
-    harness::save_results("ingest.json", &json);
+    checks.check(
+        &format!("group commit reduced fsyncs only {sync_reduction:.2}×"),
+        sync_reduction >= 4.0,
+    );
     let _ = std::fs::remove_dir_all(&scratch);
 
-    if !pass {
-        eprintln!("FAIL: ingest-throughput gate violated (see BENCH_ingest.json)");
-        std::process::exit(1);
-    }
+    Outcome::new(
+        checks.pass(),
+        &Report {
+            bench: "ingest".into(),
+            users: USERS,
+            cells_per_row,
+            per_cell,
+            batched,
+            lock_reduction,
+            frame_reduction,
+            byte_reduction,
+            contents_identical,
+            scheduled_compactions_drained: drained,
+            group_commit,
+            sync_reduction,
+            pass: checks.pass(),
+        },
+    )
 }

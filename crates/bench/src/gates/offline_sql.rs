@@ -2,11 +2,6 @@
 //! single-process reference engine, gated on *counted work* and
 //! byte-identity, not wall clock.
 //!
-//! ```sh
-//! cargo run --release -p titant-bench --bin offline_sql            # full
-//! cargo run --release -p titant-bench --bin offline_sql -- --quick
-//! ```
-//!
 //! A deterministic synthetic transaction table (and a `labels` join table)
 //! runs a three-query panel — a grouped multi-aggregate, an ORDER BY/LIMIT
 //! top-K, and a partitioned hash JOIN feeding a GROUP BY — through
@@ -23,44 +18,39 @@
 //!   merge, strictly fewer than the full-sort row count.
 //!
 //! Each executor pool's Fuxi pressure (peak slots, allocations, cumulative
-//! slot-wait) is snapshotted into the report. Writes
-//! `BENCH_offline_sql.json`; exits nonzero on gate failure.
+//! slot-wait) is snapshotted into the report.
 
+use crate::gate::{Checks, Outcome, SplitMix64};
 use serde::Serialize;
 use std::time::Instant;
 use titant_maxcompute::{Account, ColumnType, FuxiStats, MaxCompute, Schema, Table, Value};
 
 const TOP_K: u64 = 100;
-
-/// SplitMix64: the deterministic workload generator.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+const ROWS: usize = 120_000;
+const USERS: u64 = 3_000;
+const SEGMENT_SWEEP: [usize; 4] = [1, 2, 4, 8];
+const EXECUTOR_SWEEP: [usize; 3] = [1, 2, 4];
 
 /// The transaction table: `user` is skewed (hot users exist, like real
 /// transfer graphs), `amount` lands on a coarse grid so ORDER BY ties are
 /// plentiful, and a sprinkle of NULL amounts exercises aggregate skipping.
-fn build_tx(rows: usize, users: u64) -> Table {
+fn build_tx() -> Table {
     let mut t = Table::new(Schema::new(vec![
         ("user", ColumnType::Int),
         ("day", ColumnType::Int),
         ("amount", ColumnType::Float),
     ]));
-    let mut rng = 0xA11CE5EEDu64;
-    for _ in 0..rows {
-        let r = splitmix64(&mut rng);
+    let mut rng = SplitMix64(0xA11CE5EED);
+    for _ in 0..ROWS {
+        let r = rng.next_u64();
         // Square the unit sample: low ids are proportionally hotter.
-        let u = ((r >> 16) % users) as f64 / users as f64;
-        let user = ((u * u * users as f64) as u64).min(users - 1) as i64;
+        let u = ((r >> 16) % USERS) as f64 / USERS as f64;
+        let user = ((u * u * USERS as f64) as u64).min(USERS - 1) as i64;
         let day = (r % 90) as i64;
         let amount = if r.is_multiple_of(37) {
             Value::Null
         } else {
-            Value::Float((splitmix64(&mut rng) % 40_000) as f64 / 16.0)
+            Value::Float((rng.next_u64() % 40_000) as f64 / 16.0)
         };
         t.push_row(vec![Value::Int(user), Value::Int(day), amount]);
     }
@@ -68,12 +58,12 @@ fn build_tx(rows: usize, users: u64) -> Table {
 }
 
 /// One band label per user (the join build side).
-fn build_labels(users: u64) -> Table {
+fn build_labels() -> Table {
     let mut t = Table::new(Schema::new(vec![
         ("user", ColumnType::Int),
         ("band", ColumnType::Text),
     ]));
-    for user in 0..users {
+    for user in 0..USERS {
         t.push_row(vec![
             Value::Int(user as i64),
             Value::Text(format!("band{}", user % 7)),
@@ -106,7 +96,6 @@ struct PoolReport {
 #[derive(Serialize)]
 struct Report {
     bench: String,
-    mode: String,
     rows: usize,
     users: u64,
     queries: Vec<String>,
@@ -115,22 +104,9 @@ struct Report {
     pass: bool,
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (rows, users) = if quick {
-        (12_000, 600)
-    } else {
-        (120_000, 3_000)
-    };
-    let segment_sweep: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let executor_sweep: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
+pub fn run() -> Outcome {
     eprintln!(
-        "offline SQL ({} mode): {} rows × {} users, segments {:?} × executors {:?}",
-        if quick { "quick" } else { "full" },
-        rows,
-        users,
-        segment_sweep,
-        executor_sweep
+        "offline SQL: {ROWS} rows × {USERS} users, segments {SEGMENT_SWEEP:?} × executors {EXECUTOR_SWEEP:?}"
     );
 
     let queries = vec![
@@ -143,14 +119,14 @@ fn main() {
             .to_string(),
     ];
 
-    let tx = build_tx(rows, users);
-    let labels = build_labels(users);
-    let mut pass = true;
+    let tx = build_tx();
+    let labels = build_labels();
+    let mut checks = Checks::default();
     let mut runs = Vec::new();
     let mut pools = Vec::new();
     let mut references: Vec<Option<Vec<u8>>> = vec![None; queries.len()];
 
-    for &executors in executor_sweep {
+    for executors in EXECUTOR_SWEEP {
         let mc = MaxCompute::new(1, executors, 3);
         mc.create_account(&Account::new("bench", "offline-sql"));
         let session = mc.login("bench", "offline-sql").unwrap();
@@ -165,51 +141,44 @@ fn main() {
             }
             let reference = references[qi].as_ref().unwrap();
 
-            for &segments in segment_sweep {
+            for segments in SEGMENT_SWEEP {
                 let start = Instant::now();
                 let (out, r) = session.sql_distributed_with_stats(query, segments).unwrap();
                 let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                let identical = out.canonical_bytes() == *reference;
-                if !identical {
-                    eprintln!(
-                        "FAIL: query {qi} diverged from reference at \
-                         executors={executors} segments={segments}"
-                    );
-                    pass = false;
-                }
+                let at = format!("query {qi} executors={executors} segments={segments}");
+                let identical = checks.check(
+                    &format!("{at}: diverged from the reference"),
+                    out.canonical_bytes() == *reference,
+                );
                 // Scan conservation: the distributed scan examines exactly
                 // the reference input — the base table, or the joined one.
-                let expected_scan = match r.join {
-                    Some(j) => j.output_rows,
-                    None => rows as u64,
-                };
-                if r.rows_scanned != expected_scan {
-                    eprintln!(
-                        "FAIL: query {qi} scanned {} rows, expected {expected_scan} \
-                         (executors={executors} segments={segments})",
+                let expected_scan = r.join.map_or(ROWS as u64, |j| j.output_rows);
+                checks.check(
+                    &format!(
+                        "{at}: scanned {} rows, expected {expected_scan}",
                         r.rows_scanned
-                    );
-                    pass = false;
-                }
+                    ),
+                    r.rows_scanned == expected_scan,
+                );
                 // Merge scaling: one partial folded per submitted subtask.
-                if r.partials_merged != r.subtasks {
-                    eprintln!(
-                        "FAIL: query {qi} merged {} partials for {} subtasks",
+                checks.check(
+                    &format!(
+                        "{at}: merged {} partials for {} subtasks",
                         r.partials_merged, r.subtasks
-                    );
-                    pass = false;
-                }
+                    ),
+                    r.partials_merged == r.subtasks,
+                );
                 // Bounded top-K: workers ship ≤ K rows each, and strictly
                 // fewer than the full sort would materialize.
                 if qi == 1 {
                     let cap = TOP_K * r.subtasks;
-                    if r.rows_materialized > cap || r.rows_materialized >= rows as u64 {
-                        eprintln!(
-                            "FAIL: top-K materialized {} rows (cap {cap}, full sort {rows})",
+                    checks.check(
+                        &format!(
+                            "{at}: top-K materialized {} rows (cap {cap}, full sort {ROWS})",
                             r.rows_materialized
-                        );
-                        pass = false;
-                    }
+                        ),
+                        r.rows_materialized <= cap && r.rows_materialized < ROWS as u64,
+                    );
                 }
                 runs.push(RunReport {
                     query: query.clone(),
@@ -241,23 +210,16 @@ fn main() {
         runs.len()
     );
 
-    let report = Report {
-        bench: "offline_sql".into(),
-        mode: if quick { "quick" } else { "full" }.into(),
-        rows,
-        users,
-        queries,
-        runs,
-        pools,
-        pass,
-    };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_offline_sql.json", &json).expect("write BENCH_offline_sql.json");
-    eprintln!("results written to BENCH_offline_sql.json");
-    titant_bench::harness::save_results("offline_sql.json", &json);
-
-    if !pass {
-        eprintln!("FAIL: distributed-SQL gate violated (see BENCH_offline_sql.json)");
-        std::process::exit(1);
-    }
+    Outcome::new(
+        checks.pass(),
+        &Report {
+            bench: "offline_sql".into(),
+            rows: ROWS,
+            users: USERS,
+            queries,
+            runs,
+            pools,
+            pass: checks.pass(),
+        },
+    )
 }

@@ -1,7 +1,8 @@
-//! # titant-bench — the experiment harness
+//! # titant-bench — the experiment harness and the gates
 //!
-//! Shared machinery for the binaries that regenerate every table and figure
-//! of the TitAnt paper (see DESIGN.md §3 for the experiment index):
+//! Two things live here. First, shared machinery for the binaries that
+//! regenerate every table and figure of the TitAnt paper (see DESIGN.md §3
+//! for the experiment index):
 //!
 //! * `table1` — F1 of the 11 configurations over the 7 rolling datasets,
 //! * `table2` — F1 vs the number of DeepWalk node samplings,
@@ -15,7 +16,14 @@
 //! node embeddings for both transfer parties) and the train/evaluate
 //! protocol (threshold tuned on training scores, applied unchanged to the
 //! test day — the paper's T+1 regime).
+//!
+//! Second, the repo's correctness evidence: the nine [`gates`], each one
+//! `run() -> Outcome` over the fixtures in [`gate`], behind the one `gates`
+//! runner binary (`cargo run --release -p titant-bench --bin gates [--
+//! <name>...]`), which writes one `BENCH_<name>.json` per gate.
 
+pub mod gate;
+pub mod gates;
 pub mod harness;
 
 pub use harness::{EmbeddingKind, Experiment, FeatureConfig, Metrics, ModelKind, Scale};

@@ -64,6 +64,23 @@ pub fn split_row(row: &[f32]) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     )
 }
 
+/// The serving request for world record `i`: its parties, its `tx_id` and
+/// the context sub-vector of its basic feature row (zeros for a record
+/// that carries no features).
+pub fn score_request(world: &titant_datagen::World, i: usize) -> titant_modelserver::ScoreRequest {
+    let rec = &world.records()[i];
+    let context = match world.features_of(i) {
+        Some(row) => split_row(row).2,
+        None => vec![0.0; CONTEXT_SLOTS.len()],
+    };
+    titant_modelserver::ScoreRequest {
+        tx_id: rec.tx_id.0,
+        transferor: rec.transferor.0,
+        transferee: rec.transferee.0,
+        context,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

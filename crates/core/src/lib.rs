@@ -27,7 +27,7 @@
 //! let slice = DatasetSlice::paper(0);
 //! let pipeline = OfflinePipeline::new(PipelineConfig::default());
 //! let artifacts = pipeline.run(&world, &slice)?;
-//! let deployment = OnlineDeployment::new(&world, &slice, artifacts)?;
+//! let deployment = OnlineDeployment::new(artifacts)?;
 //! let report = deployment.replay_test_day(&world, &slice);
 //! println!("caught {} frauds", report.true_alerts);
 //! # Ok(())

@@ -6,10 +6,7 @@ use crate::layout;
 use crate::offline::OfflineArtifacts;
 use std::time::Duration;
 use titant_datagen::{DatasetSlice, World};
-use titant_modelserver::{
-    AlipayServer, ModelServer, RowCacheConfig, ScoreRequest, ServeError, SloConfig, Stage,
-    TransferOutcome,
-};
+use titant_modelserver::{AlipayServer, ModelServer, ServeError, Stage, TransferOutcome};
 
 /// p50/p99 of one serving stage over the replayed interval.
 #[derive(Debug, Clone, Copy, Default)]
@@ -81,43 +78,13 @@ impl OnlineDeployment {
     /// Stand up the Model Server over the uploaded feature table and front
     /// it with the Alipay server. Fails when the shipped model file does
     /// not match the serving layout.
-    pub fn new(
-        world: &World,
-        slice: &DatasetSlice,
-        artifacts: OfflineArtifacts,
-    ) -> Result<Self, TitAntError> {
-        Self::with_slo(world, slice, artifacts, SloConfig::default())
-    }
-
-    /// [`Self::new`] with explicit serving SLOs (deadline budget, retry
-    /// policy, hedged reads) for chaos-replay harnesses. No row cache:
-    /// chaos replays assume every read consults the store.
-    pub fn with_slo(
-        world: &World,
-        slice: &DatasetSlice,
-        artifacts: OfflineArtifacts,
-        slo: SloConfig,
-    ) -> Result<Self, TitAntError> {
-        Self::with_options(world, slice, artifacts, slo, None)
-    }
-
-    /// [`Self::with_slo`] plus an optional decoded-row cache in front of
-    /// the feature fetch (cleared automatically on every model deploy).
-    pub fn with_options(
-        _world: &World,
-        _slice: &DatasetSlice,
-        artifacts: OfflineArtifacts,
-        slo: SloConfig,
-        cache: Option<RowCacheConfig>,
-    ) -> Result<Self, TitAntError> {
+    pub fn new(artifacts: OfflineArtifacts) -> Result<Self, TitAntError> {
         let embedding_dim =
             (artifacts.model_file.n_features - titant_datagen::N_BASIC_FEATURES) / 2;
-        let ms = ModelServer::with_options(
+        let ms = ModelServer::new(
             artifacts.feature_table,
             layout::serving_layout(embedding_dim),
             artifacts.model_file,
-            slo,
-            cache,
         )?;
         Ok(Self {
             alipay: AlipayServer::new(ms),
@@ -150,17 +117,7 @@ impl OnlineDeployment {
         let mut errors = 0usize;
         let mut deadline_exceeded = 0usize;
         for i in range {
-            let rec = &world.records()[i];
-            let context = match world.features_of(i) {
-                Some(row) => layout::split_row(row).2,
-                None => vec![0.0; layout::CONTEXT_SLOTS.len()],
-            };
-            let outcome = self.alipay.transfer(ScoreRequest {
-                tx_id: rec.tx_id.0,
-                transferor: rec.transferor.0,
-                transferee: rec.transferee.0,
-                context,
-            });
+            let outcome = self.alipay.transfer(layout::score_request(world, i));
             let is_fraud = world.label_as_of(i, i64::MAX) > 0.5;
             match (outcome, is_fraud) {
                 (Ok(TransferOutcome::Interrupted), true) => tp += 1,
@@ -250,7 +207,7 @@ mod tests {
         let artifacts = OfflinePipeline::new(PipelineConfig::quick())
             .run(&world, &slice)
             .unwrap();
-        let deployment = OnlineDeployment::new(&world, &slice, artifacts).unwrap();
+        let deployment = OnlineDeployment::new(artifacts).unwrap();
         (world, slice, deployment)
     }
 

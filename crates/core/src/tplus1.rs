@@ -48,7 +48,7 @@ impl TPlusOneDriver {
             .map(|slice| {
                 let artifacts = self.pipeline.run(world, slice)?;
                 let version = artifacts.version;
-                let deployment = OnlineDeployment::new(world, slice, artifacts)?;
+                let deployment = OnlineDeployment::new(artifacts)?;
                 let report = deployment.replay_test_day(world, slice);
                 Ok(DailyResult {
                     day_name: slice.test_day_name(),

@@ -38,7 +38,7 @@
 //!   is a stack array; the kernel allocates nothing per row.
 //!
 //! The [`TraversalCounts`] instrumentation mirrors both kernels so the
-//! `predict_latency` bench can gate the cache claim on *counted* work (the
+//! `predict` gate can rest the cache claim on *counted* work (the
 //! container has one core, so wall clock alone proves nothing): node visits
 //! must be conserved exactly between the two orders while the blocked order
 //! performs strictly fewer node touches in a freshly-switched ("cold")

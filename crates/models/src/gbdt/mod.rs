@@ -303,7 +303,7 @@ impl Gbdt {
     }
 
     /// The original per-tree `RegNode` enum walk. Kept as the ground truth
-    /// the compiled engine is gated against (`predict_latency` bench, the
+    /// the compiled engine is gated against (`predict` gate, the
     /// flat-equivalence property test); bit-identical to
     /// [`FlatForest::raw_score`] by construction.
     pub fn raw_score_reference(&self, features: &[f32]) -> f64 {

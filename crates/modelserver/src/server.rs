@@ -108,6 +108,17 @@ impl FeatureLayout {
         self.n_basic + 2 * self.embedding_dim + 2 * self.velocity_width
     }
 
+    /// The codec that reads and writes this layout's per-user rows — the
+    /// one derivation of the four storage widths from a layout.
+    pub fn codec(&self) -> FeatureCodec {
+        FeatureCodec {
+            embedding_dim: self.embedding_dim,
+            payer_width: self.payer_slots.len(),
+            receiver_width: self.receiver_slots.len(),
+            velocity_width: self.velocity_width,
+        }
+    }
+
     /// Check slot coverage: payer + receiver + context slots must cover the
     /// basic block exactly and stay inside it.
     fn validate(&self) -> Result<(), ServeError> {
@@ -174,27 +185,17 @@ impl ModelServer {
         layout: FeatureLayout,
         model: ModelFile,
     ) -> Result<Self, ServeError> {
-        Self::with_slo(table, layout, model, SloConfig::default())
+        Self::with_options(table, layout, model, SloConfig::default(), None)
     }
 
-    /// [`Self::new`] with explicit serving SLOs: a per-request deadline
+    /// [`Self::new`] with explicit serving SLOs — a per-request deadline
     /// budget, a retry policy for transient storage faults, and an optional
-    /// hedge policy (effective only when the table has read replicas).
-    pub fn with_slo(
-        table: Arc<RegionedTable>,
-        layout: FeatureLayout,
-        model: ModelFile,
-        slo: SloConfig,
-    ) -> Result<Self, ServeError> {
-        Self::with_options(table, layout, model, slo, None)
-    }
-
-    /// [`Self::with_slo`] plus an optional decoded-row cache in front of the
-    /// feature fetch. The cache trades staleness risk for latency, so it is
-    /// opt-in; it is cleared on every [`Self::deploy`] and callers that
-    /// upload a new feature version must call
-    /// [`Self::invalidate_row_cache`]. Degraded (torn/faulted) reads are
-    /// never cached.
+    /// hedge policy (effective only when the table has read replicas) —
+    /// plus an optional decoded-row cache in front of the feature fetch.
+    /// The cache trades staleness risk for latency, so it is opt-in; it is
+    /// cleared on every [`Self::deploy`] and callers that upload a new
+    /// feature version must call [`Self::invalidate_row_cache`]. Degraded
+    /// (torn/faulted) reads are never cached.
     pub fn with_options(
         table: Arc<RegionedTable>,
         layout: FeatureLayout,
@@ -209,12 +210,7 @@ impl ModelServer {
                 got: model.n_features,
             });
         }
-        let codec = FeatureCodec {
-            embedding_dim: layout.embedding_dim,
-            payer_width: layout.payer_slots.len(),
-            receiver_width: layout.receiver_slots.len(),
-            velocity_width: layout.velocity_width,
-        };
+        let codec = layout.codec();
         Ok(Self {
             inner: Arc::new(Inner {
                 model: RwLock::new(Arc::new(model)),
@@ -884,11 +880,6 @@ impl ServePool {
         }
     }
 
-    /// A cloneable sender for feeding the pool from other threads.
-    pub fn sender(&self) -> Option<Sender<ScoreRequest>> {
-        self.tx.clone()
-    }
-
     /// Workers currently alive. Equals the spawn count unless a worker
     /// died — which the pool is designed to make impossible.
     pub fn live_workers(&self) -> usize {
@@ -1309,7 +1300,8 @@ mod tests {
             })
             .unwrap(),
         );
-        let ms = ModelServer::with_slo(table.clone(), layout(), cached_model(), slo).unwrap();
+        let ms =
+            ModelServer::with_options(table.clone(), layout(), cached_model(), slo, None).unwrap();
         let codec = FeatureCodec {
             embedding_dim: 2,
             payer_width: 2,
@@ -1932,7 +1924,7 @@ mod tests {
 
     fn setup_with_slo(slo: SloConfig) -> (ModelServer, Arc<RegionedTable>) {
         let table = Arc::new(RegionedTable::single(StoreConfig::default()).unwrap());
-        let ms = ModelServer::with_slo(table.clone(), layout(), model(), slo).unwrap();
+        let ms = ModelServer::with_options(table.clone(), layout(), model(), slo, None).unwrap();
         let codec = FeatureCodec {
             embedding_dim: 2,
             payer_width: 2,

@@ -18,7 +18,7 @@
 //! observed event sequence. No wall clock, no hashing by address, no
 //! iteration-order dependence — replaying a day of traffic produces
 //! bit-identical window contents and bit-identical deltas on any machine,
-//! which is exactly what the `stream_freshness` bench gates on.
+//! which is exactly what the `stream` gate checks.
 //!
 //! ## Windows
 //!

@@ -363,7 +363,7 @@ impl VelocityAggregator {
 /// Brute-force oracle: recompute `user`'s velocity vector over the
 /// windows ending at `as_of_tick` from the raw event log, applying the
 /// same per-tick distinct-counterparty bound in the same first-observed
-/// order. The `stream_freshness` bench gates on this matching
+/// order. The `stream` gate checks this against
 /// [`VelocityAggregator::features_of`] bit-for-bit at every cut.
 pub fn brute_force_velocity(
     config: &VelocityConfig,

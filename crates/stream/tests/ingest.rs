@@ -1,7 +1,7 @@
 //! End-to-end: the windowed aggregator flushes velocity deltas through
 //! `ModelServer::ingest_update_opts` and the served scores react to a
 //! fraud burst within the same tick — the miniature version of the
-//! `stream_freshness` bench gate.
+//! `stream` gate.
 
 use std::sync::Arc;
 use titant_alihbase::{RegionedTable, StoreConfig};

@@ -32,27 +32,15 @@ fn main() {
     })
     .run(&world, &slice)
     .expect("offline pipeline");
-    let deployment = OnlineDeployment::new(&world, &slice, artifacts).expect("deployable model");
+    let deployment = OnlineDeployment::new(artifacts).expect("deployable model");
 
     // The festival day: every test-day transaction replayed 20x — with the
     // fraud mixed in, because fraudsters love a busy day.
     let day: Vec<(ScoreRequest, bool)> = world
         .record_range(slice.test_day..slice.test_day + 1)
         .map(|i| {
-            let rec = &world.records()[i];
-            let context = world
-                .features_of(i)
-                .map(|row| layout::split_row(row).2)
-                .unwrap_or_else(|| vec![0.0; layout::CONTEXT_SLOTS.len()]);
-            (
-                ScoreRequest {
-                    tx_id: rec.tx_id.0,
-                    transferor: rec.transferor.0,
-                    transferee: rec.transferee.0,
-                    context,
-                },
-                world.label_as_of(i, i64::MAX) > 0.5,
-            )
+            let is_fraud = world.label_as_of(i, i64::MAX) > 0.5;
+            (layout::score_request(&world, i), is_fraud)
         })
         .collect();
     let multiplier = 20usize;

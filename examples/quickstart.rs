@@ -50,7 +50,7 @@ fn main() {
 
     // Online: deploy and serve the next day in real time. A model that
     // does not match the serving layout is rejected here.
-    let deployment = match OnlineDeployment::new(&world, &slice, artifacts) {
+    let deployment = match OnlineDeployment::new(artifacts) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("deployment rejected: {e}");

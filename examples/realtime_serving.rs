@@ -33,25 +33,13 @@ fn main() {
     let mut next_model = artifacts.model_file.clone();
     next_model.version += 1;
 
-    let deployment = OnlineDeployment::new(&world, &slice, artifacts).expect("deployable model");
+    let deployment = OnlineDeployment::new(artifacts).expect("deployable model");
     let ms = deployment.model_server().clone();
 
     // Build the request stream from the test day.
     let requests: Vec<ScoreRequest> = world
         .record_range(slice.test_day..slice.test_day + 1)
-        .map(|i| {
-            let rec = &world.records()[i];
-            let context = world
-                .features_of(i)
-                .map(|row| layout::split_row(row).2)
-                .unwrap_or_else(|| vec![0.0; layout::CONTEXT_SLOTS.len()]);
-            ScoreRequest {
-                tx_id: rec.tx_id.0,
-                transferor: rec.transferor.0,
-                transferee: rec.transferee.0,
-                context,
-            }
-        })
+        .map(|i| layout::score_request(&world, i))
         .collect();
     // Replicate to a sustained burst.
     let burst: Vec<ScoreRequest> = requests.iter().cycle().take(50_000).cloned().collect();

@@ -4,17 +4,18 @@
 #
 #   ./scripts/verify.sh           # build + tests + clippy + fmt + bench compile
 #                                 # + benchmark/ package build and clippy
-#   ./scripts/verify.sh --quick   # also run the nine gates, each writing its
-#                                 # BENCH_*.json at the repo root:
-#     offline_throughput  cross-thread determinism of the offline fit
-#     chaos_replay        seeded read faults vs the serving SLOs
-#     serving_scale       blooms, row cache, batch == single scores
-#     ingest_throughput   batched writes and WAL group commit, counted
-#     serving_million     dynamic region splitting under Zipf-hot traffic
-#     offline_sql         distributed SQL byte-identity and work scaling
-#     crash_replay        write faults and crash-restart recovery
-#     stream_freshness    windowed velocity features closing the T+1 gap
-#     predict_latency     flat inference bit-identity, counted traversal
+#   ./scripts/verify.sh --quick   # also run the nine gates through the one
+#                                 # `gates` runner, each writing its
+#                                 # BENCH_<name>.json at the repo root:
+#     offline          cross-thread determinism of the offline fit
+#     chaos            seeded read faults vs the serving SLOs
+#     serving_scale    blooms, row cache, batch == single scores
+#     ingest           batched writes and WAL group commit, counted
+#     serving_million  dynamic region splitting under Zipf-hot traffic
+#     offline_sql      distributed SQL byte-identity and work scaling
+#     crash            write faults and crash-restart recovery
+#     stream           windowed velocity features closing the T+1 gap
+#     predict          flat inference bit-identity, counted traversal
 #
 # The clippy gate runs with -D warnings across every target (libs, tests,
 # benches, examples); crates/modelserver additionally denies unwrap/expect
@@ -57,32 +58,8 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --release --offline --manifest-path benchmark/Cargo.toml -- -D warnings
 
 if [[ $QUICK -eq 1 ]]; then
-    echo "==> offline-throughput smoke run (--quick)"
-    cargo run --release -q -p titant-bench --bin offline_throughput -- --quick
-
-    echo "==> chaos-replay gate (--quick)"
-    cargo run --release -q -p titant-bench --bin chaos_replay -- --quick
-
-    echo "==> serving-scale gate (--quick)"
-    cargo run --release -q -p titant-bench --bin serving_scale -- --quick
-
-    echo "==> ingest-throughput gate (--quick)"
-    cargo run --release -q -p titant-bench --bin ingest_throughput -- --quick
-
-    echo "==> serving-million gate (--quick)"
-    cargo run --release -q -p titant-bench --bin serving_million -- --quick
-
-    echo "==> distributed-SQL gate (--quick)"
-    cargo run --release -q -p titant-bench --bin offline_sql -- --quick
-
-    echo "==> crash-replay gate (--quick)"
-    cargo run --release -q -p titant-bench --bin crash_replay -- --quick
-
-    echo "==> stream-freshness gate (--quick)"
-    cargo run --release -q -p titant-bench --bin stream_freshness -- --quick
-
-    echo "==> predict-latency gate (--quick)"
-    cargo run --release -q -p titant-bench --bin predict_latency -- --quick
+    echo "==> the nine gates"
+    cargo run --release -q -p titant-bench --bin gates
 fi
 
 echo "verify: all green"

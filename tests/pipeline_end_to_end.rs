@@ -27,7 +27,7 @@ fn offline_online_cycle_catches_fraud_in_real_time() {
     assert_eq!(artifacts.version, slice.test_day as u64);
     assert!(artifacts.model_file.n_features > titant::datagen::N_BASIC_FEATURES);
 
-    let deployment = OnlineDeployment::new(&world, &slice, artifacts).unwrap();
+    let deployment = OnlineDeployment::new(artifacts).unwrap();
     let report = deployment.replay_test_day(&world, &slice);
 
     // Every test-day transaction was scored, in real time.
