@@ -29,7 +29,7 @@ fn splitmix64(seed: u64) -> u64 {
 /// FNV-1a over the row-key bytes: the row's contribution to a fault draw.
 fn row_hash(row: &RowKey) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &row.0 {
+    for &b in row.as_bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
     }

@@ -1,8 +1,8 @@
 //! In-memory sorted write buffer.
 
-use crate::types::{Cell, CellKey, Version};
+use crate::types::{Cell, CellKey, RowKey, Version};
 use bytes::Bytes;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Sorted buffer of recent writes. Each cell key holds its versions newest
 /// first; lookups are O(log n).
@@ -27,13 +27,14 @@ impl MemTable {
     /// growth) rather than N full key+value charges.
     pub fn put(&mut self, key: CellKey, version: Version, value: Option<Bytes>) {
         const CELL_OVERHEAD: usize = 24;
-        let key_bytes = key.row.0.len() + key.family.0.len() + key.qualifier.0.len();
         let value_bytes = value.as_ref().map_or(0, |v| v.len());
-        let existed = self.entries.contains_key(&key);
-        let versions = self.entries.entry(key).or_default();
-        if !existed {
-            self.approx_bytes += key_bytes;
-        }
+        let versions = match self.entries.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                self.approx_bytes += e.key().byte_len();
+                e.insert(Vec::new())
+            }
+        };
         let pos = versions
             .binary_search_by(|c| version.cmp(&c.version))
             .unwrap_or_else(|p| p);
@@ -84,13 +85,10 @@ impl MemTable {
     /// single-row multi-get.
     pub fn iter_row<'a>(
         &'a self,
-        row: &'a crate::types::RowKey,
+        row: &'a RowKey,
     ) -> impl Iterator<Item = (&'a CellKey, &'a Vec<Cell>)> + 'a {
-        let start = CellKey {
-            row: row.clone(),
-            family: crate::types::ColumnFamily(String::new()),
-            qualifier: crate::types::Qualifier(String::new()),
-        };
+        // The empty family and qualifier sort first within the row.
+        let start = CellKey::new(row.clone(), "", "");
         self.entries
             .range(start..)
             .take_while(move |(k, _)| k.row == *row)

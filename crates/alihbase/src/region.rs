@@ -350,7 +350,7 @@ impl RegionedTable {
             if i < map.splits.len() {
                 text.push_str(&format!(
                     "split {} {}\n",
-                    hex_encode(&map.splits[i].0),
+                    hex_encode(map.splits[i].as_bytes()),
                     if map.split_origin[i] {
                         "origin"
                     } else {
@@ -419,7 +419,7 @@ impl RegionedTable {
                         .and_then(hex_decode)
                         .ok_or_else(|| bad("layout.manifest: bad split line".into()))?;
                     split_origin.push(parts.next() == Some("origin"));
-                    splits.push(RowKey(row));
+                    splits.push(RowKey::from(row.as_slice()));
                 }
                 None => {}
                 Some(other) => {
@@ -729,9 +729,9 @@ impl RegionedTable {
 
     /// The one body under [`Self::put_rows`] and [`Self::try_put_rows`].
     /// All but the last replica get a clone of their sub-batch (`Bytes`
-    /// values are refcounted, so only the keys cost anything); the last
-    /// takes the sub-batch itself, so `put_rows` on a single-replica table
-    /// never clones a cell.
+    /// values are refcounted and keys are inline values, so a clone
+    /// allocates only its `Vec`); the last takes the sub-batch itself, so
+    /// `put_rows` on a single-replica table never clones a cell.
     fn write_rows(
         &self,
         cells: impl Iterator<Item = (CellKey, Version, Option<Bytes>)>,

@@ -69,8 +69,8 @@ impl SsTable {
         // Entries are row-sorted, so consecutive dedup yields distinct rows.
         let mut rows: Vec<&[u8]> = Vec::new();
         for (k, _) in &self.entries {
-            if rows.last() != Some(&k.row.0.as_slice()) {
-                rows.push(k.row.0.as_slice());
+            if rows.last() != Some(&k.row.as_bytes()) {
+                rows.push(k.row.as_bytes());
             }
         }
         self.bloom = RowBloom::build(rows.iter().copied(), rows.len(), bits_per_key);
@@ -93,7 +93,7 @@ impl SsTable {
             return RowPresence::OutOfBounds;
         }
         match &self.bloom {
-            Some(bloom) if !bloom.may_contain(&row.0) => RowPresence::BloomMiss,
+            Some(bloom) if !bloom.may_contain(row.as_bytes()) => RowPresence::BloomMiss,
             Some(_) => RowPresence::Possible {
                 bloom_checked: true,
             },
@@ -140,17 +140,14 @@ impl SsTable {
         self.entries.iter()
     }
 
-    /// Iterate only the entries of one row (all families, all versions).
-    /// Binary-searches to the row start, then walks its contiguous range —
-    /// the run half of a single-row multi-get.
-    pub fn iter_row<'a>(
-        &'a self,
-        row: &'a crate::types::RowKey,
-    ) -> impl Iterator<Item = &'a (CellKey, Cell)> + 'a {
+    /// The entries of one row (all families, all versions), sorted like the
+    /// run. Binary-searches to the row start, then walks its contiguous
+    /// range — the run half of a single-row multi-get.
+    pub fn row_slice(&self, row: &RowKey) -> &[(CellKey, Cell)] {
         let start = self.entries.partition_point(|(k, _)| k.row < *row);
-        self.entries[start..]
-            .iter()
-            .take_while(move |(k, _)| k.row == *row)
+        let rest = &self.entries[start..];
+        let len = rest.iter().take_while(|(k, _)| k.row == *row).count();
+        &rest[..len]
     }
 
     /// Merge several runs (newest first) into one, keeping at most
@@ -249,9 +246,9 @@ impl SsTable {
         let mut payload = BytesMut::new();
         payload.put_u64_le(self.entries.len() as u64);
         for (k, c) in &self.entries {
-            put_slice(&mut payload, &k.row.0);
-            put_slice(&mut payload, k.family.0.as_bytes());
-            put_slice(&mut payload, k.qualifier.0.as_bytes());
+            put_slice(&mut payload, k.row.as_bytes());
+            put_slice(&mut payload, k.family.as_bytes());
+            put_slice(&mut payload, k.qualifier.as_bytes());
             payload.put_u64_le(c.version);
             match &c.value {
                 Some(v) => {
@@ -300,7 +297,7 @@ impl SsTable {
             }
             let version = buf.get_u64_le();
             let value = if buf.get_u8() == 1 {
-                Some(Bytes::from(
+                Some(Bytes::copy_from_slice(
                     get_slice(&mut buf).ok_or_else(|| corrupt("value"))?,
                 ))
             } else {
@@ -308,13 +305,9 @@ impl SsTable {
             };
             entries.push((
                 CellKey {
-                    row: crate::types::RowKey(row),
-                    family: crate::types::ColumnFamily(
-                        String::from_utf8(family).map_err(|_| corrupt("utf8"))?,
-                    ),
-                    qualifier: crate::types::Qualifier(
-                        String::from_utf8(qualifier).map_err(|_| corrupt("utf8"))?,
-                    ),
+                    row: row.into(),
+                    family: utf8(family)?.into(),
+                    qualifier: utf8(qualifier)?.into(),
                 },
                 Cell { version, value },
             ));
@@ -338,16 +331,17 @@ fn put_slice(buf: &mut BytesMut, data: &[u8]) {
     buf.put_slice(data);
 }
 
-fn get_slice(buf: &mut &[u8]) -> Option<Vec<u8>> {
+fn utf8(bytes: &[u8]) -> std::io::Result<&str> {
+    std::str::from_utf8(bytes).map_err(|_| corrupt("utf8"))
+}
+
+fn get_slice<'a>(buf: &mut &'a [u8]) -> Option<&'a [u8]> {
     if buf.remaining() < 4 {
         return None;
     }
     let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return None;
-    }
-    let out = buf[..len].to_vec();
-    buf.advance(len);
+    let (out, rest) = buf.split_at_checked(len)?;
+    *buf = rest;
     Some(out)
 }
 
@@ -450,15 +444,15 @@ mod tests {
         ]);
         // Without a filter: bounds only.
         assert_eq!(
-            t.row_presence(&crate::types::RowKey::from("u1")),
+            t.row_presence(&RowKey::from("u1")),
             RowPresence::OutOfBounds
         );
         assert_eq!(
-            t.row_presence(&crate::types::RowKey::from("u9")),
+            t.row_presence(&RowKey::from("u9")),
             RowPresence::OutOfBounds
         );
         assert_eq!(
-            t.row_presence(&crate::types::RowKey::from("u5")),
+            t.row_presence(&RowKey::from("u5")),
             RowPresence::Possible {
                 bloom_checked: false
             }
@@ -467,7 +461,7 @@ mod tests {
         assert!(t.has_bloom());
         for present in ["u3", "u5", "u7"] {
             assert_eq!(
-                t.row_presence(&crate::types::RowKey::from(present)),
+                t.row_presence(&RowKey::from(present)),
                 RowPresence::Possible {
                     bloom_checked: true
                 },
@@ -475,7 +469,7 @@ mod tests {
             );
         }
         // In-bounds but absent: either a BloomMiss or a (counted) fp.
-        let verdict = t.row_presence(&crate::types::RowKey::from("u4"));
+        let verdict = t.row_presence(&RowKey::from("u4"));
         assert_ne!(verdict, RowPresence::OutOfBounds);
         // Disabling restores the unfiltered verdict.
         t.rebuild_index(0);
@@ -494,7 +488,7 @@ mod tests {
         a.rebuild_index(10);
         b.rebuild_index(10);
         for probe in 0..1000u32 {
-            let row = crate::types::RowKey(format!("p{probe}").into_bytes());
+            let row = RowKey::from(format!("p{probe}"));
             assert_eq!(a.row_presence(&row), b.row_presence(&row));
         }
     }

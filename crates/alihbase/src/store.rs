@@ -6,10 +6,11 @@ use crate::fault::{
 };
 use crate::memtable::MemTable;
 use crate::sstable::{RowPresence, SsTable};
-use crate::types::{Cell, CellKey, Version};
+use crate::types::{Cell, CellKey, RowKey, Version};
 use crate::wal::{SyncPolicy, Wal, WalRecord};
 use bytes::Bytes;
 use parking_lot::RwLock;
+use std::cmp::Reverse;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -219,6 +220,35 @@ impl TickReport {
         self.region_splits += other.region_splits;
         self.region_merges += other.region_merges;
         self.wal_sync_errors += other.wal_sync_errors;
+    }
+}
+
+/// One sorted source of a row read: the memtable's row range (a key with
+/// its versions, newest first) or a run's row slice (one entry per version,
+/// newest first within a key).
+enum RowSource<'a, M> {
+    Memtable(M),
+    Run(std::slice::Iter<'a, (CellKey, Cell)>),
+}
+
+impl<'a, M: Iterator<Item = (&'a CellKey, &'a Vec<Cell>)>> RowSource<'a, M> {
+    /// Step to the source's next cell key that has a version at or below
+    /// `as_of`, and return it with the newest such cell.
+    fn next_key(&mut self, as_of: Version) -> Option<(&'a CellKey, &'a Cell)> {
+        match self {
+            Self::Memtable(keys) => keys.find_map(|(key, cells)| {
+                let cell = cells.iter().find(|c| c.version <= as_of)?;
+                Some((key, cell))
+            }),
+            Self::Run(entries) => {
+                let (key, cell) = entries.find(|(_, c)| c.version <= as_of)?;
+                // The key's older versions follow; none can win.
+                while entries.as_slice().first().is_some_and(|(k, _)| k == key) {
+                    entries.next();
+                }
+                Some((key, cell))
+            }
+        }
     }
 }
 
@@ -573,22 +603,20 @@ impl Store {
 
     /// Read every live cell of one row in a single pass: for each cell key
     /// the latest version at or below `as_of`, tombstones elided. One lock
-    /// acquisition and one ordered walk per memtable/run instead of a point
-    /// get per qualifier — the store side of the serving fast path.
-    pub fn get_row(&self, row: &crate::types::RowKey, as_of: Version) -> Vec<(CellKey, Bytes)> {
+    /// acquisition, then a merge of the sources that can hold the row — the
+    /// memtable's row range and the row slice of each run its bounds and
+    /// bloom admit, all already sorted by cell key — straight into a result
+    /// sized once. Where several sources hold a key the higher version
+    /// wins; on equal versions the memtable beats every run and a newer run
+    /// an older one. The store side of the serving fast path.
+    pub fn get_row(&self, row: &RowKey, as_of: Version) -> Vec<(CellKey, Bytes)> {
         let inner = self.inner.read();
-        use std::collections::BTreeMap;
-        let mut best: BTreeMap<&CellKey, &Cell> = BTreeMap::new();
-        for (k, cells) in inner.memtable.iter_row(row) {
-            // Versions are sorted descending; the first at or below `as_of`
-            // is the memtable's candidate.
-            if let Some(c) = cells.iter().find(|c| c.version <= as_of) {
-                best.insert(k, c);
-            }
-        }
-        let mut scanned = 0u64;
         let mut skipped = 0u64;
         let mut false_positives = 0u64;
+        // Newest first, like `inner.runs`: source order breaks version ties.
+        let mut sources = Vec::with_capacity(1 + inner.runs.len());
+        let mut capacity = inner.memtable.iter_row(row).count();
+        sources.push(RowSource::Memtable(inner.memtable.iter_row(row)));
         for run in &inner.runs {
             let bloom_checked = match run.row_presence(row) {
                 RowPresence::OutOfBounds | RowPresence::BloomMiss => {
@@ -597,38 +625,47 @@ impl Store {
                 }
                 RowPresence::Possible { bloom_checked } => bloom_checked,
             };
-            scanned += 1;
-            let mut row_cells = 0usize;
-            for (k, c) in run.iter_row(row) {
-                row_cells += 1;
-                if c.version > as_of {
-                    continue;
-                }
-                match best.get(k) {
-                    Some(existing) if existing.version >= c.version => {}
-                    _ => {
-                        best.insert(k, c);
-                    }
-                }
-            }
+            let cells = run.row_slice(row);
             // The filter admitted the row but the run holds none of its
             // cells: a genuine bloom false positive.
-            if bloom_checked && row_cells == 0 {
+            if bloom_checked && cells.is_empty() {
                 false_positives += 1;
             }
+            capacity += cells.len();
+            sources.push(RowSource::Run(cells.iter()));
         }
         self.stats
             .runs_scanned
-            .fetch_add(scanned, Ordering::Relaxed);
+            .fetch_add(sources.len() as u64 - 1, Ordering::Relaxed);
         self.stats
             .runs_skipped
             .fetch_add(skipped, Ordering::Relaxed);
         self.stats
             .bloom_false_positives
             .fetch_add(false_positives, Ordering::Relaxed);
-        best.into_iter()
-            .filter_map(|(k, c)| c.value.clone().map(|v| (k.clone(), v)))
-            .collect()
+
+        let mut heads: Vec<_> = sources.iter_mut().map(|s| s.next_key(as_of)).collect();
+        let mut out = Vec::with_capacity(capacity);
+        loop {
+            // The smallest key any source is at, and its winning cell.
+            let mut best: Option<(&CellKey, &Cell)> = None;
+            for &(key, cell) in heads.iter().flatten() {
+                best = match best {
+                    Some((k, c)) if (k, Reverse(c.version)) <= (key, Reverse(cell.version)) => best,
+                    _ => Some((key, cell)),
+                };
+            }
+            let Some((key, cell)) = best else { break };
+            if let Some(value) = &cell.value {
+                out.push((key.clone(), value.clone()));
+            }
+            for (head, source) in heads.iter_mut().zip(&mut sources) {
+                if head.is_some_and(|(k, _)| k == key) {
+                    *head = source.next_key(as_of);
+                }
+            }
+        }
+        out
     }
 
     /// [`Self::get_row`] behind a fault hook: consult `hook` (when present)
@@ -648,7 +685,7 @@ impl Store {
     /// via the returned `waited`, never the wall clock.
     pub fn try_get_row(
         &self,
-        row: &crate::types::RowKey,
+        row: &RowKey,
         as_of: Version,
         hook: Option<&dyn FaultHook>,
         ctx: &ReadCtx<'_>,
@@ -716,9 +753,9 @@ impl Store {
     /// smallest resident row, so splitting at it leaves both sides
     /// non-empty. A pure function of store contents: identical stores
     /// yield identical medians.
-    pub fn median_resident_row(&self) -> Option<crate::types::RowKey> {
+    pub fn median_resident_row(&self) -> Option<RowKey> {
         let inner = self.inner.read();
-        let mut rows: std::collections::BTreeSet<&crate::types::RowKey> =
+        let mut rows: std::collections::BTreeSet<&RowKey> =
             inner.memtable.iter().map(|(k, _)| &k.row).collect();
         rows.extend(
             inner
@@ -901,11 +938,7 @@ impl Store {
     /// bounds provably miss the range are skipped (counted in
     /// `runs_skipped`); runs actually walked count in `runs_scanned`, so
     /// scan *work* is auditable the same way point/row reads are.
-    pub fn scan_rows(
-        &self,
-        start: &crate::types::RowKey,
-        end: &crate::types::RowKey,
-    ) -> Vec<(CellKey, Bytes)> {
+    pub fn scan_rows(&self, start: &RowKey, end: &RowKey) -> Vec<(CellKey, Bytes)> {
         let inner = self.inner.read();
         use std::collections::BTreeMap;
         let mut latest: BTreeMap<CellKey, Cell> = BTreeMap::new();
@@ -979,7 +1012,6 @@ fn select_tier_window(sizes: &[usize], max_runs: usize) -> Option<std::ops::Rang
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::RowKey;
 
     fn key(row: &str, q: &str) -> CellKey {
         CellKey::new(row, "basic", q)
@@ -1291,18 +1323,15 @@ mod tests {
 
         // Latest view: a=a2 (memtable wins), b deleted, c=c2; u2 excluded.
         let row = s.get_row(&RowKey::from_str("u1"), u64::MAX);
-        let got: Vec<(String, &[u8])> = row
+        let got: Vec<(&str, &[u8])> = row
             .iter()
-            .map(|(k, v)| (k.qualifier.0.clone(), v.as_ref()))
+            .map(|(k, v)| (k.qualifier.as_str(), v.as_ref()))
             .collect();
-        assert_eq!(
-            got,
-            vec![("a".into(), b"a2".as_ref()), ("c".into(), b"c2".as_ref())]
-        );
+        assert_eq!(got, vec![("a", b"a2".as_ref()), ("c", b"c2".as_ref())]);
 
         // As-of version 1: the flushed snapshot.
         let row = s.get_row(&RowKey::from_str("u1"), 1);
-        let quals: Vec<&str> = row.iter().map(|(k, _)| k.qualifier.0.as_str()).collect();
+        let quals: Vec<&str> = row.iter().map(|(k, _)| k.qualifier.as_str()).collect();
         assert_eq!(quals, vec!["a", "b"]);
         assert_eq!(row[0].1.as_ref(), b"a1");
 
@@ -1492,11 +1521,7 @@ mod tests {
         // skip anything — only the blooms can.
         for run in 0..8u64 {
             for slot in 0..16u64 {
-                let k = CellKey::new(
-                    crate::types::RowKey::from_user(run + slot * 8),
-                    "basic",
-                    "age",
-                );
+                let k = CellKey::new(RowKey::from_user(run + slot * 8), "basic", "age");
                 with_bloom
                     .put(k.clone(), 1, Bytes::from_static(b"42"))
                     .unwrap();
@@ -1507,7 +1532,7 @@ mod tests {
         }
         assert_eq!(with_bloom.run_count(), 8);
         for user in (0u64..128).chain([9999]) {
-            let row = crate::types::RowKey::from_user(user);
+            let row = RowKey::from_user(user);
             assert_eq!(
                 with_bloom.get_row(&row, u64::MAX),
                 no_bloom.get_row(&row, u64::MAX),

@@ -10,7 +10,7 @@
 //! mismatch) truncates replay at the last good frame, which is exactly the
 //! recovery contract a crash leaves behind.
 
-use crate::types::{CellKey, ColumnFamily, Qualifier, RowKey, Version};
+use crate::types::{CellKey, Version};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -69,15 +69,15 @@ impl WalRecord {
         let version = buf.get_u64_le();
         let has_value = buf.get_u8() == 1;
         let value = if has_value {
-            Some(Bytes::from(get_bytes(buf)?))
+            Some(Bytes::copy_from_slice(get_bytes(buf)?))
         } else {
             None
         };
         Some(WalRecord {
             key: CellKey {
-                row: RowKey(row),
-                family: ColumnFamily(String::from_utf8(family).ok()?),
-                qualifier: Qualifier(String::from_utf8(qualifier).ok()?),
+                row: row.into(),
+                family: std::str::from_utf8(family).ok()?.into(),
+                qualifier: std::str::from_utf8(qualifier).ok()?.into(),
             },
             version,
             value,
@@ -87,9 +87,9 @@ impl WalRecord {
 
 /// Encode one record without cloning the key or value.
 fn encode_record_into(buf: &mut BytesMut, key: &CellKey, version: Version, value: Option<&Bytes>) {
-    put_bytes(buf, &key.row.0);
-    put_bytes(buf, key.family.0.as_bytes());
-    put_bytes(buf, key.qualifier.0.as_bytes());
+    put_bytes(buf, key.row.as_bytes());
+    put_bytes(buf, key.family.as_bytes());
+    put_bytes(buf, key.qualifier.as_bytes());
     buf.put_u64_le(version);
     match value {
         Some(v) => {
@@ -105,16 +105,13 @@ fn put_bytes(buf: &mut BytesMut, data: &[u8]) {
     buf.put_slice(data);
 }
 
-fn get_bytes(buf: &mut &[u8]) -> Option<Vec<u8>> {
+fn get_bytes<'a>(buf: &mut &'a [u8]) -> Option<&'a [u8]> {
     if buf.remaining() < 4 {
         return None;
     }
     let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return None;
-    }
-    let out = buf[..len].to_vec();
-    buf.advance(len);
+    let (out, rest) = buf.split_at_checked(len)?;
+    *buf = rest;
     Some(out)
 }
 
@@ -652,8 +649,8 @@ mod tests {
         let (_w, replayed) = Wal::open(&path).unwrap();
         assert_eq!(replayed.len(), 4);
         assert_eq!(replayed[0], record("u0", 1, Some(b"solo")));
-        assert_eq!(replayed[1].key.qualifier.0, "p0");
-        assert_eq!(replayed[2].key.qualifier.0, "p1");
+        assert_eq!(replayed[1].key.qualifier.as_str(), "p0");
+        assert_eq!(replayed[2].key.qualifier.as_str(), "p1");
         assert_eq!(replayed[3].value, None);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -852,7 +849,7 @@ mod tests {
         drop(wal);
         let (_w, replayed) = Wal::open(&path).unwrap();
         assert_eq!(replayed.len(), 1);
-        assert_eq!(replayed[0].key.row, RowKey::from_str("u2"));
+        assert_eq!(replayed[0].key.row, crate::RowKey::from_str("u2"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

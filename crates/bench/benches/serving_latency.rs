@@ -129,8 +129,8 @@ fn bench_store_reads(c: &mut Criterion) {
             j = (j + 1) % 2_000;
             let key = titant_alihbase::CellKey {
                 row: RowKey::from_user(j),
-                family: titant_alihbase::ColumnFamily("basic".into()),
-                qualifier: titant_alihbase::Qualifier("p0".into()),
+                family: "basic".into(),
+                qualifier: "p0".into(),
             };
             black_box(table.get(&key))
         })

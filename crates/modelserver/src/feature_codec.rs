@@ -8,7 +8,6 @@
 
 use crate::error::ServeError;
 use bytes::Bytes;
-use std::collections::HashMap;
 use std::sync::OnceLock;
 use std::time::Duration;
 use titant_alihbase::{
@@ -18,8 +17,8 @@ use titant_alihbase::{
 /// How many qualifier names per family are precomputed at first use.
 ///
 /// Real TitAnt rows hold a few hundred features at most; anything past the
-/// table falls back to on-the-fly formatting/parsing, so the cap is a
-/// memory bound, not a correctness limit.
+/// table is formatted on the fly, so the cap is a memory bound, not a
+/// correctness limit.
 const PRECOMPUTED_QUALIFIERS: usize = 512;
 
 /// Where a `basic`-family qualifier lands in the decoded row.
@@ -29,13 +28,13 @@ enum BasicSlot {
     Receiver(usize),
 }
 
-/// Precomputed qualifier names and their reverse index.
+/// Precomputed family and qualifier names.
 ///
-/// Encoding used to build `p{i}` / `r{i}` / `{i}` strings per cell per put,
-/// and decoding re-parsed every qualifier with `str::parse`. Both now hit
-/// this table: encode clones an interned name, decode looks the name up in
-/// a hash map. Built once per process, shared by every codec instance (the
-/// layout names do not depend on codec widths).
+/// Encoding used to build `p{i}` / `r{i}` / `{i}` strings per cell per put;
+/// it now copies a prebuilt name (a qualifier is an inline value, so the
+/// copy allocates nothing). Decoding needs no table: [`basic_slot`] and
+/// [`index_of`] parse the name. Built once per process, shared by every
+/// codec instance (the layout names do not depend on codec widths).
 struct QualTable {
     basic: ColumnFamily,
     embedding_family: ColumnFamily,
@@ -44,94 +43,67 @@ struct QualTable {
     velocity_family: ColumnFamily,
     payer: Vec<Qualifier>,
     receiver: Vec<Qualifier>,
-    embedding: Vec<Qualifier>,
-    basic_slots: HashMap<String, BasicSlot>,
-    embedding_slots: HashMap<String, usize>,
+    /// Plain dimension indices, shared by the `embedding` and `velocity`
+    /// families (the family disambiguates).
+    index: Vec<Qualifier>,
 }
 
 impl QualTable {
     fn build() -> QualTable {
-        let mut payer = Vec::with_capacity(PRECOMPUTED_QUALIFIERS);
-        let mut receiver = Vec::with_capacity(PRECOMPUTED_QUALIFIERS);
-        let mut embedding = Vec::with_capacity(PRECOMPUTED_QUALIFIERS);
-        let mut basic_slots = HashMap::with_capacity(2 * PRECOMPUTED_QUALIFIERS);
-        let mut embedding_slots = HashMap::with_capacity(PRECOMPUTED_QUALIFIERS);
-        for i in 0..PRECOMPUTED_QUALIFIERS {
-            let p = format!("p{i}");
-            basic_slots.insert(p.clone(), BasicSlot::Payer(i));
-            payer.push(Qualifier(p));
-            let r = format!("r{i}");
-            basic_slots.insert(r.clone(), BasicSlot::Receiver(i));
-            receiver.push(Qualifier(r));
-            let e = i.to_string();
-            embedding_slots.insert(e.clone(), i);
-            embedding.push(Qualifier(e));
-        }
+        let names = |prefix: &str| {
+            (0..PRECOMPUTED_QUALIFIERS)
+                .map(|i| format!("{prefix}{i}").into())
+                .collect()
+        };
         QualTable {
-            basic: ColumnFamily("basic".into()),
-            embedding_family: ColumnFamily("embedding".into()),
-            velocity_family: ColumnFamily("velocity".into()),
-            payer,
-            receiver,
-            embedding,
-            basic_slots,
-            embedding_slots,
+            basic: "basic".into(),
+            embedding_family: "embedding".into(),
+            velocity_family: "velocity".into(),
+            payer: names("p"),
+            receiver: names("r"),
+            index: names(""),
         }
     }
 
     fn payer_qualifier(&self, i: usize) -> Qualifier {
-        match self.payer.get(i) {
-            Some(q) => q.clone(),
-            None => Qualifier(format!("p{i}")),
-        }
+        name(&self.payer, "p", i)
     }
 
     fn receiver_qualifier(&self, i: usize) -> Qualifier {
-        match self.receiver.get(i) {
-            Some(q) => q.clone(),
-            None => Qualifier(format!("r{i}")),
-        }
+        name(&self.receiver, "r", i)
     }
 
-    fn embedding_qualifier(&self, i: usize) -> Qualifier {
-        match self.embedding.get(i) {
-            Some(q) => q.clone(),
-            None => Qualifier(i.to_string()),
-        }
+    fn index_qualifier(&self, i: usize) -> Qualifier {
+        name(&self.index, "", i)
     }
+}
 
-    /// Velocity qualifiers are plain dimension indices like embedding
-    /// ones (the family disambiguates), so the interned names are shared.
-    fn velocity_qualifier(&self, i: usize) -> Qualifier {
-        self.embedding_qualifier(i)
+/// The qualifier `{prefix}{i}`: copied from `names` when the table reaches
+/// that far, formatted past it.
+fn name(names: &[Qualifier], prefix: &str, i: usize) -> Qualifier {
+    match names.get(i) {
+        Some(q) => q.clone(),
+        None => format!("{prefix}{i}").into(),
     }
+}
 
-    /// Resolve a `velocity` qualifier to its slot index.
-    fn velocity_slot(&self, qualifier: &str) -> Option<usize> {
-        self.embedding_slot(qualifier)
-    }
+/// The index a qualifier spells, accepting exactly what the encoder emits:
+/// decimal digits with no sign and no leading zero. `str::parse` alone would
+/// also take `+5` and `007`, letting a stray cell alias a real slot.
+fn index_of(digits: &str) -> Option<usize> {
+    let canonical =
+        digits.bytes().all(|b| b.is_ascii_digit()) && (digits == "0" || !digits.starts_with('0'));
+    digits.parse().ok().filter(|_| canonical)
+}
 
-    /// Resolve a `basic` qualifier to its slot; table hit first, parse as
-    /// the out-of-table fallback (matching the names the encoder emits).
-    fn basic_slot(&self, qualifier: &str) -> Option<BasicSlot> {
-        if let Some(&slot) = self.basic_slots.get(qualifier) {
-            return Some(slot);
-        }
-        let (tag, digits) = qualifier.split_at_checked(1)?;
-        let i = digits.parse::<usize>().ok()?;
-        match tag {
-            "p" => Some(BasicSlot::Payer(i)),
-            "r" => Some(BasicSlot::Receiver(i)),
-            _ => None,
-        }
-    }
-
-    /// Resolve an `embedding` qualifier to its dimension index.
-    fn embedding_slot(&self, qualifier: &str) -> Option<usize> {
-        if let Some(&i) = self.embedding_slots.get(qualifier) {
-            return Some(i);
-        }
-        qualifier.parse::<usize>().ok()
+/// Resolve a `basic` qualifier (`p{i}` / `r{i}`) to its slot.
+fn basic_slot(qualifier: &str) -> Option<BasicSlot> {
+    let (tag, digits) = qualifier.split_at_checked(1)?;
+    let i = index_of(digits)?;
+    match tag {
+        "p" => Some(BasicSlot::Payer(i)),
+        "r" => Some(BasicSlot::Receiver(i)),
+        _ => None,
     }
 }
 
@@ -251,11 +223,11 @@ impl FeatureCodec {
             cells.push(cell(&row, &quals.basic, qualifier, v, version));
         }
         for (i, &v) in features.embedding.iter().enumerate() {
-            let qualifier = quals.embedding_qualifier(i);
+            let qualifier = quals.index_qualifier(i);
             cells.push(cell(&row, &quals.embedding_family, qualifier, v, version));
         }
         for (i, &v) in features.velocity.iter().enumerate() {
-            let qualifier = quals.velocity_qualifier(i);
+            let qualifier = quals.index_qualifier(i);
             cells.push(cell(&row, &quals.velocity_family, qualifier, v, version));
         }
         cells
@@ -293,7 +265,7 @@ impl FeatureCodec {
                 i < self.embedding_dim,
                 "embedding delta index {i} out of layout"
             );
-            let qualifier = quals.embedding_qualifier(i);
+            let qualifier = quals.index_qualifier(i);
             cells.push(cell(&row, &quals.embedding_family, qualifier, v, version));
         }
         for &(i, v) in &delta.velocity {
@@ -301,7 +273,7 @@ impl FeatureCodec {
                 i < self.velocity_width,
                 "velocity delta index {i} out of layout"
             );
-            let qualifier = quals.velocity_qualifier(i);
+            let qualifier = quals.index_qualifier(i);
             cells.push(cell(&row, &quals.velocity_family, qualifier, v, version));
         }
         cells
@@ -385,24 +357,20 @@ impl FeatureCodec {
         if cells.is_empty() {
             return Ok(None);
         }
-        let quals = qual_table();
         let mut payer_side = vec![None; self.payer_width];
         let mut receiver_side = vec![None; self.receiver_width];
         let mut embedding = vec![None; self.embedding_dim];
         let mut velocity = vec![None; self.velocity_width];
         for (key, bytes) in cells {
-            let slot = match key.family.0.as_str() {
-                "basic" => match quals.basic_slot(&key.qualifier.0) {
+            let qualifier = key.qualifier.as_str();
+            let slot = match key.family.as_str() {
+                "basic" => match basic_slot(qualifier) {
                     Some(BasicSlot::Payer(i)) => payer_side.get_mut(i),
                     Some(BasicSlot::Receiver(i)) => receiver_side.get_mut(i),
                     None => None,
                 },
-                "embedding" => quals
-                    .embedding_slot(&key.qualifier.0)
-                    .and_then(|i| embedding.get_mut(i)),
-                "velocity" => quals
-                    .velocity_slot(&key.qualifier.0)
-                    .and_then(|i| velocity.get_mut(i)),
+                "embedding" => index_of(qualifier).and_then(|i| embedding.get_mut(i)),
+                "velocity" => index_of(qualifier).and_then(|i| velocity.get_mut(i)),
                 _ => None,
             };
             // Unknown families/qualifiers and out-of-range indices are
@@ -413,7 +381,7 @@ impl FeatureCodec {
                 .try_into()
                 .map_err(|_| ServeError::TornCell {
                     user,
-                    column: format!("{}:{}", key.family.0, key.qualifier.0),
+                    column: format!("{}:{}", key.family, key.qualifier),
                     len: bytes.len(),
                 })?;
             *slot = Some(f32::from_le_bytes(value));
@@ -512,8 +480,8 @@ mod tests {
         t.put(
             CellKey {
                 row: FeatureCodec::row_key(3),
-                family: titant_alihbase::ColumnFamily("basic".into()),
-                qualifier: titant_alihbase::Qualifier("p0".into()),
+                family: "basic".into(),
+                qualifier: "p0".into(),
             },
             1,
             Bytes::copy_from_slice(&1.0f32.to_le_bytes()),
@@ -626,8 +594,8 @@ mod tests {
         t.put(
             CellKey {
                 row: FeatureCodec::row_key(8),
-                family: titant_alihbase::ColumnFamily("basic".into()),
-                qualifier: titant_alihbase::Qualifier("p0".into()),
+                family: "basic".into(),
+                qualifier: "p0".into(),
             },
             1,
             Bytes::copy_from_slice(&1.0f32.to_le_bytes()),
@@ -654,8 +622,8 @@ mod tests {
         t.put(
             CellKey {
                 row: FeatureCodec::row_key(9),
-                family: titant_alihbase::ColumnFamily("basic".into()),
-                qualifier: titant_alihbase::Qualifier("r1".into()),
+                family: "basic".into(),
+                qualifier: "r1".into(),
             },
             2,
             Bytes::from_static(b"xyz"),
@@ -672,20 +640,74 @@ mod tests {
     #[test]
     fn qualifier_table_matches_formatting_in_and_beyond_range() {
         let q = qual_table();
-        assert_eq!(q.payer_qualifier(0).0, "p0");
-        assert_eq!(q.receiver_qualifier(PRECOMPUTED_QUALIFIERS - 1).0, "r511");
-        assert_eq!(q.embedding_qualifier(3).0, "3");
+        assert_eq!(q.payer_qualifier(0).as_str(), "p0");
+        assert_eq!(
+            q.receiver_qualifier(PRECOMPUTED_QUALIFIERS - 1).as_str(),
+            "r511"
+        );
+        assert_eq!(q.index_qualifier(3).as_str(), "3");
         // Past the table the names still come out identical, just formatted
         // on the fly.
         let big = PRECOMPUTED_QUALIFIERS + 5;
-        assert_eq!(q.payer_qualifier(big).0, format!("p{big}"));
-        assert_eq!(q.embedding_qualifier(big).0, big.to_string());
-        // Reverse lookups agree, both through the map and the fallback.
-        assert_eq!(q.basic_slot("p7"), Some(BasicSlot::Payer(7)));
-        assert_eq!(q.basic_slot("r600"), Some(BasicSlot::Receiver(600)));
-        assert_eq!(q.basic_slot("x1"), None);
-        assert_eq!(q.embedding_slot("600"), Some(600));
-        assert_eq!(q.embedding_slot("seven"), None);
+        assert_eq!(q.payer_qualifier(big).as_str(), format!("p{big}"));
+        assert_eq!(q.index_qualifier(big).as_str(), big.to_string());
+        // Parsing a name back agrees, inside and past the table.
+        assert_eq!(basic_slot("p7"), Some(BasicSlot::Payer(7)));
+        assert_eq!(basic_slot("r600"), Some(BasicSlot::Receiver(600)));
+        assert_eq!(basic_slot("x1"), None);
+        assert_eq!(basic_slot("p"), None);
+        assert_eq!(index_of("0"), Some(0));
+        assert_eq!(index_of("600"), Some(600));
+        assert_eq!(index_of("seven"), None);
+        assert_eq!(index_of("99999999999999999999999"), None);
+    }
+
+    /// Only the names the encoder emits resolve to a slot: `str::parse`
+    /// took `+3` and `007` too, so stray cells aliased real slots and could
+    /// make a torn row count as complete.
+    #[test]
+    fn aliasing_qualifiers_are_ignored() {
+        for alias in ["+5", "007", "00", "-0", " 1", "1 "] {
+            assert_eq!(index_of(alias), None, "{alias:?}");
+            assert_eq!(basic_slot(&format!("p{alias}")), None);
+        }
+        let t = table();
+        let c = codec();
+        let stray = |user, family: &str, qualifier: &str, value: f32| {
+            t.put(
+                CellKey::new(FeatureCodec::row_key(user), family, qualifier),
+                2,
+                Bytes::copy_from_slice(&value.to_le_bytes()),
+            )
+            .unwrap();
+        };
+        // Newer aliases of payer slot 1 and embedding dimension 2 change
+        // nothing a full row serves.
+        c.put_user(&t, 11, &features(1.0), 1).unwrap();
+        stray(11, "basic", "p+1", 77.0);
+        stray(11, "basic", "p01", 78.0);
+        stray(11, "embedding", "002", 79.0);
+        assert_eq!(
+            c.get_user(&t, 11, u64::MAX).unwrap().unwrap(),
+            features(1.0)
+        );
+        // A row missing `p2` but holding `p+2` is torn, not complete.
+        let row = c.encode_user(12, &features(1.0), 1);
+        t.put_rows(
+            row.into_iter()
+                .filter(|(key, ..)| key.qualifier.as_str() != "p2")
+                .collect(),
+        )
+        .unwrap();
+        stray(12, "basic", "p+2", 3.0);
+        assert!(matches!(
+            c.get_user(&t, 12, u64::MAX).unwrap_err(),
+            ServeError::TornRow {
+                user: 12,
+                present: 4,
+                expected: 5
+            }
+        ));
     }
 
     #[test]
@@ -791,8 +813,8 @@ mod tests {
             t.put(
                 CellKey {
                     row: FeatureCodec::row_key(10),
-                    family: titant_alihbase::ColumnFamily(family.into()),
-                    qualifier: titant_alihbase::Qualifier(qualifier.into()),
+                    family: family.into(),
+                    qualifier: qualifier.into(),
                 },
                 1,
                 Bytes::from_static(b"whatever"),

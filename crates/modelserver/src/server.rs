@@ -1011,8 +1011,8 @@ mod tests {
             .put(
                 titant_alihbase::CellKey {
                     row: FeatureCodec::row_key(user),
-                    family: titant_alihbase::ColumnFamily("basic".into()),
-                    qualifier: titant_alihbase::Qualifier("p0".into()),
+                    family: "basic".into(),
+                    qualifier: "p0".into(),
                 },
                 99999999,
                 bytes::Bytes::from_static(b"bad"),

@@ -3,10 +3,11 @@
 # Run from anywhere; exits non-zero on the first failure.
 #
 #   ./scripts/verify.sh           # build + tests + clippy + fmt + bench compile
-#                                 # + benchmark/ package build and clippy
+#                                 # + benchmark/ package build, tests and clippy
 #   ./scripts/verify.sh --quick   # also run the nine gates through the one
 #                                 # `gates` runner, each writing its
-#                                 # BENCH_<name>.json at the repo root:
+#                                 # BENCH_<name>.json at the repo root, then
+#                                 # a two-workload benchmark smoke (below):
 #     offline          cross-thread determinism of the offline fit
 #     chaos            seeded read faults vs the serving SLOs
 #     serving_scale    blooms, row cache, batch == single scores
@@ -52,14 +53,25 @@ cargo bench --no-run
 
 # benchmark/ is a package of its own (not a workspace member) that names
 # every crate item it uses in benchmark/src/api.rs; building it here makes
-# a rename of a pinned item fail verify instead of the benchmark run.
-echo "==> benchmark package: build + clippy"
+# a rename of a pinned item fail verify instead of the benchmark run. Its
+# unit tests pin the fixture layout and BENCHMARK.json's metric list.
+echo "==> benchmark package: build + tests + clippy"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --release --offline --manifest-path benchmark/Cargo.toml -- -D warnings
 
 if [[ $QUICK -eq 1 ]]; then
     echo "==> the nine gates"
     cargo run --release -q -p titant-bench --bin gates
+
+    # One read workload and one write workload, untraced then traced: any
+    # FAULT line (oracle mismatch, lost delta, trace.coverage out of range)
+    # exits 1. At BENCHMARK.json's own run length, not a shorter one: a
+    # short traced pass is mostly tracer warm-up, and serve_cold's coverage
+    # reads ~0.76 at 1 second and 0.91-0.93 at 3 against a floor of 0.90.
+    echo "==> benchmark smoke: serve_cold, ingest_durable"
+    bash benchmark/run.sh --workload serve_cold --seconds 10
+    bash benchmark/run.sh --workload ingest_durable --seconds 10
 fi
 
 echo "verify: all green"
