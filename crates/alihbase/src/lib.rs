@@ -11,11 +11,12 @@
 //!
 //! The engine is a classic LSM tree:
 //!
-//! * writes land in a write-ahead [`wal`] (CRC-framed, replayed on open)
-//!   and a sorted [`memtable`];
+//! * writes arrive as row batches and land in a write-ahead [`wal`] (one
+//!   CRC frame per batch, replayed on open) and a sorted [`memtable`];
 //! * full memtables flush to immutable sorted [`sstable`] runs;
-//! * reads merge memtable + runs newest-first; background-style
-//!   [`store::Store::compact`] merges runs and discards superseded versions;
+//! * whole-row reads merge memtable + runs newest-first; [`store::Store::tick`]
+//!   merges runs off the write path, keeping every version and tombstone,
+//!   so rollback versions are never trimmed;
 //! * [`region`] shards a table by row-key range, HBase-style, with
 //!   optional per-region read replicas for failover;
 //! * [`fault`] injects seeded, deterministic storage faults into the

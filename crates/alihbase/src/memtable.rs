@@ -5,7 +5,7 @@ use bytes::Bytes;
 use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Sorted buffer of recent writes. Each cell key holds its versions newest
-/// first; lookups are O(log n).
+/// first; locating a row is O(log n).
 #[derive(Debug, Default)]
 pub struct MemTable {
     /// Cell key -> versions sorted descending by version.
@@ -49,19 +49,9 @@ impl MemTable {
         }
     }
 
-    /// Latest cell at or below `as_of` (tombstones included).
-    pub fn get(&self, key: &CellKey, as_of: Version) -> Option<&Cell> {
-        self.entries.get(key)?.iter().find(|c| c.version <= as_of)
-    }
-
     /// Approximate memory footprint, used for flush triggering.
     pub fn approx_bytes(&self) -> usize {
         self.approx_bytes
-    }
-
-    /// Number of distinct cell keys.
-    pub fn len(&self) -> usize {
-        self.entries.len()
     }
 
     /// True when no writes are buffered.
@@ -103,13 +93,18 @@ mod tests {
         CellKey::new(row, "basic", q)
     }
 
+    /// Latest cell of `key` at or below `as_of` (tombstones included).
+    fn get<'a>(m: &'a MemTable, key: &CellKey, as_of: Version) -> Option<&'a Cell> {
+        m.entries.get(key)?.iter().find(|c| c.version <= as_of)
+    }
+
     #[test]
     fn put_get_latest_version() {
         let mut m = MemTable::new();
         m.put(key("u1", "age"), 1, Some(Bytes::from_static(b"30")));
         m.put(key("u1", "age"), 3, Some(Bytes::from_static(b"31")));
         m.put(key("u1", "age"), 2, Some(Bytes::from_static(b"30.5")));
-        let c = m.get(&key("u1", "age"), u64::MAX).unwrap();
+        let c = get(&m, &key("u1", "age"), u64::MAX).unwrap();
         assert_eq!(c.version, 3);
         assert_eq!(c.value.as_deref(), Some(b"31".as_ref()));
     }
@@ -119,8 +114,8 @@ mod tests {
         let mut m = MemTable::new();
         m.put(key("u1", "age"), 10, Some(Bytes::from_static(b"a")));
         m.put(key("u1", "age"), 20, Some(Bytes::from_static(b"b")));
-        assert_eq!(m.get(&key("u1", "age"), 15).unwrap().version, 10);
-        assert!(m.get(&key("u1", "age"), 5).is_none());
+        assert_eq!(get(&m, &key("u1", "age"), 15).unwrap().version, 10);
+        assert!(get(&m, &key("u1", "age"), 5).is_none());
     }
 
     #[test]
@@ -128,7 +123,7 @@ mod tests {
         let mut m = MemTable::new();
         m.put(key("u1", "age"), 7, Some(Bytes::from_static(b"x")));
         m.put(key("u1", "age"), 7, Some(Bytes::from_static(b"y")));
-        let c = m.get(&key("u1", "age"), u64::MAX).unwrap();
+        let c = get(&m, &key("u1", "age"), u64::MAX).unwrap();
         assert_eq!(c.value.as_deref(), Some(b"y".as_ref()));
         assert_eq!(m.entries[&key("u1", "age")].len(), 1);
     }
@@ -138,7 +133,7 @@ mod tests {
         let mut m = MemTable::new();
         m.put(key("u1", "age"), 1, Some(Bytes::from_static(b"x")));
         m.put(key("u1", "age"), 2, None);
-        let c = m.get(&key("u1", "age"), u64::MAX).unwrap();
+        let c = get(&m, &key("u1", "age"), u64::MAX).unwrap();
         assert!(c.value.is_none(), "expected tombstone");
     }
 

@@ -181,11 +181,9 @@ pub struct RegionedTable {
 
 /// Lifetime operation counters (relaxed atomics; cheap enough to keep on
 /// in production). Used by the bench harness to verify the serving path's
-/// store-op budget — e.g. that a user fetch is one row get, not a
-/// per-qualifier point-get storm.
+/// store-op budget — e.g. that a user fetch is exactly one row get.
 #[derive(Debug, Default)]
 struct OpCounters {
-    point_gets: AtomicU64,
     row_gets: AtomicU64,
     puts: AtomicU64,
     deletes: AtomicU64,
@@ -195,13 +193,11 @@ struct OpCounters {
 /// A snapshot of a table's operation counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StoreOpCounts {
-    /// Single-cell reads (`get` / `get_versioned`).
-    pub point_gets: u64,
     /// Whole-row reads (`get_row`).
     pub row_gets: u64,
-    /// Cell writes.
+    /// Value cells written (`put_rows`).
     pub puts: u64,
-    /// Tombstone writes.
+    /// Tombstone cells written (`put_rows`).
     pub deletes: u64,
     /// Multi-row scans (`scan_rows`).
     pub scans: u64,
@@ -224,13 +220,12 @@ impl StoreOpCounts {
     /// deliberately not summed here: one row read stays one op however
     /// many runs it touches.
     pub fn total(&self) -> u64 {
-        self.point_gets + self.row_gets + self.puts + self.deletes + self.scans
+        self.row_gets + self.puts + self.deletes + self.scans
     }
 
     /// Counter delta since an earlier snapshot.
     pub fn since(&self, earlier: &StoreOpCounts) -> StoreOpCounts {
         StoreOpCounts {
-            point_gets: self.point_gets.saturating_sub(earlier.point_gets),
             row_gets: self.row_gets.saturating_sub(earlier.row_gets),
             puts: self.puts.saturating_sub(earlier.puts),
             deletes: self.deletes.saturating_sub(earlier.deletes),
@@ -677,31 +672,6 @@ impl RegionedTable {
         self.map.read().region_of(row)
     }
 
-    /// Write a cell to every replica of the owning region (one logical op
-    /// in the counters).
-    pub fn put(&self, key: CellKey, version: Version, value: Bytes) -> std::io::Result<()> {
-        self.ops.puts.fetch_add(1, Ordering::Relaxed);
-        let map = self.map.read();
-        let region = map.region_of(&key.row);
-        map.bump(region, 1);
-        for store in &map.regions[region] {
-            store.put(key.clone(), version, value.clone())?;
-        }
-        Ok(())
-    }
-
-    /// Delete a cell on every replica of the owning region.
-    pub fn delete(&self, key: CellKey, version: Version) -> std::io::Result<()> {
-        self.ops.deletes.fetch_add(1, Ordering::Relaxed);
-        let map = self.map.read();
-        let region = map.region_of(&key.row);
-        map.bump(region, 1);
-        for store in &map.regions[region] {
-            store.delete(key.clone(), version)?;
-        }
-        Ok(())
-    }
-
     /// Batched write path: group the cells (values **and** tombstones, any
     /// mix of rows) by owning region and apply each region's sub-batch
     /// through one store batch per replica — one lock acquisition and one
@@ -1038,31 +1008,31 @@ impl RegionedTable {
             .collect()
     }
 
-    /// Read the latest value.
-    pub fn get(&self, key: &CellKey) -> Option<Bytes> {
-        self.get_versioned(key, Version::MAX)
-    }
-
-    /// Read the latest value at or below a version (primary replica).
-    pub fn get_versioned(&self, key: &CellKey, as_of: Version) -> Option<Bytes> {
-        self.ops.point_gets.fetch_add(1, Ordering::Relaxed);
-        let map = self.map.read();
-        let region = map.region_of(&key.row);
-        map.bump(region, 1);
-        map.regions[region][0].get_versioned(key, as_of)
-    }
-
     /// Read every live cell of one row at or below a version, in key order.
     /// A single store operation against the owning region — the multi-get
     /// the Model Server uses to fetch a party's features in one round trip.
     /// Always a clean primary read: the fault hook applies only to
     /// [`Self::try_get_row`].
     pub fn get_row(&self, row: &RowKey, as_of: Version) -> Vec<(CellKey, Bytes)> {
-        self.ops.row_gets.fetch_add(1, Ordering::Relaxed);
-        let map = self.map.read();
+        self.read_row(&self.map.read(), row, 0, |_, store| {
+            store.get_row(row, as_of)
+        })
+    }
+
+    /// The routing under [`Self::get_row`] and [`Self::try_get_row`]: the
+    /// owning region, the read count, the pressure bump. Every region has
+    /// the same replica count, so callers check `replica` against any one.
+    fn read_row<T>(
+        &self,
+        map: &RegionMap,
+        row: &RowKey,
+        replica: usize,
+        read: impl FnOnce(usize, &Store) -> T,
+    ) -> T {
         let region = map.region_of(row);
+        self.ops.row_gets.fetch_add(1, Ordering::Relaxed);
         map.bump(region, 1);
-        map.regions[region][0].get_row(row, as_of)
+        read(region, &map.regions[region][replica])
     }
 
     /// One [`Self::get_row`] per row, in input order. Hidden: nothing in
@@ -1091,28 +1061,26 @@ impl RegionedTable {
         opts: ReadOptions,
     ) -> Result<RowRead, ReadFault> {
         let map = self.map.read();
-        let region = map.region_of(row);
-        let replicas = &map.regions[region];
-        if opts.replica >= replicas.len() {
+        if opts.replica >= map.regions[0].len() {
             return Err(ReadFault {
                 kind: FaultKind::NoSuchReplica,
-                region,
+                region: map.region_of(row),
                 replica: opts.replica,
                 waited: Duration::ZERO,
                 injected: Duration::ZERO,
             });
         }
-        self.ops.row_gets.fetch_add(1, Ordering::Relaxed);
-        map.bump(region, 1);
         let hook = self.fault.read().clone();
-        let ctx = ReadCtx {
-            region,
-            replica: opts.replica,
-            row,
-            tick: opts.tick,
-            attempt: opts.attempt,
-        };
-        replicas[opts.replica].try_get_row(row, as_of, hook.as_deref(), &ctx, opts.max_wait)
+        self.read_row(&map, row, opts.replica, |region, store| {
+            let ctx = ReadCtx {
+                region,
+                replica: opts.replica,
+                row,
+                tick: opts.tick,
+                attempt: opts.attempt,
+            };
+            store.try_get_row(row, as_of, hook.as_deref(), &ctx, opts.max_wait)
+        })
     }
 
     /// Snapshot the lifetime operation counters, folding in the run-level
@@ -1124,7 +1092,6 @@ impl RegionedTable {
             reads.add(&store.read_stats());
         }
         StoreOpCounts {
-            point_gets: self.ops.point_gets.load(Ordering::Relaxed),
             row_gets: self.ops.row_gets.load(Ordering::Relaxed),
             puts: self.ops.puts.load(Ordering::Relaxed),
             deletes: self.ops.deletes.load(Ordering::Relaxed),
@@ -1140,14 +1107,6 @@ impl RegionedTable {
     pub fn flush(&self) -> std::io::Result<()> {
         for r in self.map.read().regions.iter().flatten() {
             r.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Compact every region (all replicas).
-    pub fn compact(&self) -> std::io::Result<()> {
-        for r in self.map.read().regions.iter().flatten() {
-            r.compact()?;
         }
         Ok(())
     }
@@ -1195,6 +1154,20 @@ mod tests {
         CellKey::new(row, "basic", "age")
     }
 
+    fn put(t: &RegionedTable, key: CellKey, version: Version, value: Bytes) {
+        t.put_rows(vec![(key, version, Some(value))]).unwrap();
+    }
+
+    fn delete(t: &RegionedTable, key: CellKey, version: Version) {
+        t.put_rows(vec![(key, version, None)]).unwrap();
+    }
+
+    /// One cell of a row read: the latest value at or below `as_of`.
+    fn get(t: &RegionedTable, key: &CellKey, as_of: Version) -> Option<Bytes> {
+        let row = t.get_row(&key.row, as_of);
+        row.into_iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
     #[test]
     fn routing_respects_split_points() {
         let t = table();
@@ -1209,11 +1182,13 @@ mod tests {
     fn cross_region_put_get() {
         let t = table();
         for row in ["alpha", "mike", "zulu"] {
-            t.put(key(row), 1, Bytes::from(row.as_bytes().to_vec()))
-                .unwrap();
+            put(&t, key(row), 1, Bytes::from(row.as_bytes().to_vec()));
         }
         for row in ["alpha", "mike", "zulu"] {
-            assert_eq!(t.get(&key(row)).as_deref(), Some(row.as_bytes()));
+            assert_eq!(
+                get(&t, &key(row), u64::MAX).as_deref(),
+                Some(row.as_bytes())
+            );
         }
     }
 
@@ -1236,25 +1211,24 @@ mod tests {
                 let t = &t;
                 scope.spawn(move || {
                     for &u in chunk {
-                        t.put(
+                        put(
+                            t,
                             CellKey::new(RowKey::from_user(u).to_string(), "basic", "v"),
                             1,
                             Bytes::from(u.to_le_bytes().to_vec()),
-                        )
-                        .unwrap();
+                        );
                     }
                 });
             }
         });
         let single = RegionedTable::single(StoreConfig::default()).unwrap();
         for &u in &users {
-            single
-                .put(
-                    CellKey::new(RowKey::from_user(u).to_string(), "basic", "v"),
-                    1,
-                    Bytes::from(u.to_le_bytes().to_vec()),
-                )
-                .unwrap();
+            put(
+                &single,
+                CellKey::new(RowKey::from_user(u).to_string(), "basic", "v"),
+                1,
+                Bytes::from(u.to_le_bytes().to_vec()),
+            );
         }
         let lo = RowKey::from_str("");
         let hi = RowKey::from_str("v");
@@ -1300,7 +1274,7 @@ mod tests {
     fn scan_merges_regions_in_order() {
         let t = table();
         for row in ["zulu", "alpha", "mike"] {
-            t.put(key(row), 1, Bytes::from_static(b"x")).unwrap();
+            put(&t, key(row), 1, Bytes::from_static(b"x"));
         }
         let rows = t.scan_rows(&RowKey::from_str("a"), &RowKey::from_str("zz"));
         let keys: Vec<String> = rows.iter().map(|(k, _)| k.row.to_string()).collect();
@@ -1311,7 +1285,7 @@ mod tests {
     fn scan_routes_only_to_overlapping_regions() {
         let t = table();
         for row in ["alpha", "mike", "zulu"] {
-            t.put(key(row), 1, Bytes::from_static(b"x")).unwrap();
+            put(&t, key(row), 1, Bytes::from_static(b"x"));
         }
         // One run per region, so any region a scan touches shows up in the
         // run-level counters (scanned or bounds-skipped).
@@ -1346,19 +1320,19 @@ mod tests {
     fn get_row_reads_one_region_in_one_op() {
         let t = table();
         for q in ["a", "b", "c"] {
-            t.put(
+            put(
+                &t,
                 CellKey::new("sam", "basic", q),
                 1,
                 Bytes::from(q.as_bytes().to_vec()),
-            )
-            .unwrap();
+            );
         }
-        t.put(
+        put(
+            &t,
             CellKey::new("zoe", "basic", "a"),
             1,
             Bytes::from_static(b"z"),
-        )
-        .unwrap();
+        );
         let before = t.op_counts();
         let row = t.get_row(&RowKey::from_str("sam"), u64::MAX);
         let delta = t.op_counts().since(&before);
@@ -1371,30 +1345,28 @@ mod tests {
     #[test]
     fn op_counters_track_each_operation_kind() {
         let t = table();
-        t.put(key("alpha"), 1, Bytes::from_static(b"x")).unwrap();
-        t.get(&key("alpha"));
-        t.get_versioned(&key("alpha"), 1);
-        t.delete(key("alpha"), 2).unwrap();
+        put(&t, key("alpha"), 1, Bytes::from_static(b"x"));
+        t.get_row(&RowKey::from_str("alpha"), u64::MAX);
+        delete(&t, key("alpha"), 2);
         t.scan_rows(&RowKey::from_str("a"), &RowKey::from_str("z"));
         let ops = t.op_counts();
         assert_eq!(ops.puts, 1);
-        assert_eq!(ops.point_gets, 2);
         assert_eq!(ops.deletes, 1);
         assert_eq!(ops.scans, 1);
-        assert_eq!(ops.row_gets, 0);
-        assert_eq!(ops.total(), 5);
+        assert_eq!(ops.row_gets, 1);
+        assert_eq!(ops.total(), 4);
     }
 
     #[test]
     fn get_rows_is_get_row_per_row() {
         let t = table();
         for row in ["alpha", "zulu"] {
-            t.put(
+            put(
+                &t,
                 CellKey::new(row, "basic", "a"),
                 1,
                 Bytes::from(row.to_string()),
-            )
-            .unwrap();
+            );
         }
         // Cross-region, out of key order, with a miss.
         let rows = ["zulu", "nobody", "alpha"].map(RowKey::from_str);
@@ -1408,7 +1380,7 @@ mod tests {
     }
 
     #[test]
-    fn put_rows_matches_per_cell_puts_and_counts_logical_ops() {
+    fn put_rows_matches_single_cell_batches_and_counts_logical_ops() {
         let batched = table();
         let percell = table();
         let mut cells: Vec<(CellKey, Version, Option<Bytes>)> = Vec::new();
@@ -1427,17 +1399,14 @@ mod tests {
         let delta = batched.op_counts().since(&before);
         assert_eq!(delta.puts, 9, "one logical put per value cell");
         assert_eq!(delta.deletes, 1, "one logical delete per tombstone");
-        for (k, v, val) in cells {
-            match val {
-                Some(b) => percell.put(k, v, b).unwrap(),
-                None => percell.delete(k, v).unwrap(),
-            }
+        for cell in cells {
+            percell.put_rows(vec![cell]).unwrap();
         }
         let lo = RowKey::from_str("");
         let hi = RowKey::from_str("zz");
         assert_eq!(batched.scan_rows(&lo, &hi), percell.scan_rows(&lo, &hi));
         // Physical work: one lock acquisition per touched region (3), vs
-        // one per cell (10) on the per-cell path.
+        // one per cell (10) when every cell is its own batch.
         assert_eq!(batched.write_stats().lock_acquisitions, 3);
         assert_eq!(percell.write_stats().lock_acquisitions, 10);
     }
@@ -1481,8 +1450,8 @@ mod tests {
         )
         .unwrap();
         for v in 0..4u64 {
-            t.put(key("alpha"), v, Bytes::from_static(b"x")).unwrap();
-            t.put(key("zulu"), v, Bytes::from_static(b"y")).unwrap();
+            put(&t, key("alpha"), v, Bytes::from_static(b"x"));
+            put(&t, key("zulu"), v, Bytes::from_static(b"y"));
             t.flush().unwrap();
         }
         let report = t.tick().unwrap();
@@ -1490,16 +1459,16 @@ mod tests {
         assert_eq!(report.region_splits, 0, "rebalancing is off by default");
         assert_eq!(t.tick().unwrap().compactions, 0, "backlog fully drained");
         for v in 0..4u64 {
-            assert!(t.get_versioned(&key("alpha"), v).is_some(), "version {v}");
+            assert!(get(&t, &key("alpha"), v).is_some(), "version {v}");
         }
     }
 
     #[test]
     fn op_counts_surface_run_level_read_stats() {
         let t = table();
-        t.put(key("alpha"), 1, Bytes::from_static(b"x")).unwrap();
+        put(&t, key("alpha"), 1, Bytes::from_static(b"x"));
         t.flush().unwrap();
-        t.put(key("zulu"), 1, Bytes::from_static(b"y")).unwrap();
+        put(&t, key("zulu"), 1, Bytes::from_static(b"y"));
         t.flush().unwrap();
         let before = t.op_counts();
         t.get_row(&RowKey::from_str("alpha"), u64::MAX);
@@ -1522,8 +1491,7 @@ mod tests {
         .unwrap();
         assert_eq!(t.replica_count(), 3);
         for row in ["alpha", "zulu"] {
-            t.put(key(row), 1, Bytes::from(row.as_bytes().to_vec()))
-                .unwrap();
+            put(&t, key(row), 1, Bytes::from(row.as_bytes().to_vec()));
         }
         let row = RowKey::from_str("alpha");
         let primary = t.get_row(&row, u64::MAX);
@@ -1546,13 +1514,11 @@ mod tests {
     fn with_replicas_seeds_new_replicas_from_the_primary() {
         let t = table();
         for row in ["alpha", "mike", "zulu"] {
-            t.put(key(row), 1, Bytes::from(row.as_bytes().to_vec()))
-                .unwrap();
+            put(&t, key(row), 1, Bytes::from(row.as_bytes().to_vec()));
         }
         // Flush half the data into runs so the copy covers both tiers.
         t.flush().unwrap();
-        t.put(key("alpha"), 2, Bytes::from_static(b"newer"))
-            .unwrap();
+        put(&t, key("alpha"), 2, Bytes::from_static(b"newer"));
         let t = t.with_replicas(2).unwrap();
         assert_eq!(t.replica_count(), 2);
         for row in ["alpha", "mike", "zulu"] {
@@ -1569,7 +1535,7 @@ mod tests {
             assert_eq!(read.cells, t.get_row(&RowKey::from_str(row), u64::MAX));
         }
         // Writes after growth keep fanning out.
-        t.put(key("mike"), 3, Bytes::from_static(b"post")).unwrap();
+        put(&t, key("mike"), 3, Bytes::from_static(b"post"));
         let read = t
             .try_get_row(
                 &RowKey::from_str("mike"),
@@ -1588,15 +1554,15 @@ mod tests {
         let t = RegionedTable::single(StoreConfig::default()).unwrap();
         let n_cells = 40u64;
         for i in 0..n_cells {
-            t.put(
+            put(
+                &t,
                 CellKey::new(format!("u{i:03}"), "basic", "v"),
                 1,
                 Bytes::from_static(b"x"),
-            )
-            .unwrap();
+            );
         }
         let before = t.write_stats().lock_acquisitions;
-        assert_eq!(before, n_cells, "per-cell puts cost one lock each");
+        assert_eq!(before, n_cells, "single-cell batches cost one lock each");
         let t = t.with_replicas(3).unwrap();
         let seeded = t.write_stats().lock_acquisitions - before;
         // Seeding 40 cells into each of 2 new replicas must be one
@@ -1623,7 +1589,7 @@ mod tests {
     #[test]
     fn out_of_range_replica_is_a_typed_fault_not_a_wrap() {
         let t = RegionedTable::single(StoreConfig::default()).unwrap();
-        t.put(key("sam"), 1, Bytes::from_static(b"v")).unwrap();
+        put(&t, key("sam"), 1, Bytes::from_static(b"v"));
         let before = t.op_counts();
         // Pre-fix: replica 1 % 1 == 0 silently re-read the primary and the
         // caller believed it had hedged onto different hardware.
@@ -1663,7 +1629,7 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        t.put(key("sam"), 1, Bytes::from_static(b"v")).unwrap();
+        put(&t, key("sam"), 1, Bytes::from_static(b"v"));
         t.set_fault_hook(Some(std::sync::Arc::new(FaultPlan::new(FaultPlanConfig {
             unavailable: Some(UnavailableWindow {
                 region: 0,
@@ -1744,12 +1710,12 @@ mod tests {
 
     fn seed_users(t: &RegionedTable, n: u64) {
         for u in 0..n {
-            t.put(
+            put(
+                t,
                 CellKey::new(RowKey::from_user(u).to_string(), "basic", "v"),
                 1,
                 Bytes::from(u.to_le_bytes().to_vec()),
-            )
-            .unwrap();
+            );
         }
     }
 
@@ -1904,12 +1870,12 @@ mod tests {
             }
         }
         // …and post-split writes keep fanning out to every replica.
-        t.put(
+        put(
+            &t,
             CellKey::new(RowKey::from_user(11).to_string(), "basic", "v"),
             2,
             Bytes::from_static(b"new"),
-        )
-        .unwrap();
+        );
         for replica in 0..2 {
             let read = t
                 .try_get_row(
@@ -1934,20 +1900,20 @@ mod tests {
         // of it flushed into runs, plus a tombstone.
         for u in 0..8u64 {
             for v in 1..=3u64 {
-                t.put(
+                put(
+                    &t,
                     CellKey::new(RowKey::from_user(u).to_string(), "basic", "v"),
                     v,
                     Bytes::from(format!("u{u}v{v}")),
-                )
-                .unwrap();
+                );
             }
         }
         t.flush().unwrap();
-        t.delete(
+        delete(
+            &t,
             CellKey::new(RowKey::from_user(6).to_string(), "basic", "v"),
             4,
-        )
-        .unwrap();
+        );
         let reference: Vec<_> = (1..=5u64)
             .map(|as_of| {
                 (0..8u64)
@@ -1973,12 +1939,12 @@ mod tests {
             let mut layouts = Vec::new();
             for round in 0..6u64 {
                 for u in 0..24u64 {
-                    t.put(
+                    put(
+                        t,
                         CellKey::new(RowKey::from_user(u).to_string(), "basic", "v"),
                         round + 1,
                         Bytes::from(u.to_le_bytes().to_vec()),
-                    )
-                    .unwrap();
+                    );
                 }
                 for u in 0..8u64 {
                     t.get_row(&RowKey::from_user(u), u64::MAX);
@@ -2027,7 +1993,7 @@ mod tests {
         // One row, hammered far past the threshold: no interior point, no
         // split, and no panic.
         for v in 1..=32u64 {
-            t.put(key("solo"), v, Bytes::from_static(b"x")).unwrap();
+            put(&t, key("solo"), v, Bytes::from_static(b"x"));
         }
         let report = t.tick().unwrap();
         assert_eq!(report.region_splits, 0);
@@ -2161,15 +2127,13 @@ mod tests {
         // A compaction backlog in region 1 (tick order: region 0 first, so
         // its failure happens before region 1's work)...
         for v in 0..4u64 {
-            t.put(key("zulu"), v + 2, Bytes::from(format!("v{v}")))
-                .unwrap();
+            put(&t, key("zulu"), v + 2, Bytes::from(format!("v{v}")));
             t.flush().unwrap();
         }
         // ...then pending group-commit frames in both regions (after the
         // flushes, which truncate WALs and clear pending windows).
-        t.put(key("alpha"), 1, Bytes::from_static(b"left")).unwrap();
-        t.put(key("zulu"), 9, Bytes::from_static(b"pending"))
-            .unwrap();
+        put(&t, key("alpha"), 1, Bytes::from_static(b"left"));
+        put(&t, key("zulu"), 9, Bytes::from_static(b"pending"));
         t.inject_wal_sync_failure(0);
         let report = t.tick().unwrap();
         assert_eq!(report.wal_sync_errors, 1, "region 0's failure reported");

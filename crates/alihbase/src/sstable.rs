@@ -1,12 +1,12 @@
 //! Immutable sorted runs — the flushed on-disk representation.
 //!
 //! A run stores `(CellKey, Cell)` pairs sorted by key then by version
-//! descending, with binary-search point reads. Runs can be persisted to a
+//! descending, with binary-search row reads. Runs can be persisted to a
 //! length-prefixed file format (same framing as the WAL, one frame per run)
 //! and loaded back, giving the store durability beyond the WAL.
 
 use crate::bloom::RowBloom;
-use crate::types::{Cell, CellKey, RowKey, Version};
+use crate::types::{Cell, CellKey, RowKey};
 use crate::wal::crc32;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::File;
@@ -124,17 +124,6 @@ impl SsTable {
         self.entries.is_empty()
     }
 
-    /// Latest cell for `key` at or below `as_of`.
-    pub fn get(&self, key: &CellKey, as_of: Version) -> Option<&Cell> {
-        // First entry with this key (versions descend after it).
-        let start = self.entries.partition_point(|(k, _)| k < key);
-        self.entries[start..]
-            .iter()
-            .take_while(|(k, _)| k == key)
-            .map(|(_, c)| c)
-            .find(|c| c.version <= as_of)
-    }
-
     /// Iterate all `(key, cell)` pairs in order.
     pub fn iter(&self) -> impl Iterator<Item = &(CellKey, Cell)> {
         self.entries.iter()
@@ -150,69 +139,16 @@ impl SsTable {
         &rest[..len]
     }
 
-    /// Merge several runs (newest first) into one, keeping at most
-    /// `max_versions` of each cell and dropping tombstones older than the
-    /// newest surviving value (full-compaction semantics).
-    pub fn merge(runs: &[&SsTable], max_versions: usize) -> SsTable {
-        let mut all: Vec<(CellKey, Cell, usize)> = Vec::new();
-        for (rank, run) in runs.iter().enumerate() {
-            for (k, c) in run.iter() {
-                all.push((k.clone(), c.clone(), rank));
-            }
-        }
-        // Key asc, version desc, then newest run wins ties.
-        all.sort_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then(b.1.version.cmp(&a.1.version))
-                .then(a.2.cmp(&b.2))
-        });
-        let mut entries: Vec<(CellKey, Cell)> = Vec::with_capacity(all.len());
-        let mut cur_key: Option<CellKey> = None;
-        let mut kept_for_key = 0usize;
-        let mut last_version: Option<Version> = None;
-        for (k, c, _) in all {
-            if cur_key.as_ref() == Some(&k) {
-                if Some(c.version) == last_version {
-                    continue; // duplicate version: newer run already won
-                }
-                if kept_for_key >= max_versions {
-                    continue;
-                }
-            } else {
-                cur_key = Some(k.clone());
-                kept_for_key = 0;
-            }
-            // Full compaction drops tombstones entirely once they are the
-            // newest version (nothing older survives a full merge) — but a
-            // tombstone must still shadow older versions, so we keep it out
-            // of the output while counting it as "seen".
-            if c.value.is_none() && kept_for_key == 0 {
-                // Newest version of this key is a delete: skip the key's
-                // remaining versions by pretending we kept the maximum.
-                kept_for_key = max_versions;
-                last_version = Some(c.version);
-                continue;
-            }
-            last_version = Some(c.version);
-            kept_for_key += 1;
-            entries.push((k, c));
-        }
-        SsTable {
-            entries,
-            bloom: None,
-        }
-    }
-
     /// Merge several runs (newest first) **conservatively**: every version
     /// and every tombstone is kept; the only change is physical — entries
     /// re-sorted into one run, with duplicate `(key, version)` pairs deduped
     /// newest-run-wins (exactly the tie the read path would have resolved by
     /// run order). Because nothing readable is added or removed, a
-    /// conservative merge is invisible to `get`/`get_row`/`get_versioned` at
+    /// conservative merge is invisible to `get_row` / `scan_rows` at
     /// *every* `as_of` — the property the background compaction scheduler
-    /// relies on to keep mid-compaction reads byte-identical. Contrast with
-    /// [`SsTable::merge`], whose version trimming and tombstone dropping are
-    /// only safe when merging the complete run set.
+    /// relies on to keep mid-compaction reads byte-identical. It is the
+    /// store's only merge: no version is ever trimmed, so rollback versions
+    /// stay readable.
     pub fn merge_keep_all(runs: &[&SsTable]) -> SsTable {
         let mut all: Vec<(CellKey, Cell, usize)> = Vec::new();
         for (rank, run) in runs.iter().enumerate() {
@@ -349,9 +285,18 @@ fn get_slice<'a>(buf: &mut &'a [u8]) -> Option<&'a [u8]> {
 mod tests {
     use super::*;
     use crate::memtable::MemTable;
+    use crate::types::Version;
 
     fn key(row: &str, q: &str) -> CellKey {
         CellKey::new(row, "basic", q)
+    }
+
+    /// Latest cell of `key` at or below `as_of` (tombstones included).
+    fn get<'a>(t: &'a SsTable, key: &CellKey, as_of: Version) -> Option<&'a Cell> {
+        let row = t.row_slice(&key.row).iter();
+        row.filter(|(k, _)| k == key)
+            .map(|(_, c)| c)
+            .find(|c| c.version <= as_of)
     }
 
     fn table_with(rows: &[(&str, &str, u64, Option<&'static [u8]>)]) -> SsTable {
@@ -369,29 +314,9 @@ mod tests {
             ("u1", "age", 5, Some(b"31")),
             ("u2", "age", 3, Some(b"40")),
         ]);
-        assert_eq!(t.get(&key("u1", "age"), u64::MAX).unwrap().version, 5);
-        assert_eq!(t.get(&key("u1", "age"), 2).unwrap().version, 1);
-        assert!(t.get(&key("u3", "age"), u64::MAX).is_none());
-    }
-
-    #[test]
-    fn merge_prefers_newest_and_caps_versions() {
-        let old = table_with(&[("u1", "age", 1, Some(b"a")), ("u1", "age", 2, Some(b"b"))]);
-        let new = table_with(&[("u1", "age", 3, Some(b"c"))]);
-        let merged = SsTable::merge(&[&new, &old], 2);
-        assert_eq!(merged.get(&key("u1", "age"), u64::MAX).unwrap().version, 3);
-        // max_versions = 2 keeps versions 3 and 2, drops 1.
-        assert_eq!(merged.len(), 2);
-        assert!(merged.get(&key("u1", "age"), 1).is_none());
-    }
-
-    #[test]
-    fn merge_drops_deleted_keys() {
-        let old = table_with(&[("u1", "age", 1, Some(b"a"))]);
-        let del = table_with(&[("u1", "age", 2, None)]);
-        let merged = SsTable::merge(&[&del, &old], 3);
-        assert!(merged.get(&key("u1", "age"), u64::MAX).is_none());
-        assert!(merged.is_empty());
+        assert_eq!(get(&t, &key("u1", "age"), u64::MAX).unwrap().version, 5);
+        assert_eq!(get(&t, &key("u1", "age"), 2).unwrap().version, 1);
+        assert!(get(&t, &key("u3", "age"), u64::MAX).is_none());
     }
 
     #[test]
@@ -408,12 +333,11 @@ mod tests {
         let loaded = SsTable::load(&path).unwrap();
         assert_eq!(loaded.len(), t.len());
         assert_eq!(
-            loaded.get(&key("u1", "age"), u64::MAX).unwrap().value,
-            t.get(&key("u1", "age"), u64::MAX).unwrap().value
+            get(&loaded, &key("u1", "age"), u64::MAX).unwrap().value,
+            get(&t, &key("u1", "age"), u64::MAX).unwrap().value
         );
         // Tombstones survive save/load (they only die at compaction).
-        assert!(loaded
-            .get(&key("u2", "age"), u64::MAX)
+        assert!(get(&loaded, &key("u2", "age"), u64::MAX)
             .unwrap()
             .value
             .is_none());
@@ -508,8 +432,7 @@ mod tests {
         assert_eq!(merged.len(), 5, "nothing dropped");
         for (as_of, expect) in [(1, b"a" as &[u8]), (2, b"b"), (3, b"c")] {
             assert_eq!(
-                merged
-                    .get(&key("u1", "age"), as_of)
+                get(&merged, &key("u1", "age"), as_of)
                     .unwrap()
                     .value
                     .as_deref(),
@@ -517,8 +440,7 @@ mod tests {
             );
         }
         assert!(
-            merged
-                .get(&key("u2", "age"), u64::MAX)
+            get(&merged, &key("u2", "age"), u64::MAX)
                 .unwrap()
                 .value
                 .is_none(),
@@ -530,28 +452,11 @@ mod tests {
         let merged = SsTable::merge_keep_all(&[&dup_new, &dup_old]);
         assert_eq!(merged.len(), 1);
         assert_eq!(
-            merged
-                .get(&key("u1", "age"), u64::MAX)
+            get(&merged, &key("u1", "age"), u64::MAX)
                 .unwrap()
                 .value
                 .as_deref(),
             Some(b"new".as_ref())
         );
-    }
-
-    #[test]
-    fn duplicate_versions_across_runs_newest_run_wins() {
-        let run_new = table_with(&[("u1", "age", 5, Some(b"new"))]);
-        let run_old = table_with(&[("u1", "age", 5, Some(b"old"))]);
-        let merged = SsTable::merge(&[&run_new, &run_old], 3);
-        assert_eq!(
-            merged
-                .get(&key("u1", "age"), u64::MAX)
-                .unwrap()
-                .value
-                .as_deref(),
-            Some(b"new".as_ref())
-        );
-        assert_eq!(merged.len(), 1);
     }
 }

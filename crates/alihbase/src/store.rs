@@ -7,7 +7,7 @@ use crate::fault::{
 use crate::memtable::MemTable;
 use crate::sstable::{RowPresence, SsTable};
 use crate::types::{Cell, CellKey, RowKey, Version};
-use crate::wal::{SyncPolicy, Wal, WalRecord};
+use crate::wal::{SyncPolicy, Wal};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::cmp::Reverse;
@@ -23,9 +23,6 @@ pub struct StoreConfig {
     /// A [`Store::tick`] merges once more than this many runs accumulate;
     /// writers never compact.
     pub max_runs: usize,
-    /// Versions retained per cell at compaction (TitAnt keeps a few model
-    /// versions for rollback).
-    pub max_versions: usize,
     /// Directory for the WAL and persisted runs; `None` = fully in-memory
     /// (no durability, used by tests and benchmarks).
     pub dir: Option<PathBuf>,
@@ -46,7 +43,6 @@ impl Default for StoreConfig {
         Self {
             memtable_flush_bytes: 4 << 20,
             max_runs: 6,
-            max_versions: 3,
             dir: None,
             sync: SyncPolicy::default(),
             replicas: 1,
@@ -69,13 +65,12 @@ struct ReadStats {
 /// Point-in-time copy of a store's read-path counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadStatsSnapshot {
-    /// Runs actually searched by `get_row`/`get_versioned`.
+    /// Runs actually searched by `get_row` / `scan_rows`.
     pub runs_scanned: u64,
     /// Runs skipped by min/max bounds or a bloom miss.
     pub runs_skipped: u64,
-    /// Bloom said "possible" but the run held no cell of the row (counted
-    /// on `get_row` only, where a fruitless row walk proves the filter
-    /// lied; a fruitless point `get` may just be a missing qualifier).
+    /// Bloom said "possible" but the run held no cell of the row: a
+    /// fruitless `get_row` walk proves the filter lied.
     pub bloom_false_positives: u64,
     /// Torn-cell faults injected by [`Store::try_get_row`].
     pub torn_cells: u64,
@@ -113,8 +108,8 @@ struct WriteStats {
 /// frames per row" is measurable and deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WriteStatsSnapshot {
-    /// Exclusive store-lock acquisitions taken to apply cell writes
-    /// (`put`/`delete` pay one per **cell**; `put_batch` one per batch).
+    /// Exclusive store-lock acquisitions taken to apply writes: one per
+    /// batch (`put_batch` / `try_put_batch`), however many cells it holds.
     pub lock_acquisitions: u64,
     /// Cells applied to the memtable through the write path.
     pub cells_written: u64,
@@ -383,38 +378,6 @@ impl Store {
         }
     }
 
-    /// Write a cell value.
-    pub fn put(&self, key: CellKey, version: Version, value: Bytes) -> std::io::Result<()> {
-        self.write(key, version, Some(value))
-    }
-
-    /// Write a delete tombstone.
-    pub fn delete(&self, key: CellKey, version: Version) -> std::io::Result<()> {
-        self.write(key, version, None)
-    }
-
-    fn write(&self, key: CellKey, version: Version, value: Option<Bytes>) -> std::io::Result<()> {
-        let mut inner = self.inner.write();
-        self.write_stats
-            .lock_acquisitions
-            .fetch_add(1, Ordering::Relaxed);
-        self.write_stats
-            .cells_written
-            .fetch_add(1, Ordering::Relaxed);
-        if let Some(wal) = &mut inner.wal {
-            wal.append(&WalRecord {
-                key: key.clone(),
-                version,
-                value: value.clone(),
-            })?;
-        }
-        inner.memtable.put(key, version, value);
-        if inner.memtable.approx_bytes() >= self.config.memtable_flush_bytes {
-            self.flush_locked(&mut inner)?;
-        }
-        Ok(())
-    }
-
     /// Apply a batch of cell writes (values and tombstones) under **one**
     /// lock acquisition and **one** multi-record WAL frame. The frame's
     /// single CRC makes crash recovery all-or-nothing for the batch: a torn
@@ -561,44 +524,6 @@ impl Store {
         if let Some(wal) = &mut self.inner.write().wal {
             wal.inject_sync_failures(1);
         }
-    }
-
-    /// Latest value at or below `as_of` (`Version::MAX` = newest).
-    /// Tombstones read as `None`.
-    pub fn get_versioned(&self, key: &CellKey, as_of: Version) -> Option<Bytes> {
-        let inner = self.inner.read();
-        let mut best: Option<&Cell> = inner.memtable.get(key, as_of);
-        let mut scanned = 0u64;
-        let mut skipped = 0u64;
-        for run in &inner.runs {
-            // Bounds + bloom make point reads sublinear in run count: a run
-            // that cannot contain the row is never searched.
-            if matches!(
-                run.row_presence(&key.row),
-                RowPresence::OutOfBounds | RowPresence::BloomMiss
-            ) {
-                skipped += 1;
-                continue;
-            }
-            scanned += 1;
-            if let Some(c) = run.get(key, as_of) {
-                if best.is_none_or(|b| c.version > b.version) {
-                    best = Some(c);
-                }
-            }
-        }
-        self.stats
-            .runs_scanned
-            .fetch_add(scanned, Ordering::Relaxed);
-        self.stats
-            .runs_skipped
-            .fetch_add(skipped, Ordering::Relaxed);
-        best.and_then(|c| c.value.clone())
-    }
-
-    /// Latest value.
-    pub fn get(&self, key: &CellKey) -> Option<Bytes> {
-        self.get_versioned(key, Version::MAX)
     }
 
     /// Read every live cell of one row in a single pass: for each cell key
@@ -814,44 +739,6 @@ impl Store {
         Ok(())
     }
 
-    /// Merge all runs into one, dropping superseded versions and tombstones.
-    pub fn compact(&self) -> std::io::Result<()> {
-        let inner = &mut *self.inner.write();
-        // Flush the memtable first so its cells join the merge. A full
-        // compaction drops a newest-version tombstone entirely; if an
-        // older-version put were still sitting in the memtable, that drop
-        // would resurrect it on the next read. Folding the memtable into
-        // the merge keeps tombstone shadowing exact.
-        self.flush_locked(inner)?;
-        if inner.runs.len() <= 1 {
-            return Ok(());
-        }
-        let refs: Vec<&SsTable> = inner.runs.iter().collect();
-        let mut merged = SsTable::merge(&refs, self.config.max_versions);
-        merged.rebuild_index(self.config.bloom_bits_per_key);
-        let id = inner.next_run_id;
-        inner.next_run_id += 1;
-        if let Some(dir) = &self.config.dir {
-            merged.save(&dir.join(format!("run-{id:08}.sst")))?;
-            // Remove the superseded run files.
-            for entry in std::fs::read_dir(dir)?.filter_map(|e| e.ok()) {
-                let name = entry.file_name().into_string().unwrap_or_default();
-                if let Some(old) = name
-                    .strip_prefix("run-")
-                    .and_then(|s| s.strip_suffix(".sst"))
-                    .and_then(|s| s.parse::<u64>().ok())
-                {
-                    if old != id {
-                        std::fs::remove_file(entry.path())?;
-                    }
-                }
-            }
-        }
-        inner.runs = vec![merged];
-        inner.run_ids = vec![id];
-        Ok(())
-    }
-
     /// One deterministic step of the background-style maintenance the
     /// paper's HBase tier runs off the write path — driven by an explicit
     /// call (like the fault layer's ticks) instead of a wall clock or a
@@ -1021,16 +908,31 @@ mod tests {
         Store::open(StoreConfig::default()).unwrap()
     }
 
+    fn put(s: &Store, key: CellKey, version: Version, value: Bytes) {
+        s.put_batch(vec![(key, version, Some(value))]).unwrap();
+    }
+
+    fn delete(s: &Store, key: CellKey, version: Version) {
+        s.put_batch(vec![(key, version, None)]).unwrap();
+    }
+
+    /// One cell of a row read: the latest value at or below `as_of`.
+    fn get(s: &Store, key: &CellKey, as_of: Version) -> Option<Bytes> {
+        let row = s.get_row(&key.row, as_of);
+        row.into_iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
     #[test]
     fn put_get_latest() {
         let s = mem_store();
-        s.put(key("u1", "age"), 1, Bytes::from_static(b"30"))
-            .unwrap();
-        s.put(key("u1", "age"), 2, Bytes::from_static(b"31"))
-            .unwrap();
-        assert_eq!(s.get(&key("u1", "age")).as_deref(), Some(b"31".as_ref()));
+        put(&s, key("u1", "age"), 1, Bytes::from_static(b"30"));
+        put(&s, key("u1", "age"), 2, Bytes::from_static(b"31"));
         assert_eq!(
-            s.get_versioned(&key("u1", "age"), 1).as_deref(),
+            get(&s, &key("u1", "age"), u64::MAX).as_deref(),
+            Some(b"31".as_ref())
+        );
+        assert_eq!(
+            get(&s, &key("u1", "age"), 1).as_deref(),
             Some(b"30".as_ref())
         );
     }
@@ -1038,42 +940,25 @@ mod tests {
     #[test]
     fn reads_merge_memtable_and_runs() {
         let s = mem_store();
-        s.put(key("u1", "age"), 1, Bytes::from_static(b"old"))
-            .unwrap();
+        put(&s, key("u1", "age"), 1, Bytes::from_static(b"old"));
         s.flush().unwrap();
-        s.put(key("u1", "age"), 2, Bytes::from_static(b"new"))
-            .unwrap();
-        assert_eq!(s.get(&key("u1", "age")).as_deref(), Some(b"new".as_ref()));
+        put(&s, key("u1", "age"), 2, Bytes::from_static(b"new"));
+        assert_eq!(
+            get(&s, &key("u1", "age"), u64::MAX).as_deref(),
+            Some(b"new".as_ref())
+        );
         assert_eq!(s.run_count(), 1);
     }
 
     #[test]
     fn delete_shadows_older_versions() {
         let s = mem_store();
-        s.put(key("u1", "age"), 1, Bytes::from_static(b"x"))
-            .unwrap();
+        put(&s, key("u1", "age"), 1, Bytes::from_static(b"x"));
         s.flush().unwrap();
-        s.delete(key("u1", "age"), 2).unwrap();
-        assert!(s.get(&key("u1", "age")).is_none());
+        delete(&s, key("u1", "age"), 2);
+        assert!(get(&s, &key("u1", "age"), u64::MAX).is_none());
         // Older version still reachable with a versioned read.
-        assert!(s.get_versioned(&key("u1", "age"), 1).is_some());
-    }
-
-    #[test]
-    fn compaction_collapses_runs() {
-        let s = mem_store();
-        for v in 0..5 {
-            s.put(key("u1", "age"), v, Bytes::from(format!("v{v}")))
-                .unwrap();
-            s.flush().unwrap();
-        }
-        assert_eq!(s.run_count(), 5);
-        s.compact().unwrap();
-        assert_eq!(s.run_count(), 1);
-        assert_eq!(s.get(&key("u1", "age")).as_deref(), Some(b"v4".as_ref()));
-        // max_versions = 3: version 0 and 1 are gone.
-        assert!(s.get_versioned(&key("u1", "age"), 1).is_none());
-        assert!(s.get_versioned(&key("u1", "age"), 2).is_some());
+        assert!(get(&s, &key("u1", "age"), 1).is_some());
     }
 
     #[test]
@@ -1086,20 +971,18 @@ mod tests {
         };
         {
             let s = Store::open(cfg.clone()).unwrap();
-            s.put(key("u1", "age"), 1, Bytes::from_static(b"flushed"))
-                .unwrap();
+            put(&s, key("u1", "age"), 1, Bytes::from_static(b"flushed"));
             s.flush().unwrap();
-            s.put(key("u2", "age"), 1, Bytes::from_static(b"in-wal"))
-                .unwrap();
+            put(&s, key("u2", "age"), 1, Bytes::from_static(b"in-wal"));
             // No flush: u2 lives only in WAL + memtable. Drop = crash.
         }
         let s = Store::open(cfg).unwrap();
         assert_eq!(
-            s.get(&key("u1", "age")).as_deref(),
+            get(&s, &key("u1", "age"), u64::MAX).as_deref(),
             Some(b"flushed".as_ref())
         );
         assert_eq!(
-            s.get(&key("u2", "age")).as_deref(),
+            get(&s, &key("u2", "age"), u64::MAX).as_deref(),
             Some(b"in-wal".as_ref())
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -1148,15 +1031,17 @@ mod tests {
         };
         {
             let s = Store::open(cfg.clone()).unwrap();
-            s.put(key("u1", "age"), 1, Bytes::from_static(b"real"))
-                .unwrap();
+            put(&s, key("u1", "age"), 1, Bytes::from_static(b"real"));
             s.flush().unwrap();
         }
         std::fs::write(dir.join("run-00000042.sst.tmp"), b"half-written merge").unwrap();
         let s = Store::open(cfg).unwrap();
         assert_eq!(s.write_stats().orphans_cleaned, 1);
         assert!(!dir.join("run-00000042.sst.tmp").exists());
-        assert_eq!(s.get(&key("u1", "age")).as_deref(), Some(b"real".as_ref()));
+        assert_eq!(
+            get(&s, &key("u1", "age"), u64::MAX).as_deref(),
+            Some(b"real".as_ref())
+        );
         assert_eq!(s.run_count(), 1, "the orphan must not load as a run");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1179,13 +1064,11 @@ mod tests {
         let s = Store::open(cfg).unwrap();
         // Compaction backlog: 4 runs > max_runs = 2.
         for v in 0..4u64 {
-            s.put(key("u1", "age"), v, Bytes::from(format!("v{v}")))
-                .unwrap();
+            put(&s, key("u1", "age"), v, Bytes::from(format!("v{v}")));
             s.flush().unwrap();
         }
         // A pending group-commit frame, then a barrier armed to fail.
-        s.put(key("u2", "age"), 9, Bytes::from_static(b"pending"))
-            .unwrap();
+        put(&s, key("u2", "age"), 9, Bytes::from_static(b"pending"));
         s.inject_wal_sync_failure();
         let report = s.tick().unwrap();
         assert_eq!(report.wal_sync_errors, 1);
@@ -1224,11 +1107,17 @@ mod tests {
         assert_eq!(err.kind, WriteFaultKind::PowerLoss);
         assert_eq!(s.write_stats().power_loss_recoveries, 1);
         // Every acked write survived; the doomed one never happened.
-        assert_eq!(s.get(&key("u1", "age")).as_deref(), Some(b"v3".as_ref()));
+        assert_eq!(
+            get(&s, &key("u1", "age"), u64::MAX).as_deref(),
+            Some(b"v3".as_ref())
+        );
         // The store keeps working after recovery.
         let cells = vec![(key("u1", "age"), 5, Some(Bytes::from_static(b"v5")))];
         s.try_put_batch(cells, Some(&hook), &wctx(&row, 1)).unwrap();
-        assert_eq!(s.get(&key("u1", "age")).as_deref(), Some(b"v5".as_ref()));
+        assert_eq!(
+            get(&s, &key("u1", "age"), u64::MAX).as_deref(),
+            Some(b"v5".as_ref())
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1254,17 +1143,23 @@ mod tests {
                 .unwrap_err();
             assert_eq!(err.kind, WriteFaultKind::SyncError);
             // Not applied: the memtable never saw the write.
-            assert!(s.get(&key("u1", "age")).is_none());
+            assert!(get(&s, &key("u1", "age"), u64::MAX).is_none());
             assert_eq!(s.write_stats().wal_sync_failures, 1);
             // Retry succeeds; its barrier also covers the orphan frame.
             s.try_put_batch(cells.clone(), Some(&hook), &wctx(&row, 1))
                 .unwrap();
-            assert_eq!(s.get(&key("u1", "age")).as_deref(), Some(b"x".as_ref()));
+            assert_eq!(
+                get(&s, &key("u1", "age"), u64::MAX).as_deref(),
+                Some(b"x".as_ref())
+            );
         }
         // Recovery replays both the orphan frame and the retry — identical
         // cells, deduped: exactly one value, no duplicate.
         let s = Store::open(cfg).unwrap();
-        assert_eq!(s.get(&key("u1", "age")).as_deref(), Some(b"x".as_ref()));
+        assert_eq!(
+            get(&s, &key("u1", "age"), u64::MAX).as_deref(),
+            Some(b"x".as_ref())
+        );
         let all: Vec<_> = s
             .export_cells()
             .into_iter()
@@ -1303,8 +1198,12 @@ mod tests {
         })
         .unwrap();
         for i in 0..64 {
-            s.put(key(&format!("u{i}"), "age"), 1, Bytes::from(vec![0u8; 16]))
-                .unwrap();
+            put(
+                &s,
+                key(&format!("u{i}"), "age"),
+                1,
+                Bytes::from(vec![0u8; 16]),
+            );
         }
         assert!(s.run_count() >= 1, "memtable should have flushed");
     }
@@ -1312,14 +1211,13 @@ mod tests {
     #[test]
     fn get_row_merges_versions_across_memtable_and_runs() {
         let s = mem_store();
-        s.put(key("u1", "a"), 1, Bytes::from_static(b"a1")).unwrap();
-        s.put(key("u1", "b"), 1, Bytes::from_static(b"b1")).unwrap();
+        put(&s, key("u1", "a"), 1, Bytes::from_static(b"a1"));
+        put(&s, key("u1", "b"), 1, Bytes::from_static(b"b1"));
         s.flush().unwrap();
-        s.put(key("u1", "a"), 2, Bytes::from_static(b"a2")).unwrap();
-        s.put(key("u1", "c"), 2, Bytes::from_static(b"c2")).unwrap();
-        s.delete(key("u1", "b"), 3).unwrap();
-        s.put(key("u2", "a"), 1, Bytes::from_static(b"other"))
-            .unwrap();
+        put(&s, key("u1", "a"), 2, Bytes::from_static(b"a2"));
+        put(&s, key("u1", "c"), 2, Bytes::from_static(b"c2"));
+        delete(&s, key("u1", "b"), 3);
+        put(&s, key("u2", "a"), 1, Bytes::from_static(b"other"));
 
         // Latest view: a=a2 (memtable wins), b deleted, c=c2; u2 excluded.
         let row = s.get_row(&RowKey::from_str("u1"), u64::MAX);
@@ -1341,8 +1239,7 @@ mod tests {
     #[test]
     fn try_get_row_without_hook_matches_get_row() {
         let s = mem_store();
-        s.put(key("u1", "a"), 1, Bytes::from_static(b"aaaa"))
-            .unwrap();
+        put(&s, key("u1", "a"), 1, Bytes::from_static(b"aaaa"));
         let ctx = crate::fault::ReadCtx {
             region: 0,
             replica: 0,
@@ -1370,8 +1267,7 @@ mod tests {
         }
 
         let s = mem_store();
-        s.put(key("u1", "a"), 1, Bytes::from_static(b"aaaa"))
-            .unwrap();
+        put(&s, key("u1", "a"), 1, Bytes::from_static(b"aaaa"));
         let row = RowKey::from_str("u1");
         let ctx = ReadCtx {
             region: 2,
@@ -1458,49 +1354,9 @@ mod tests {
         })
         .unwrap();
         for _ in 0..1_000 {
-            s.put(key("u1", "age"), 7, Bytes::from(vec![0u8; 16]))
-                .unwrap();
+            put(&s, key("u1", "age"), 7, Bytes::from(vec![0u8; 16]));
         }
         assert_eq!(s.run_count(), 0, "overwrites must not accumulate bytes");
-    }
-
-    #[test]
-    fn compaction_does_not_resurrect_below_memtable_stale_put() {
-        // Satellite regression: a tombstone at version 10 sits in the runs;
-        // a stale put at version 3 sits in the memtable. Full compaction
-        // drops the tombstone — pre-fix it merged only the runs, so the
-        // memtable's stale put came back from the dead.
-        let s = mem_store();
-        s.put(key("u1", "age"), 5, Bytes::from_static(b"live"))
-            .unwrap();
-        s.flush().unwrap();
-        s.delete(key("u1", "age"), 10).unwrap();
-        s.flush().unwrap();
-        // Stale write with an older caller-supplied version, unflushed.
-        s.put(key("u1", "age"), 3, Bytes::from_static(b"stale"))
-            .unwrap();
-        assert!(
-            s.get(&key("u1", "age")).is_none(),
-            "tombstone wins pre-compaction"
-        );
-        s.compact().unwrap();
-        assert!(
-            s.get(&key("u1", "age")).is_none(),
-            "compaction must not resurrect a shadowed memtable put"
-        );
-        assert!(s.get_row(&RowKey::from_str("u1"), u64::MAX).is_empty());
-    }
-
-    #[test]
-    fn explicit_compact_folds_memtable_into_single_run() {
-        let s = mem_store();
-        s.put(key("u1", "a"), 1, Bytes::from_static(b"x")).unwrap();
-        s.flush().unwrap();
-        s.put(key("u1", "b"), 2, Bytes::from_static(b"y")).unwrap();
-        s.compact().unwrap();
-        assert_eq!(s.run_count(), 1);
-        let row = s.get_row(&RowKey::from_str("u1"), u64::MAX);
-        assert_eq!(row.len(), 2);
     }
 
     #[test]
@@ -1522,10 +1378,8 @@ mod tests {
         for run in 0..8u64 {
             for slot in 0..16u64 {
                 let k = CellKey::new(RowKey::from_user(run + slot * 8), "basic", "age");
-                with_bloom
-                    .put(k.clone(), 1, Bytes::from_static(b"42"))
-                    .unwrap();
-                no_bloom.put(k, 1, Bytes::from_static(b"42")).unwrap();
+                put(&with_bloom, k.clone(), 1, Bytes::from_static(b"42"));
+                put(&no_bloom, k, 1, Bytes::from_static(b"42"));
             }
             with_bloom.flush().unwrap();
             no_bloom.flush().unwrap();
@@ -1577,8 +1431,7 @@ mod tests {
         // Satellite regression: pre-fix `min(len, 3)` left cells of ≤3 bytes
         // untouched, silently under-injecting on short qualifiers.
         for (user, len) in [("u1", 1usize), ("u2", 2), ("u3", 3), ("u4", 4), ("u5", 9)] {
-            s.put(key(user, "a"), 1, Bytes::from(vec![b'x'; len]))
-                .unwrap();
+            put(&s, key(user, "a"), 1, Bytes::from(vec![b'x'; len]));
         }
         let mut expected_tears = 0u64;
         for (user, len) in [("u1", 1usize), ("u2", 2), ("u3", 3), ("u4", 4), ("u5", 9)] {
@@ -1607,28 +1460,23 @@ mod tests {
     #[test]
     fn export_cells_covers_memtable_and_runs() {
         let s = mem_store();
-        s.put(key("u1", "a"), 1, Bytes::from_static(b"x")).unwrap();
+        put(&s, key("u1", "a"), 1, Bytes::from_static(b"x"));
         s.flush().unwrap();
-        s.put(key("u1", "a"), 2, Bytes::from_static(b"y")).unwrap();
-        s.delete(key("u2", "a"), 1).unwrap();
+        put(&s, key("u1", "a"), 2, Bytes::from_static(b"y"));
+        delete(&s, key("u2", "a"), 1);
         let mut exported = s.export_cells();
         exported.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
         assert_eq!(exported.len(), 3);
         // Replaying the export into a fresh store reproduces every read.
         let copy = mem_store();
-        for (k, v, val) in exported {
-            match val {
-                Some(bytes) => copy.put(k, v, bytes).unwrap(),
-                None => copy.delete(k, v).unwrap(),
-            }
-        }
+        copy.put_batch(exported).unwrap();
         for as_of in [1, 2, u64::MAX] {
             assert_eq!(
                 copy.get_row(&RowKey::from_str("u1"), as_of),
                 s.get_row(&RowKey::from_str("u1"), as_of)
             );
         }
-        assert!(copy.get(&key("u2", "a")).is_none());
+        assert!(get(&copy, &key("u2", "a"), u64::MAX).is_none());
     }
 
     #[test]
@@ -1656,14 +1504,6 @@ mod tests {
         assert_eq!(w.cells_written, 16);
         assert_eq!(w.wal_frames, 1, "a batch is one frame");
         assert_eq!(w.wal_records, 16);
-        // Per-cell baseline for the same row shape: 16 locks, 16 frames.
-        for i in 0..16 {
-            s.put(key("u2", &format!("q{i}")), 1, Bytes::from(vec![0u8; 4]))
-                .unwrap();
-        }
-        let w = s.write_stats();
-        assert_eq!(w.lock_acquisitions, 17);
-        assert_eq!(w.wal_frames, 17);
         assert_eq!(
             s.get_row(&RowKey::from_str("u1"), u64::MAX).len(),
             16,
@@ -1692,9 +1532,18 @@ mod tests {
         }
         {
             let s = Store::open(cfg.clone()).unwrap();
-            assert_eq!(s.get(&key("u1", "a")).as_deref(), Some(b"x".as_ref()));
-            assert!(s.get(&key("u1", "b")).is_none(), "tombstone recovered");
-            assert_eq!(s.get(&key("u2", "a")).as_deref(), Some(b"y".as_ref()));
+            assert_eq!(
+                get(&s, &key("u1", "a"), u64::MAX).as_deref(),
+                Some(b"x".as_ref())
+            );
+            assert!(
+                get(&s, &key("u1", "b"), u64::MAX).is_none(),
+                "tombstone recovered"
+            );
+            assert_eq!(
+                get(&s, &key("u2", "a"), u64::MAX).as_deref(),
+                Some(b"y".as_ref())
+            );
         }
         // Tear the WAL mid-batch: the whole batch must vanish, not a prefix.
         let wal_path = dir.join("wal.log");
@@ -1702,7 +1551,7 @@ mod tests {
         std::fs::write(&wal_path, &data[..data.len() - 1]).unwrap();
         let s = Store::open(cfg).unwrap();
         assert!(
-            s.get(&key("u1", "a")).is_none(),
+            get(&s, &key("u1", "a"), u64::MAX).is_none(),
             "torn batch must not replay partially"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -1716,8 +1565,7 @@ mod tests {
         })
         .unwrap();
         for v in 0..6u64 {
-            s.put(key("u1", "age"), v, Bytes::from(format!("v{v}")))
-                .unwrap();
+            put(&s, key("u1", "age"), v, Bytes::from(format!("v{v}")));
             s.flush().unwrap();
         }
         assert_eq!(s.run_count(), 6, "writers never compact");
@@ -1729,11 +1577,10 @@ mod tests {
         // At the limit: further ticks are no-ops.
         assert_eq!(s.tick().unwrap(), TickReport::default());
         assert_eq!(s.run_count(), 3);
-        // Tiered merges are conservative: every version still readable
-        // (unlike a full compact, which trims to max_versions).
+        // Tiered merges are conservative: every version still readable.
         for v in 0..6u64 {
             assert_eq!(
-                s.get_versioned(&key("u1", "age"), v).as_deref(),
+                get(&s, &key("u1", "age"), v).as_deref(),
                 Some(format!("v{v}").as_bytes()),
                 "version {v} must survive a tiered merge"
             );
@@ -1752,24 +1599,22 @@ mod tests {
         let s = Store::open(cfg.clone()).unwrap();
         // Same key rewritten at the same version across runs: newest run
         // must win the duplicate tie, before and after the merge.
-        s.put(key("u1", "a"), 5, Bytes::from_static(b"old"))
-            .unwrap();
+        put(&s, key("u1", "a"), 5, Bytes::from_static(b"old"));
         s.flush().unwrap();
-        s.delete(key("u2", "a"), 9).unwrap();
+        delete(&s, key("u2", "a"), 9);
         s.flush().unwrap();
-        s.put(key("u1", "a"), 5, Bytes::from_static(b"new"))
-            .unwrap();
+        put(&s, key("u1", "a"), 5, Bytes::from_static(b"new"));
         s.flush().unwrap();
-        s.put(key("u3", "a"), 1, Bytes::from_static(b"z")).unwrap();
+        put(&s, key("u3", "a"), 1, Bytes::from_static(b"z"));
         s.flush().unwrap();
         assert_eq!(s.run_count(), 4);
         let before: Vec<_> = [1, 5, 9, u64::MAX]
             .iter()
             .map(|&v| {
                 (
-                    s.get_versioned(&key("u1", "a"), v),
-                    s.get_versioned(&key("u2", "a"), v),
-                    s.get_versioned(&key("u3", "a"), v),
+                    get(&s, &key("u1", "a"), v),
+                    get(&s, &key("u2", "a"), v),
+                    get(&s, &key("u3", "a"), v),
                 )
             })
             .collect();
@@ -1781,9 +1626,9 @@ mod tests {
             .iter()
             .map(|&v| {
                 (
-                    s.get_versioned(&key("u1", "a"), v),
-                    s.get_versioned(&key("u2", "a"), v),
-                    s.get_versioned(&key("u3", "a"), v),
+                    get(&s, &key("u1", "a"), v),
+                    get(&s, &key("u2", "a"), v),
+                    get(&s, &key("u3", "a"), v),
                 )
             })
             .collect();
@@ -1796,9 +1641,9 @@ mod tests {
             .iter()
             .map(|&v| {
                 (
-                    s.get_versioned(&key("u1", "a"), v),
-                    s.get_versioned(&key("u2", "a"), v),
-                    s.get_versioned(&key("u3", "a"), v),
+                    get(&s, &key("u1", "a"), v),
+                    get(&s, &key("u2", "a"), v),
+                    get(&s, &key("u3", "a"), v),
                 )
             })
             .collect();
@@ -1819,7 +1664,7 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        s.put(key("u1", "a"), 1, Bytes::from_static(b"x")).unwrap();
+        put(&s, key("u1", "a"), 1, Bytes::from_static(b"x"));
         assert_eq!(s.write_stats().wal_syncs, 0, "group still open");
         let report = s.tick().unwrap();
         assert_eq!(report.wal_synced, 1);
@@ -1846,15 +1691,11 @@ mod tests {
     #[test]
     fn scan_rows_returns_latest_live_cells_in_order() {
         let s = mem_store();
-        s.put(key("u1", "age"), 1, Bytes::from_static(b"a"))
-            .unwrap();
-        s.put(key("u2", "age"), 1, Bytes::from_static(b"b"))
-            .unwrap();
-        s.put(key("u2", "age"), 2, Bytes::from_static(b"b2"))
-            .unwrap();
-        s.put(key("u3", "age"), 1, Bytes::from_static(b"c"))
-            .unwrap();
-        s.delete(key("u3", "age"), 2).unwrap();
+        put(&s, key("u1", "age"), 1, Bytes::from_static(b"a"));
+        put(&s, key("u2", "age"), 1, Bytes::from_static(b"b"));
+        put(&s, key("u2", "age"), 2, Bytes::from_static(b"b2"));
+        put(&s, key("u3", "age"), 1, Bytes::from_static(b"c"));
+        delete(&s, key("u3", "age"), 2);
         s.flush().unwrap();
         let rows = s.scan_rows(&RowKey::from_str("u1"), &RowKey::from_str("u3"));
         assert_eq!(rows.len(), 2);

@@ -1,14 +1,14 @@
-//! Write-ahead log: CRC-framed puts on disk, replayed on open.
+//! Write-ahead log: CRC-framed write batches on disk, replayed on open.
 //!
-//! Frame layout: `[len: u32 LE][crc32: u32 LE][payload: len bytes]`. A
-//! payload is either one put (row, family, qualifier, version, tombstone
-//! flag, value) or — when it starts with the [`BATCH_SENTINEL`] marker — a
-//! multi-record batch (`sentinel, u32 count, count records`). One CRC
-//! covers the whole payload, so a batch replays all-or-nothing: a crash
-//! mid-batch tears the frame, the CRC fails, and recovery drops the entire
-//! batch rather than a prefix of it. A torn tail (partial frame or CRC
-//! mismatch) truncates replay at the last good frame, which is exactly the
-//! recovery contract a crash leaves behind.
+//! One frame kind: `[len: u32 LE][crc32: u32 LE][payload: len bytes]`,
+//! where the payload is one batch — the [`BATCH_SENTINEL`], a `u32` record
+//! count, then that many records (row, family, qualifier, version,
+//! tombstone flag, value). One CRC covers the whole payload, so a batch
+//! replays all-or-nothing: a crash mid-batch tears the frame, the CRC
+//! fails, and recovery drops the entire batch rather than a prefix of it.
+//! A torn tail (partial frame, CRC mismatch, or a payload the encoder
+//! never emits) truncates replay at the last good frame, which is exactly
+//! the recovery contract a crash leaves behind.
 
 use crate::types::{CellKey, Version};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -17,9 +17,9 @@ use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// First four payload bytes marking a multi-record batch frame. A
-/// single-record payload starts with its row-key length, so the marker is
-/// unambiguous for any row key shorter than `u32::MAX` bytes (all of them).
+/// First four bytes of every payload. It dates from a retired
+/// single-record frame and stays so every byte the log writes is
+/// unchanged; replay rejects a payload that lacks it.
 const BATCH_SENTINEL: u32 = u32::MAX;
 
 /// CRC-32 (IEEE) implemented locally to keep the dependency set to the
@@ -47,18 +47,7 @@ pub struct WalRecord {
 }
 
 impl WalRecord {
-    fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        encode_record_into(&mut buf, &self.key, self.version, self.value.as_ref());
-        buf.freeze()
-    }
-
-    fn decode(mut buf: &[u8]) -> Option<WalRecord> {
-        Self::decode_from(&mut buf)
-    }
-
-    /// Decode one record from the front of `buf`, advancing past it (the
-    /// building block for multi-record batch payloads).
+    /// Decode one record from the front of `buf`, advancing past it.
     fn decode_from(buf: &mut &[u8]) -> Option<WalRecord> {
         let row = get_bytes(buf)?;
         let family = get_bytes(buf)?;
@@ -85,19 +74,26 @@ impl WalRecord {
     }
 }
 
-/// Encode one record without cloning the key or value.
-fn encode_record_into(buf: &mut BytesMut, key: &CellKey, version: Version, value: Option<&Bytes>) {
-    put_bytes(buf, key.row.as_bytes());
-    put_bytes(buf, key.family.as_bytes());
-    put_bytes(buf, key.qualifier.as_bytes());
-    buf.put_u64_le(version);
-    match value {
-        Some(v) => {
-            buf.put_u8(1);
-            put_bytes(buf, v);
+/// The one payload the log writes: the sentinel, the record count, then
+/// each record, encoded without cloning a key or value.
+fn encode_batch(cells: &[(CellKey, Version, Option<Bytes>)]) -> BytesMut {
+    let mut buf = BytesMut::new();
+    buf.put_u32_le(BATCH_SENTINEL);
+    buf.put_u32_le(cells.len() as u32);
+    for (key, version, value) in cells {
+        put_bytes(&mut buf, key.row.as_bytes());
+        put_bytes(&mut buf, key.family.as_bytes());
+        put_bytes(&mut buf, key.qualifier.as_bytes());
+        buf.put_u64_le(*version);
+        match value {
+            Some(v) => {
+                buf.put_u8(1);
+                put_bytes(&mut buf, v);
+            }
+            None => buf.put_u8(0),
         }
-        None => buf.put_u8(0),
     }
+    buf
 }
 
 fn put_bytes(buf: &mut BytesMut, data: &[u8]) {
@@ -118,12 +114,9 @@ fn get_bytes<'a>(buf: &mut &'a [u8]) -> Option<&'a [u8]> {
 /// When the WAL calls `sync_data` (fdatasync) versus merely flushing to
 /// the OS page cache. Each policy closes a different crash window:
 ///
-/// * [`SyncPolicy::Never`] — `append`/`truncate` only `flush()` to the OS.
-///   Survives a *process* crash (the kernel holds the bytes) but a power
-///   loss can drop any number of recent appends, and a truncate that never
-///   reached the platter can resurrect stale records on recovery.
-/// * [`SyncPolicy::OnTruncate`] — additionally `sync_data`s after
-///   `truncate`, closing the stale-WAL-resurrection window: once a
+/// * [`SyncPolicy::OnTruncate`] — appends only `flush()` to the OS, which
+///   survives a *process* crash (the kernel holds the bytes); `truncate`
+///   `sync_data`s, closing the stale-WAL-resurrection window: once a
 ///   memtable flush truncates the log, a power loss cannot bring the
 ///   superseded records back (they would double-apply over the run).
 ///   Recent un-truncated appends can still be lost to power failure.
@@ -147,8 +140,6 @@ pub enum SyncPolicy {
     /// OS-buffered appends).
     #[default]
     OnTruncate,
-    /// Never fdatasync; flush to the OS page cache only.
-    Never,
     /// Coalesce appenders' frames into one fdatasync per group.
     GroupCommit {
         /// Pending-frame count that forces a sync (clamped to at least 1).
@@ -253,18 +244,12 @@ impl Wal {
         self.stats
     }
 
-    /// Append a record as one frame and flush to the OS; the sync policy
-    /// decides the durability barrier. Returns the simulated group-commit
-    /// wait charged to this append (zero outside
-    /// [`SyncPolicy::GroupCommit`]).
-    pub fn append(&mut self, record: &WalRecord) -> std::io::Result<Duration> {
-        let payload = record.encode();
-        self.write_frame(&payload, 1)
-    }
-
     /// Append a whole batch of cells as **one** frame whose single CRC
     /// makes replay all-or-nothing: recovery sees either every record of
-    /// the batch or none of them. Empty batches write nothing.
+    /// the batch or none of them. Empty batches write nothing. Flushes to
+    /// the OS; the sync policy decides the durability barrier. Returns the
+    /// simulated group-commit wait charged to this append (zero outside
+    /// [`SyncPolicy::GroupCommit`]).
     pub fn append_batch(
         &mut self,
         cells: &[(CellKey, Version, Option<Bytes>)],
@@ -272,13 +257,7 @@ impl Wal {
         if cells.is_empty() {
             return Ok(Duration::ZERO);
         }
-        let mut payload = BytesMut::new();
-        payload.put_u32_le(BATCH_SENTINEL);
-        payload.put_u32_le(cells.len() as u32);
-        for (key, version, value) in cells {
-            encode_record_into(&mut payload, key, *version, value.as_ref());
-        }
-        self.write_frame(&payload, cells.len() as u64)
+        self.write_frame(&encode_batch(cells), cells.len() as u64)
     }
 
     /// Append a whole batch as one frame **without** any durability action:
@@ -294,13 +273,7 @@ impl Wal {
         if cells.is_empty() {
             return Ok(());
         }
-        let mut payload = BytesMut::new();
-        payload.put_u32_le(BATCH_SENTINEL);
-        payload.put_u32_le(cells.len() as u32);
-        for (key, version, value) in cells {
-            encode_record_into(&mut payload, key, *version, value.as_ref());
-        }
-        self.emit_frame(&payload, cells.len() as u64)?;
+        self.emit_frame(&encode_batch(cells), cells.len() as u64)?;
         self.pending += 1;
         Ok(())
     }
@@ -327,7 +300,7 @@ impl Wal {
                 self.sync_data()?;
                 Ok(Duration::ZERO)
             }
-            SyncPolicy::OnTruncate | SyncPolicy::Never => Ok(Duration::ZERO),
+            SyncPolicy::OnTruncate => Ok(Duration::ZERO),
             SyncPolicy::GroupCommit {
                 max_batch,
                 max_wait,
@@ -385,19 +358,16 @@ impl Wal {
     }
 
     /// Truncate the log (after a successful memtable flush the WAL's
-    /// records are durable in a run). Under every policy except
-    /// [`SyncPolicy::Never`] the truncation itself is forced to stable
-    /// storage so superseded records cannot resurrect — this also closes
-    /// any open group-commit window.
+    /// records are durable in a run). The truncation itself is forced to
+    /// stable storage so superseded records cannot resurrect — this also
+    /// closes any open group-commit window.
     pub fn truncate(&mut self) -> std::io::Result<()> {
         self.writer.flush()?;
         let file = OpenOptions::new().write(true).open(&self.path)?;
         file.set_len(0)?;
         self.pending = 0;
-        if self.sync != SyncPolicy::Never {
-            file.sync_data()?;
-            self.stats.syncs += 1;
-        }
+        file.sync_data()?;
+        self.stats.syncs += 1;
         self.writer = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
         // The truncation itself is treated as durable in the simulated
         // crash model (it rides on the flush that wrote the run file),
@@ -455,32 +425,27 @@ fn replay(data: &[u8]) -> (Vec<WalRecord>, usize) {
     (out, consumed)
 }
 
-/// Decode one CRC-verified payload (single record or batch) into `out`.
-/// Returns false — appending nothing — when the payload is undecodable.
+/// Decode one CRC-verified payload into `out`, all or nothing: exactly what
+/// [`encode_batch`] emits, or false with nothing appended. The claimed
+/// count never sizes an allocation past 4096 records.
 fn decode_payload(payload: &[u8], out: &mut Vec<WalRecord>) -> bool {
-    if payload.len() >= 8 && (&payload[..4]).get_u32_le() == BATCH_SENTINEL {
-        let count = (&payload[4..8]).get_u32_le() as usize;
-        let mut buf = &payload[8..];
-        let mut batch = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            match WalRecord::decode_from(&mut buf) {
-                Some(r) => batch.push(r),
-                None => return false, // all-or-nothing: drop the whole batch
-            }
-        }
-        if buf.remaining() != 0 {
-            return false; // trailing garbage inside a "valid" frame
-        }
-        out.append(&mut batch);
-        return true;
+    let mut buf = payload;
+    if buf.remaining() < 8 || buf.get_u32_le() != BATCH_SENTINEL {
+        return false;
     }
-    match WalRecord::decode(payload) {
-        Some(r) => {
-            out.push(r);
-            true
+    let count = buf.get_u32_le() as usize;
+    let mut batch = Vec::with_capacity(count.min(4096));
+    for _ in 0..count {
+        match WalRecord::decode_from(&mut buf) {
+            Some(r) => batch.push(r),
+            None => return false,
         }
-        None => false,
     }
+    if buf.remaining() != 0 {
+        return false;
+    }
+    out.append(&mut batch);
+    true
 }
 
 #[cfg(test)]
@@ -493,6 +458,11 @@ mod tests {
             version,
             value: value.map(Bytes::from_static),
         }
+    }
+
+    /// One record as a one-cell batch frame.
+    fn append(wal: &mut Wal, r: &WalRecord) -> std::io::Result<Duration> {
+        wal.append_batch(&[(r.key.clone(), r.version, r.value.clone())])
     }
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -516,8 +486,8 @@ mod tests {
         {
             let (mut wal, existing) = Wal::open(&path).unwrap();
             assert!(existing.is_empty());
-            wal.append(&record("u1", 1, Some(b"30"))).unwrap();
-            wal.append(&record("u2", 2, None)).unwrap();
+            append(&mut wal, &record("u1", 1, Some(b"30"))).unwrap();
+            append(&mut wal, &record("u2", 2, None)).unwrap();
         }
         let (_wal, replayed) = Wal::open(&path).unwrap();
         assert_eq!(replayed.len(), 2);
@@ -533,7 +503,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let (mut wal, _) = Wal::open(&path).unwrap();
-            wal.append(&record("u1", 1, Some(b"x"))).unwrap();
+            append(&mut wal, &record("u1", 1, Some(b"x"))).unwrap();
         }
         // Simulate a crash mid-append: garbage half-frame at the tail.
         {
@@ -553,8 +523,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let (mut wal, _) = Wal::open(&path).unwrap();
-            wal.append(&record("u1", 1, Some(b"x"))).unwrap();
-            wal.append(&record("u2", 2, Some(b"y"))).unwrap();
+            append(&mut wal, &record("u1", 1, Some(b"x"))).unwrap();
+            append(&mut wal, &record("u2", 2, Some(b"y"))).unwrap();
         }
         // Flip one byte inside the second frame's payload.
         let mut data = std::fs::read(&path).unwrap();
@@ -573,18 +543,16 @@ mod tests {
     ///
     /// | policy     | lost recent appends (power) | stale-WAL resurrection |
     /// |------------|-----------------------------|------------------------|
-    /// | Never      | open                        | open                   |
     /// | OnTruncate | open                        | closed                 |
     /// | Always     | closed                      | closed                 |
     ///
-    /// All three policies recover identically from a *process* crash (the
+    /// Every policy recovers identically from a *process* crash (the
     /// OS page cache survives), which is what is asserted here.
     #[test]
     fn every_sync_policy_recovers_from_process_crash() {
         for (name, policy) in [
             ("always", SyncPolicy::Always),
             ("ontrunc", SyncPolicy::OnTruncate),
-            ("never", SyncPolicy::Never),
             (
                 "group",
                 SyncPolicy::GroupCommit {
@@ -599,12 +567,12 @@ mod tests {
             {
                 let (mut wal, _) = Wal::open_with(&path, policy).unwrap();
                 assert_eq!(wal.sync_policy(), policy);
-                wal.append(&record("u1", 1, Some(b"a"))).unwrap();
+                append(&mut wal, &record("u1", 1, Some(b"a"))).unwrap();
                 // Truncate (memtable flushed) then append the next write:
                 // recovery must see only the post-truncate record — under
-                // Always/OnTruncate that holds even across power loss.
+                // every policy that holds even across power loss.
                 wal.truncate().unwrap();
-                wal.append(&record("u2", 2, Some(b"b"))).unwrap();
+                append(&mut wal, &record("u2", 2, Some(b"b"))).unwrap();
                 // Drop without any explicit close = process crash.
             }
             let (_w, replayed) = Wal::open_with(&path, policy).unwrap();
@@ -634,7 +602,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let (mut wal, _) = Wal::open(&path).unwrap();
-            wal.append(&record("u0", 1, Some(b"solo"))).unwrap();
+            append(&mut wal, &record("u0", 1, Some(b"solo"))).unwrap();
             wal.append_batch(&[
                 cell("u1", "p0", 2, b"a"),
                 cell("u1", "p1", 2, b"b"),
@@ -662,7 +630,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let (mut wal, _) = Wal::open(&path).unwrap();
-            wal.append(&record("u0", 1, Some(b"keep"))).unwrap();
+            append(&mut wal, &record("u0", 1, Some(b"keep"))).unwrap();
             wal.append_batch(&[
                 cell("u1", "p0", 2, b"a"),
                 cell("u1", "p1", 2, b"b"),
@@ -697,7 +665,7 @@ mod tests {
         let (mut wal, _) = Wal::open_with(&path, policy).unwrap();
         let mut waits = Vec::new();
         for i in 0..8u64 {
-            waits.push(wal.append(&record("u1", i, Some(b"x"))).unwrap());
+            waits.push(append(&mut wal, &record("u1", i, Some(b"x"))).unwrap());
         }
         let stats = wal.stats();
         assert_eq!(stats.syncs, 2, "8 appends, groups of 4 -> 2 syncs");
@@ -714,7 +682,7 @@ mod tests {
         }
         assert_eq!(stats.simulated_wait_micros, 600, "6 deferred x 100us");
         // An open group is closed by sync_pending (the tick-driven timer).
-        wal.append(&record("u1", 9, Some(b"y"))).unwrap();
+        append(&mut wal, &record("u1", 9, Some(b"y"))).unwrap();
         assert!(wal.sync_pending().unwrap());
         assert!(!wal.sync_pending().unwrap(), "nothing left pending");
         assert_eq!(wal.stats().syncs, 3);
@@ -723,14 +691,13 @@ mod tests {
 
     /// Power loss drops exactly the tail past the last durability barrier,
     /// and each policy places that barrier differently: `Always` loses
-    /// nothing, `OnTruncate`/`Never` lose every append since open (or the
+    /// nothing, `OnTruncate` loses every append since open (or the
     /// last truncate), `GroupCommit` loses the open group window.
     #[test]
     fn power_loss_window_matches_sync_policy() {
         for (name, policy, survivors) in [
             ("always", SyncPolicy::Always, 5usize),
             ("ontrunc", SyncPolicy::OnTruncate, 0),
-            ("never", SyncPolicy::Never, 0),
             (
                 "group",
                 SyncPolicy::GroupCommit {
@@ -747,13 +714,13 @@ mod tests {
             let _ = std::fs::remove_file(&path);
             let (mut wal, _) = Wal::open_with(&path, policy).unwrap();
             for i in 0..5u64 {
-                wal.append(&record("u1", i, Some(b"v"))).unwrap();
+                append(&mut wal, &record("u1", i, Some(b"v"))).unwrap();
             }
             let replayed = wal.power_loss().unwrap();
             assert_eq!(replayed.len(), survivors, "{name}");
             // The handle stays usable: post-blackout appends are durable
             // under the same policy and recovery sees survivors + new.
-            wal.append(&record("u9", 100, Some(b"after"))).unwrap();
+            append(&mut wal, &record("u9", 100, Some(b"after"))).unwrap();
             drop(wal);
             let (_w, recovered) = Wal::open_with(&path, policy).unwrap();
             assert_eq!(recovered.len(), survivors + 1, "{name}");
@@ -777,7 +744,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let (mut wal, _) = Wal::open(&path).unwrap();
-            wal.append(&record("u1", 1, Some(b"keep"))).unwrap();
+            append(&mut wal, &record("u1", 1, Some(b"keep"))).unwrap();
         }
         {
             use std::io::Write as _;
@@ -787,7 +754,7 @@ mod tests {
         {
             let (mut wal, replayed) = Wal::open(&path).unwrap();
             assert_eq!(replayed.len(), 1);
-            wal.append(&record("u2", 2, Some(b"new"))).unwrap();
+            append(&mut wal, &record("u2", 2, Some(b"new"))).unwrap();
         }
         let (_w, replayed) = Wal::open(&path).unwrap();
         assert_eq!(replayed.len(), 2, "post-recovery append was lost");
@@ -804,9 +771,9 @@ mod tests {
         let path = dir.join("wal.log");
         let _ = std::fs::remove_file(&path);
         let (mut wal, _) = Wal::open_with(&path, SyncPolicy::Always).unwrap();
-        wal.append(&record("u1", 1, Some(b"ok"))).unwrap();
+        append(&mut wal, &record("u1", 1, Some(b"ok"))).unwrap();
         wal.inject_sync_failures(1);
-        assert!(wal.append(&record("u2", 2, Some(b"lost"))).is_err());
+        assert!(append(&mut wal, &record("u2", 2, Some(b"lost"))).is_err());
         // Power loss now: only the first (synced) append survives.
         let replayed = wal.power_loss().unwrap();
         assert_eq!(replayed.len(), 1);
@@ -843,13 +810,63 @@ mod tests {
         let path = dir.join("wal.log");
         let _ = std::fs::remove_file(&path);
         let (mut wal, _) = Wal::open(&path).unwrap();
-        wal.append(&record("u1", 1, Some(b"x"))).unwrap();
+        append(&mut wal, &record("u1", 1, Some(b"x"))).unwrap();
         wal.truncate().unwrap();
-        wal.append(&record("u2", 2, Some(b"y"))).unwrap();
+        append(&mut wal, &record("u2", 2, Some(b"y"))).unwrap();
         drop(wal);
         let (_w, replayed) = Wal::open(&path).unwrap();
         assert_eq!(replayed.len(), 1);
         assert_eq!(replayed[0].key.row, crate::RowKey::from_str("u2"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Replay accepts only what `encode_batch` emits. A CRC-valid frame
+    /// whose payload is anything else stops replay at that frame: earlier
+    /// frames survive, later ones do not, the reopen cuts the file back to
+    /// the good prefix, and the claimed count never sizes an allocation.
+    #[test]
+    fn crc_valid_frames_no_encoder_emits_stop_replay() {
+        let one = [cell("u1", "p0", 1, b"a")];
+        let two = [cell("u1", "p0", 1, b"a"), cell("u1", "p1", 1, b"b")];
+        let counted = |cells: &[(CellKey, u64, Option<Bytes>)], count: u32| {
+            let mut payload = encode_batch(cells).to_vec();
+            payload[4..8].copy_from_slice(&count.to_le_bytes());
+            payload
+        };
+        let cases = [
+            // The retired single-record frame: a batch minus its header.
+            ("no-sentinel", encode_batch(&one)[8..].to_vec()),
+            ("count-above-records", counted(&two, 3)),
+            (
+                "trailing-bytes",
+                [&encode_batch(&one)[..], &[0; 4]].concat(),
+            ),
+            ("count-max-short-body", counted(&one, u32::MAX)),
+        ];
+        for (name, payload) in cases {
+            let dir = tmpdir(&format!("sweep-{name}"));
+            let path = dir.join("wal.log");
+            let _ = std::fs::remove_file(&path);
+            let (mut wal, _) = Wal::open(&path).unwrap();
+            wal.append_batch(&two).unwrap();
+            let good_len = std::fs::metadata(&path).unwrap().len();
+            drop(wal);
+            {
+                use std::io::Write as _;
+                let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+                let good = encode_batch(&one);
+                for body in [&payload[..], &good[..]] {
+                    f.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
+                    f.write_all(&crc32(body).to_le_bytes()).unwrap();
+                    f.write_all(body).unwrap();
+                }
+            }
+            let (_w, replayed) = Wal::open(&path).unwrap();
+            assert_eq!(replayed.len(), 2, "{name}: only the frame before it");
+            assert_eq!(replayed[1].key.qualifier.as_str(), "p1", "{name}");
+            let len = std::fs::metadata(&path).unwrap().len();
+            assert_eq!(len, good_len, "{name}: file cut to the good prefix");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

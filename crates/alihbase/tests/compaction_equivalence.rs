@@ -15,7 +15,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use titant_alihbase::{CellKey, RowKey, Store, StoreConfig};
+use titant_alihbase::{CellKey, RowKey, Store, StoreConfig, Version};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -41,17 +41,21 @@ fn cell_key(user: u64, qual: u8) -> CellKey {
     CellKey::new(RowKey::from_user(user), "basic", &format!("q{qual}"))
 }
 
+/// One cell (a value, or a tombstone for `None`) as a one-cell batch.
+fn put(store: &Store, key: CellKey, version: Version, value: Option<Bytes>) {
+    store.put_batch(vec![(key, version, value)]).unwrap();
+}
+
 /// Apply one op; mutations use the monotone `version` counter.
 fn apply(store: &Store, op: &Op, version: u64) {
     match op {
-        Op::Put { user, qual } => store
-            .put(
-                cell_key(*user, *qual),
-                version,
-                Bytes::from(format!("v{user}-{qual}-{version}")),
-            )
-            .unwrap(),
-        Op::Delete { user, qual } => store.delete(cell_key(*user, *qual), version).unwrap(),
+        Op::Put { user, qual } => put(
+            store,
+            cell_key(*user, *qual),
+            version,
+            Some(Bytes::from(format!("v{user}-{qual}-{version}"))),
+        ),
+        Op::Delete { user, qual } => put(store, cell_key(*user, *qual), version, None),
         Op::Flush => store.flush().unwrap(),
         Op::Tick => {
             store.tick().unwrap();
@@ -88,20 +92,11 @@ proptest! {
             let row = RowKey::from_user(user);
             // Conservative tiered merges are invisible at EVERY cut, even
             // with merges still pending mid-backlog.
-            for as_of in [1, 3, 7, 20, max_version, u64::MAX] {
+            for as_of in [1, 3, 5, 7, 20, max_version, u64::MAX] {
                 prop_assert_eq!(
                     scheduled.get_row(&row, as_of),
                     reference.get_row(&row, as_of)
                 );
-            }
-            for qual in 0..3u8 {
-                let key = cell_key(user, qual);
-                for as_of in [5, max_version, u64::MAX] {
-                    prop_assert_eq!(
-                        scheduled.get_versioned(&key, as_of),
-                        reference.get_versioned(&key, as_of)
-                    );
-                }
             }
         }
         // The reference never compacts; the scheduled store never exceeds
@@ -121,12 +116,8 @@ fn ticks_do_merge_and_reads_stay_identical() {
         for user in 0..4u64 {
             let version = round * 4 + user + 1;
             for s in [&scheduled, &reference] {
-                s.put(
-                    cell_key(user, 0),
-                    version,
-                    Bytes::from(format!("r{round}-u{user}")),
-                )
-                .unwrap();
+                let value = Bytes::from(format!("r{round}-u{user}"));
+                put(s, cell_key(user, 0), version, Some(value));
             }
         }
         scheduled.flush().unwrap();

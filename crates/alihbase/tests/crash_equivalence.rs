@@ -98,15 +98,10 @@ fn merge_window_crash_states_read_identical() {
     for round in 0..6u64 {
         for user in 0..5u64 {
             version += 1;
-            let k = key(user, (round % 3) as u8);
-            if (user + round) % 4 == 3 {
-                disk.delete(k.clone(), version).unwrap();
-                reference.delete(k, version).unwrap();
-            } else {
-                let v = Bytes::from(format!("r{round}-u{user}"));
-                disk.put(k.clone(), version, v.clone()).unwrap();
-                reference.put(k, version, v).unwrap();
-            }
+            let value = ((user + round) % 4 != 3).then(|| Bytes::from(format!("r{round}-u{user}")));
+            let cell = (key(user, (round % 3) as u8), version, value);
+            disk.put_batch(vec![cell.clone()]).unwrap();
+            reference.put_batch(vec![cell]).unwrap();
         }
         disk.flush().unwrap();
         reference.flush().unwrap();
@@ -208,13 +203,14 @@ fn split_migration_crash_states_serve_parent_or_children() {
     let mut version = 0u64;
     for user in 0..16u64 {
         version += 1;
-        let v = Bytes::from(format!("u{user}"));
-        disk.put(key(user, 0), version, v.clone()).unwrap();
-        reference.put(key(user, 0), version, v).unwrap();
+        let mut cells = vec![(key(user, 0), version, Some(Bytes::from(format!("u{user}"))))];
         if user % 5 == 4 {
             version += 1;
-            disk.delete(key(user, 0), version).unwrap();
-            reference.delete(key(user, 0), version).unwrap();
+            cells.push((key(user, 0), version, None));
+        }
+        for cell in cells {
+            disk.put_rows(vec![cell.clone()]).unwrap();
+            reference.put_rows(vec![cell]).unwrap();
         }
     }
     let max_version = version;

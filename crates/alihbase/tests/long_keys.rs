@@ -43,13 +43,8 @@ fn long_keys_round_trip_through_wal_runs_manifest_and_split() {
         ..Default::default()
     };
     let put = |table: &RegionedTable, user| {
-        table
-            .put(
-                CellKey::new(long_row(user), FAMILY, QUALIFIER),
-                1,
-                value(user),
-            )
-            .unwrap()
+        let key = CellKey::new(long_row(user), FAMILY, QUALIFIER);
+        table.put_rows(vec![(key, 1, Some(value(user)))]).unwrap();
     };
 
     // A constructed boundary at a long key, and unflushed writes on both

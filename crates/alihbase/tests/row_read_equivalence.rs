@@ -12,8 +12,8 @@
 //! Histories mix puts, deletes, same-version overwrites (versions are drawn
 //! from a small range, so a `(key, version)` often lands in the memtable
 //! and in one or more runs with different values), flushes, scheduled
-//! merges (`tick` over a low `max_runs`) and full compactions, on rows whose
-//! keys are prefixes of one another. Blooms run at 2 bits per row so false
+//! merges (`tick` over a low `max_runs`) and flush-then-merge steps, on
+//! rows whose keys are prefixes of one another. Blooms run at 2 bits per row so false
 //! positives are common.
 
 use bytes::Bytes;
@@ -38,18 +38,24 @@ fn cell_key(user: u64, column: u8) -> CellKey {
 /// proptest has no weighted union; the weighting lives in the bands).
 fn apply(store: &Store, step: usize, raw: &(u8, u64, u8, u64)) {
     let (selector, user, column, version) = *raw;
+    let write = |value| put(store, cell_key(user, column), version, value);
     match selector % 12 {
-        0..=6 => {
-            // The step number makes every write's value distinct, so a
-            // wrong winner among equal versions shows.
-            let value = Bytes::from(format!("{step}"));
-            store.put(cell_key(user, column), version, value).unwrap()
-        }
-        7 | 8 => store.delete(cell_key(user, column), version).unwrap(),
+        // The step number makes every write's value distinct, so a wrong
+        // winner among equal versions shows.
+        0..=6 => write(Some(Bytes::from(format!("{step}")))),
+        7 | 8 => write(None),
         9 => store.flush().unwrap(),
         10 => drop(store.tick().unwrap()),
-        _ => store.compact().unwrap(),
+        _ => {
+            store.flush().unwrap();
+            store.tick().unwrap();
+        }
     }
+}
+
+/// One cell (a value, or a tombstone for `None`) as a one-cell batch.
+fn put(store: &Store, key: CellKey, version: Version, value: Option<Bytes>) {
+    store.put_batch(vec![(key, version, value)]).unwrap();
 }
 
 /// The replaced `get_row`, over the store's cells in precedence order.

@@ -153,8 +153,8 @@ impl Serving {
     pub fn upload(&self, table: &RegionedTable, users: impl Iterator<Item = u64>) {
         let codec = self.layout.codec();
         for user in users {
-            codec
-                .put_user(table, user, &self.features_of(user), VERSION)
+            table
+                .put_rows(codec.encode_user(user, &self.features_of(user), VERSION))
                 .expect("fixture upload");
         }
     }

@@ -1,25 +1,18 @@
-//! **Ingest throughput** — the batched write path against the per-cell
-//! baseline, gated on *counted work*, not wall clock.
+//! **Ingest throughput** — the batched write path, gated on *counted
+//! work*, not wall clock.
 //!
-//! Writes the same full-row feature workload (a paper-scale ~60-cell row
-//! per user: 26 payer + 26 receiver + 8 embedding qualifiers) into two
-//! WAL-backed tables:
-//!
-//! * **per-cell** — the pre-batching baseline: one `put` (one region lock,
-//!   one WAL frame) per qualifier, still reachable by encoding a row and
-//!   putting each cell;
-//! * **batched** — `FeatureCodec::encode_user` + `RegionedTable::put_rows`:
-//!   one lock acquisition and one multi-record WAL frame per row.
-//!
-//! On a one-core container wall-clock speedups cannot manifest, so the
-//! gate asserts on the physical-work counters the store keeps
-//! (`WriteStatsSnapshot`): the batched path must do **≥10× fewer lock
-//! acquisitions** and **≥10× fewer WAL frames** per row, write fewer WAL
-//! bytes per row, and leave byte-identical table contents. A second sweep
-//! measures WAL group commit: under `SyncPolicy::GroupCommit` the same row
-//! stream must reach durability with a fraction of the fsyncs that
-//! `SyncPolicy::Always` issues, with the amortized wait charged in
-//! simulated time.
+//! Writes a paper-scale full-row feature workload (a ~60-cell row per
+//! user: 26 payer + 26 receiver + 8 embedding qualifiers) into a WAL-backed
+//! table through `FeatureCodec::encode_user` + `RegionedTable::put_rows`.
+//! On a one-core container wall-clock speedups cannot manifest, so the gate
+//! asserts exact counts from the store's `WriteStatsSnapshot`: one lock
+//! acquisition and one WAL frame per row, and every cell logged once. The
+//! upload flushes mid-stream so more than `max_runs` runs pile up; the
+//! ticks after it must drain that backlog and settle, leaving every scan
+//! unchanged. A second sweep measures WAL group commit: under
+//! `SyncPolicy::GroupCommit` the same row stream must reach durability with
+//! a fraction of the fsyncs that `SyncPolicy::Always` issues, with the
+//! amortized wait charged in simulated time.
 
 use crate::gate::{Checks, Outcome, Serving, VERSION};
 use serde::Serialize;
@@ -28,6 +21,10 @@ use std::time::Instant;
 use titant_alihbase::{RegionedTable, RowKey, StoreConfig, SyncPolicy};
 
 const USERS: usize = 1_536;
+/// Rows between mid-upload flushes: eight runs in all.
+const FLUSH_EVERY: u64 = USERS as u64 / 8;
+/// Ticks the backlog gets to settle; one merge per store per tick.
+const MAX_DRAIN_TICKS: usize = 16;
 const GROUP_COMMIT_USERS: u64 = 512;
 
 /// A WAL-backed single-region table in its own scratch directory.
@@ -42,9 +39,7 @@ fn build_table(dir: &Path, sync: SyncPolicy) -> RegionedTable {
 }
 
 #[derive(Serialize)]
-struct ModeReport {
-    mode: String,
-    users: usize,
+struct UploadReport {
     lock_acquisitions: u64,
     locks_per_row: f64,
     wal_frames: u64,
@@ -53,22 +48,6 @@ struct ModeReport {
     wal_bytes: u64,
     bytes_per_row: f64,
     wall_ms: f64,
-}
-
-fn mode_report(mode: &str, table: &RegionedTable, wall_ms: f64) -> ModeReport {
-    let s = table.write_stats();
-    ModeReport {
-        mode: mode.into(),
-        users: USERS,
-        lock_acquisitions: s.lock_acquisitions,
-        locks_per_row: s.lock_acquisitions as f64 / USERS as f64,
-        wal_frames: s.wal_frames,
-        frames_per_row: s.wal_frames as f64 / USERS as f64,
-        wal_records: s.wal_records,
-        wal_bytes: s.wal_bytes,
-        bytes_per_row: s.wal_bytes as f64 / USERS as f64,
-        wall_ms,
-    }
 }
 
 #[derive(Serialize)]
@@ -84,12 +63,7 @@ struct Report {
     bench: String,
     users: usize,
     cells_per_row: usize,
-    per_cell: ModeReport,
-    batched: ModeReport,
-    lock_reduction: f64,
-    frame_reduction: f64,
-    byte_reduction: f64,
-    contents_identical: bool,
+    batched: UploadReport,
     scheduled_compactions_drained: u64,
     group_commit: Vec<GroupCommitReport>,
     sync_reduction: f64,
@@ -106,73 +80,68 @@ pub fn run() -> Outcome {
     let row = |user: u64| c.encode_user(user, &fx.features_of(user), VERSION);
     let mut checks = Checks::default();
 
-    // ---- per-cell baseline: one put (lock + WAL frame) per qualifier ----
-    let per_cell_table = build_table(&scratch.join("per-cell"), SyncPolicy::default());
+    // ---- one put_rows (one lock, one WAL frame) per row ----
+    let table = build_table(&scratch.join("batched"), SyncPolicy::default());
     let start = Instant::now();
     for user in 0..USERS as u64 {
-        for (key, version, value) in row(user) {
-            let value = value.expect("full rows carry no tombstones");
-            per_cell_table.put(key, version, value).expect("put");
+        table.put_rows(row(user)).expect("put_rows");
+        // Eight runs against the default `max_runs` of six: a backlog only
+        // the ticks below may drain.
+        if user % FLUSH_EVERY == FLUSH_EVERY - 1 {
+            table.flush().expect("flush");
         }
     }
-    per_cell_table.flush().expect("flush");
-    let per_cell = mode_report(
-        "per-cell",
-        &per_cell_table,
-        start.elapsed().as_secs_f64() * 1e3,
+    table.flush().expect("flush");
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let s = table.write_stats();
+    let per_row = |n: u64| n as f64 / USERS as f64;
+    let batched = UploadReport {
+        lock_acquisitions: s.lock_acquisitions,
+        locks_per_row: per_row(s.lock_acquisitions),
+        wal_frames: s.wal_frames,
+        frames_per_row: per_row(s.wal_frames),
+        wal_records: s.wal_records,
+        wal_bytes: s.wal_bytes,
+        bytes_per_row: per_row(s.wal_bytes),
+        wall_ms,
+    };
+    eprintln!(
+        "  {} locks, {} WAL frames, {} records, {} bytes",
+        s.lock_acquisitions, s.wal_frames, s.wal_records, s.wal_bytes
+    );
+    // Gate (a): exact counted work — one lock and one frame per row, every
+    // cell logged once.
+    checks.check(
+        "one lock acquisition per row",
+        s.lock_acquisitions == USERS as u64,
+    );
+    checks.check("one WAL frame per row", s.wal_frames == USERS as u64);
+    checks.check(
+        "one WAL record per cell",
+        s.wal_records == (USERS * cells_per_row) as u64,
     );
 
-    // ---- batched: one put_rows (one lock, one WAL frame) per row ----
-    let batched_table = build_table(&scratch.join("batched"), SyncPolicy::default());
-    let start = Instant::now();
-    for user in 0..USERS as u64 {
-        batched_table.put_rows(row(user)).expect("put_rows");
-    }
-    batched_table.flush().expect("flush");
-    let batched = mode_report(
-        "batched",
-        &batched_table,
-        start.elapsed().as_secs_f64() * 1e3,
-    );
-
-    // Same logical writes on both sides, or the comparison is meaningless.
-    assert_eq!(per_cell.wal_records, batched.wal_records);
-
-    // Gate (a): ≥10× fewer lock acquisitions AND WAL frames per row, and
-    // strictly fewer WAL bytes (59 frame headers amortized into one).
-    let lock_reduction = per_cell.lock_acquisitions as f64 / batched.lock_acquisitions as f64;
-    let frame_reduction = per_cell.wal_frames as f64 / batched.wal_frames as f64;
-    let byte_reduction = per_cell.wal_bytes as f64 / batched.wal_bytes as f64;
-    for (name, reduction, floor) in [
-        ("lock acquisitions", lock_reduction, 10.0),
-        ("WAL frames", frame_reduction, 10.0),
-        ("WAL bytes", byte_reduction, 1.0),
-    ] {
-        eprintln!("  {name}: {reduction:.1}× fewer (floor {floor}×)");
-        checks.check(
-            &format!("batched path reduced {name} only {reduction:.2}×"),
-            reduction >= floor,
-        );
-    }
-
-    // Gate (b): batching is invisible to readers — byte-identical contents.
+    // Gate (b): the scheduled-compaction backlog converges off the
+    // writer's path, within a bounded number of ticks, invisibly to reads.
     let span = (RowKey::from_str(""), RowKey::from_str("\u{10FFFF}"));
-    let contents_identical = checks.check(
-        "batched table contents equal the per-cell baseline",
-        per_cell_table.scan_rows(&span.0, &span.1) == batched_table.scan_rows(&span.0, &span.1),
-    );
-
-    // Drain the batched table's scheduled-compaction backlog: the default
-    // mode defers `max_runs` pressure to explicit ticks, so the gate also
-    // proves the backlog converges off the writer's path.
+    let before = table.scan_rows(&span.0, &span.1);
     let mut drained = 0u64;
-    loop {
-        let report = batched_table.tick().expect("tick");
-        if report.compactions == 0 {
+    let mut settled = false;
+    for _ in 0..MAX_DRAIN_TICKS {
+        let compactions = table.tick().expect("tick").compactions;
+        if compactions == 0 {
+            settled = true;
             break;
         }
-        drained += report.compactions;
+        drained += compactions;
     }
+    eprintln!("  drained {drained} scheduled compactions (settled: {settled})");
+    checks.check("at least one scheduled compaction drained", drained >= 1);
+    checks.check("the drain ended on a tick with no compaction", settled);
+    checks.check(
+        "scan_rows unchanged by the drain",
+        table.scan_rows(&span.0, &span.1) == before,
+    );
 
     // ---- WAL group commit: same stream, counted fsyncs ----
     let mut group_commit = Vec::new();
@@ -221,12 +190,7 @@ pub fn run() -> Outcome {
             bench: "ingest".into(),
             users: USERS,
             cells_per_row,
-            per_cell,
             batched,
-            lock_reduction,
-            frame_reduction,
-            byte_reduction,
-            contents_identical,
             scheduled_compactions_drained: drained,
             group_commit,
             sync_reduction,

@@ -142,8 +142,8 @@ fn seeded_table(lay: &FeatureLayout) -> Arc<RegionedTable> {
             embedding: Vec::new(),
             velocity: Vec::new(),
         };
-        codec
-            .put_user(&table, user, &row, VERSION)
+        table
+            .put_rows(codec.encode_user(user, &row, VERSION))
             .expect("seed upload");
     }
     table

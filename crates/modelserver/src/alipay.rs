@@ -143,9 +143,8 @@ mod tests {
             velocity_width: 0,
         };
         for u in [1u64, 2] {
-            codec
-                .put_user(
-                    &table,
+            table
+                .put_rows(codec.encode_user(
                     u,
                     &UserFeatures {
                         payer_side: vec![0.5],
@@ -154,7 +153,7 @@ mod tests {
                         velocity: Vec::new(),
                     },
                     1,
-                )
+                ))
                 .unwrap();
         }
         AlipayServer::new(ModelServer::new(table, layout, model).unwrap())

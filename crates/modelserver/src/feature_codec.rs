@@ -279,22 +279,9 @@ impl FeatureCodec {
         cells
     }
 
-    /// Upload one user's features at `version` as a single batched write.
-    pub fn put_user(
-        &self,
-        table: &RegionedTable,
-        user: u64,
-        features: &UserFeatures,
-        version: Version,
-    ) -> std::io::Result<()> {
-        table.put_rows(self.encode_user(user, features, version))?;
-        Ok(())
-    }
-
     /// Fetch a user's features at or below `as_of` (`Version::MAX` =
-    /// latest) with a **single row read** — one store operation per user
-    /// instead of one point get per qualifier — and decode the returned
-    /// cells in one pass.
+    /// latest) with a **single row read** — one store operation per user —
+    /// and decode the returned cells in one pass.
     ///
     /// Missing users yield `Ok(None)`; users without a (complete) embedding
     /// get a zero vector (the cold-start case). A row that exists but is
@@ -433,6 +420,10 @@ mod tests {
         RegionedTable::single(StoreConfig::default()).unwrap()
     }
 
+    fn put(t: &RegionedTable, key: CellKey, version: Version, value: Bytes) {
+        t.put_rows(vec![(key, version, Some(value))]).unwrap();
+    }
+
     fn features(x: f32) -> UserFeatures {
         UserFeatures {
             payer_side: vec![x, x + 1.0, x + 2.0],
@@ -446,7 +437,8 @@ mod tests {
     fn put_get_round_trip() {
         let t = table();
         let c = codec();
-        c.put_user(&t, 42, &features(1.5), 20170410).unwrap();
+        t.put_rows(c.encode_user(42, &features(1.5), 20170410))
+            .unwrap();
         let got = c.get_user(&t, 42, u64::MAX).unwrap().unwrap();
         assert_eq!(got, features(1.5));
         assert!(c.get_user(&t, 99, u64::MAX).unwrap().is_none());
@@ -456,7 +448,8 @@ mod tests {
     fn get_user_is_a_single_store_operation() {
         let t = table();
         let c = codec();
-        c.put_user(&t, 42, &features(1.5), 20170410).unwrap();
+        t.put_rows(c.encode_user(42, &features(1.5), 20170410))
+            .unwrap();
         t.flush().unwrap();
         let before = t.op_counts();
         c.get_user(&t, 42, u64::MAX).unwrap().unwrap();
@@ -473,11 +466,12 @@ mod tests {
     fn get_users_matches_get_user_per_slot() {
         let t = table();
         let c = codec();
-        c.put_user(&t, 1, &features(1.0), 1).unwrap();
-        c.put_user(&t, 2, &features(2.0), 1).unwrap();
+        t.put_rows(c.encode_user(1, &features(1.0), 1)).unwrap();
+        t.put_rows(c.encode_user(2, &features(2.0), 1)).unwrap();
         t.flush().unwrap();
         // User 3 is torn (one lonely payer cell), user 99 is missing.
-        t.put(
+        put(
+            &t,
             CellKey {
                 row: FeatureCodec::row_key(3),
                 family: "basic".into(),
@@ -485,8 +479,7 @@ mod tests {
             },
             1,
             Bytes::copy_from_slice(&1.0f32.to_le_bytes()),
-        )
-        .unwrap();
+        );
         let before = t.op_counts();
         let got = c.get_users(&t, &[2, 99, 3, 1], u64::MAX);
         let delta = t.op_counts().since(&before);
@@ -502,7 +495,8 @@ mod tests {
     fn get_user_opts_without_hook_matches_get_user() {
         let t = table();
         let c = codec();
-        c.put_user(&t, 42, &features(1.5), 20170410).unwrap();
+        t.put_rows(c.encode_user(42, &features(1.5), 20170410))
+            .unwrap();
         let (got, waited) = c
             .get_user_opts(&t, 42, u64::MAX, ReadOptions::default())
             .unwrap();
@@ -520,7 +514,8 @@ mod tests {
         use titant_alihbase::{FaultKind, FaultPlan, FaultPlanConfig};
         let t = table();
         let c = codec();
-        c.put_user(&t, 42, &features(1.5), 20170410).unwrap();
+        t.put_rows(c.encode_user(42, &features(1.5), 20170410))
+            .unwrap();
         t.set_fault_hook(Some(Arc::new(FaultPlan::new(FaultPlanConfig {
             transient_rate: 1.0,
             ..Default::default()
@@ -546,8 +541,10 @@ mod tests {
     fn versions_roll_forward_and_back() {
         let t = table();
         let c = codec();
-        c.put_user(&t, 7, &features(1.0), 20170410).unwrap();
-        c.put_user(&t, 7, &features(2.0), 20170411).unwrap();
+        t.put_rows(c.encode_user(7, &features(1.0), 20170410))
+            .unwrap();
+        t.put_rows(c.encode_user(7, &features(2.0), 20170411))
+            .unwrap();
         // Latest wins.
         assert_eq!(c.get_user(&t, 7, u64::MAX).unwrap().unwrap(), features(2.0));
         // Yesterday's snapshot still readable (rollback path).
@@ -560,15 +557,14 @@ mod tests {
         let c = codec();
         let mut f = features(3.0);
         f.embedding.clear();
-        c.put_user(
-            &t,
+        t.put_rows(c.encode_user(
             5,
             &UserFeatures {
                 embedding: Vec::new(),
                 ..f.clone()
             },
             1,
-        )
+        ))
         .unwrap();
         let got = c.get_user(&t, 5, u64::MAX).unwrap().unwrap();
         assert_eq!(got.embedding, vec![0.0; 4]);
@@ -581,7 +577,7 @@ mod tests {
         let c = codec();
         let mut f = features(3.0);
         f.embedding.truncate(2); // 2 of 4 dims uploaded
-        c.put_user(&t, 6, &f, 1).unwrap();
+        t.put_rows(c.encode_user(6, &f, 1)).unwrap();
         let got = c.get_user(&t, 6, u64::MAX).unwrap().unwrap();
         assert_eq!(got.embedding, vec![0.0; 4]);
     }
@@ -591,7 +587,8 @@ mod tests {
         let t = table();
         let c = codec();
         // Only one of three payer cells uploaded: a torn row.
-        t.put(
+        put(
+            &t,
             CellKey {
                 row: FeatureCodec::row_key(8),
                 family: "basic".into(),
@@ -599,8 +596,7 @@ mod tests {
             },
             1,
             Bytes::copy_from_slice(&1.0f32.to_le_bytes()),
-        )
-        .unwrap();
+        );
         let err = c.get_user(&t, 8, u64::MAX).unwrap_err();
         assert!(matches!(
             err,
@@ -617,9 +613,10 @@ mod tests {
     fn torn_cell_bytes_are_an_error_not_a_panic() {
         let t = table();
         let c = codec();
-        c.put_user(&t, 9, &features(1.0), 1).unwrap();
+        t.put_rows(c.encode_user(9, &features(1.0), 1)).unwrap();
         // Overwrite one cell with a 3-byte torn value.
-        t.put(
+        put(
+            &t,
             CellKey {
                 row: FeatureCodec::row_key(9),
                 family: "basic".into(),
@@ -627,8 +624,7 @@ mod tests {
             },
             2,
             Bytes::from_static(b"xyz"),
-        )
-        .unwrap();
+        );
         let err = c.get_user(&t, 9, u64::MAX).unwrap_err();
         assert!(
             matches!(&err, ServeError::TornCell { user: 9, column, len: 3 } if column == "basic:r1")
@@ -674,16 +670,16 @@ mod tests {
         let t = table();
         let c = codec();
         let stray = |user, family: &str, qualifier: &str, value: f32| {
-            t.put(
+            put(
+                &t,
                 CellKey::new(FeatureCodec::row_key(user), family, qualifier),
                 2,
                 Bytes::copy_from_slice(&value.to_le_bytes()),
-            )
-            .unwrap();
+            );
         };
         // Newer aliases of payer slot 1 and embedding dimension 2 change
         // nothing a full row serves.
-        c.put_user(&t, 11, &features(1.0), 1).unwrap();
+        t.put_rows(c.encode_user(11, &features(1.0), 1)).unwrap();
         stray(11, "basic", "p+1", 77.0);
         stray(11, "basic", "p01", 78.0);
         stray(11, "embedding", "002", 79.0);
@@ -711,11 +707,12 @@ mod tests {
     }
 
     #[test]
-    fn put_user_is_one_batch_and_one_lock_acquisition() {
+    fn encoded_user_is_one_batch_and_one_lock_acquisition() {
         let t = table();
         let c = codec();
         let before = t.write_stats();
-        c.put_user(&t, 42, &features(1.5), 20170410).unwrap();
+        t.put_rows(c.encode_user(42, &features(1.5), 20170410))
+            .unwrap();
         let delta = t.write_stats().since(&before);
         assert_eq!(delta.batches, 1, "whole row must land as one batch");
         assert_eq!(delta.lock_acquisitions, 1);
@@ -726,7 +723,7 @@ mod tests {
     fn encode_delta_merges_over_the_last_full_upload() {
         let t = table();
         let c = codec();
-        c.put_user(&t, 42, &features(1.0), 1).unwrap();
+        t.put_rows(c.encode_user(42, &features(1.0), 1)).unwrap();
         let delta = FeatureDelta {
             user: 42,
             payer: vec![(1, 99.0)],
@@ -756,11 +753,11 @@ mod tests {
         let c = velocity_codec();
         let mut f = features(1.0);
         f.velocity = vec![2.0, 350.0, 1.0];
-        c.put_user(&t, 42, &f, 1).unwrap();
+        t.put_rows(c.encode_user(42, &f, 1)).unwrap();
         assert_eq!(c.get_user(&t, 42, u64::MAX).unwrap().unwrap(), f);
         // A row the streaming tier never touched serves an all-zero block —
         // no torn-row error, no cold-start special case.
-        c.put_user(&t, 7, &features(2.0), 1).unwrap();
+        t.put_rows(c.encode_user(7, &features(2.0), 1)).unwrap();
         let got = c.get_user(&t, 7, u64::MAX).unwrap().unwrap();
         assert_eq!(got.velocity, vec![0.0; 3]);
         // And a codec with the block disabled ignores velocity cells.
@@ -774,7 +771,7 @@ mod tests {
     fn velocity_deltas_patch_single_slots() {
         let t = table();
         let c = velocity_codec();
-        c.put_user(&t, 5, &features(1.0), 1).unwrap();
+        t.put_rows(c.encode_user(5, &features(1.0), 1)).unwrap();
         // Stream one slot at a time: untouched slots stay at their previous
         // value (zero when never written), per-slot merge semantics.
         t.put_rows(c.encode_delta(
@@ -808,9 +805,10 @@ mod tests {
     fn unknown_qualifiers_are_ignored() {
         let t = table();
         let c = codec();
-        c.put_user(&t, 10, &features(2.0), 1).unwrap();
+        t.put_rows(c.encode_user(10, &features(2.0), 1)).unwrap();
         for (family, qualifier) in [("basic", "x9"), ("basic", "p99"), ("audit", "note")] {
-            t.put(
+            put(
+                &t,
                 CellKey {
                     row: FeatureCodec::row_key(10),
                     family: family.into(),
@@ -818,8 +816,7 @@ mod tests {
                 },
                 1,
                 Bytes::from_static(b"whatever"),
-            )
-            .unwrap();
+            );
         }
         assert_eq!(
             c.get_user(&t, 10, u64::MAX).unwrap().unwrap(),

@@ -975,9 +975,8 @@ mod tests {
             velocity_width: 0,
         };
         for user in [1u64, 2] {
-            codec
-                .put_user(
-                    &table,
+            table
+                .put_rows(codec.encode_user(
                     user,
                     &UserFeatures {
                         payer_side: vec![0.1, 0.2],
@@ -986,7 +985,7 @@ mod tests {
                         velocity: Vec::new(),
                     },
                     20170410,
-                )
+                ))
                 .unwrap();
         }
         (ms, table)
@@ -1007,17 +1006,9 @@ mod tests {
 
     /// Write a torn (3-byte) basic cell for a user, poisoning its row.
     fn tear_user(table: &RegionedTable, user: u64) {
-        table
-            .put(
-                titant_alihbase::CellKey {
-                    row: FeatureCodec::row_key(user),
-                    family: "basic".into(),
-                    qualifier: "p0".into(),
-                },
-                99999999,
-                bytes::Bytes::from_static(b"bad"),
-            )
-            .unwrap();
+        let key = titant_alihbase::CellKey::new(FeatureCodec::row_key(user), "basic", "p0");
+        let torn = Some(bytes::Bytes::from_static(b"bad"));
+        table.put_rows(vec![(key, 99999999, torn)]).unwrap();
     }
 
     #[test]
@@ -1072,9 +1063,8 @@ mod tests {
             receiver_width: 2,
             velocity_width: 2,
         };
-        codec
-            .put_user(
-                &table,
+        table
+            .put_rows(codec.encode_user(
                 1,
                 &UserFeatures {
                     payer_side: vec![0.1, 0.2],
@@ -1083,7 +1073,7 @@ mod tests {
                     velocity: Vec::new(),
                 },
                 20170410,
-            )
+            ))
             .unwrap();
         let report = ms
             .ingest_update(
@@ -1309,9 +1299,8 @@ mod tests {
             velocity_width: 0,
         };
         for user in [1u64, 2] {
-            codec
-                .put_user(
-                    &table,
+            table
+                .put_rows(codec.encode_user(
                     user,
                     &UserFeatures {
                         payer_side: vec![0.1, 0.2],
@@ -1320,7 +1309,7 @@ mod tests {
                         velocity: Vec::new(),
                     },
                     20170410,
-                )
+                ))
                 .unwrap();
         }
         (ms, table)
@@ -1598,9 +1587,8 @@ mod tests {
             velocity_width: 0,
         };
         for user in [1u64, 2] {
-            codec
-                .put_user(
-                    &table,
+            table
+                .put_rows(codec.encode_user(
                     user,
                     &UserFeatures {
                         payer_side: vec![0.1, 0.2],
@@ -1609,7 +1597,7 @@ mod tests {
                         velocity: Vec::new(),
                     },
                     20170410,
-                )
+                ))
                 .unwrap();
         }
         (ms, table)
@@ -1680,9 +1668,8 @@ mod tests {
             receiver_width: 2,
             velocity_width: 0,
         };
-        codec
-            .put_user(
-                &table,
+        table
+            .put_rows(codec.encode_user(
                 1,
                 &UserFeatures {
                     payer_side: vec![0.9, 0.9],
@@ -1691,7 +1678,7 @@ mod tests {
                     velocity: Vec::new(),
                 },
                 20170411,
-            )
+            ))
             .unwrap();
         // The upload alone does NOT evict: the cache still serves the
         // pre-upload decode (this is exactly why uploaders must invalidate).
@@ -1852,24 +1839,24 @@ mod tests {
         let ms = ModelServer::new(table.clone(), layout(), model()).unwrap();
         // A direct upload (no tick of its own) leaves its WAL frame pending
         // in the group-commit window...
-        FeatureCodec {
+        let codec = FeatureCodec {
             embedding_dim: 2,
             payer_width: 2,
             receiver_width: 2,
             velocity_width: 0,
-        }
-        .put_user(
-            &table,
-            1,
-            &UserFeatures {
-                payer_side: vec![0.1, 0.2],
-                receiver_side: vec![0.3, 0.4],
-                embedding: vec![0.5, 0.6],
-                velocity: Vec::new(),
-            },
-            20170412,
-        )
-        .unwrap();
+        };
+        table
+            .put_rows(codec.encode_user(
+                1,
+                &UserFeatures {
+                    payer_side: vec![0.1, 0.2],
+                    receiver_side: vec![0.3, 0.4],
+                    embedding: vec![0.5, 0.6],
+                    velocity: Vec::new(),
+                },
+                20170412,
+            ))
+            .unwrap();
         let before = table.write_stats();
         let report = ms
             .ingest_update(
@@ -1932,9 +1919,8 @@ mod tests {
             velocity_width: 0,
         };
         for user in [1u64, 2] {
-            codec
-                .put_user(
-                    &table,
+            table
+                .put_rows(codec.encode_user(
                     user,
                     &UserFeatures {
                         payer_side: vec![0.1, 0.2],
@@ -1943,7 +1929,7 @@ mod tests {
                         velocity: Vec::new(),
                     },
                     20170410,
-                )
+                ))
                 .unwrap();
         }
         (ms, table)
@@ -2147,9 +2133,8 @@ mod tests {
             velocity_width: 0,
         };
         for user in [1u64, 2] {
-            codec
-                .put_user(
-                    &table,
+            table
+                .put_rows(codec.encode_user(
                     user,
                     &UserFeatures {
                         payer_side: vec![0.1, 0.2],
@@ -2158,7 +2143,7 @@ mod tests {
                         velocity: Vec::new(),
                     },
                     20170410,
-                )
+                ))
                 .unwrap();
         }
         ms.ingest_update(
@@ -2363,9 +2348,8 @@ mod tests {
         // Enough users (and enough per-cell write pressure) that the next
         // tick's window is far past the split threshold.
         for user in 1..=16u64 {
-            codec
-                .put_user(
-                    &table,
+            table
+                .put_rows(codec.encode_user(
                     user,
                     &UserFeatures {
                         payer_side: vec![0.1, 0.2],
@@ -2374,7 +2358,7 @@ mod tests {
                         velocity: Vec::new(),
                     },
                     20170410,
-                )
+                ))
                 .unwrap();
         }
         // Warm the cache with both parties of one request.

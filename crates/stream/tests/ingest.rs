@@ -80,9 +80,8 @@ fn setup() -> (ModelServer, Arc<RegionedTable>, FeatureCodec) {
     };
     let ms = ModelServer::new(table.clone(), lay.clone(), model(lay.width())).unwrap();
     for user in 1u64..=2 {
-        codec
-            .put_user(
-                &table,
+        table
+            .put_rows(codec.encode_user(
                 user,
                 &UserFeatures {
                     payer_side: vec![0.1, 0.2],
@@ -91,7 +90,7 @@ fn setup() -> (ModelServer, Arc<RegionedTable>, FeatureCodec) {
                     velocity: Vec::new(),
                 },
                 VERSION,
-            )
+            ))
             .unwrap();
     }
     (ms, table, codec)
@@ -217,9 +216,8 @@ fn velocity_before_the_first_upload_degrades_instead_of_crashing() {
 
     // The T+1 upload arrives: the row heals and the streamed velocity
     // cells merge with the fresh basic block.
-    codec
-        .put_user(
-            &table,
+    table
+        .put_rows(codec.encode_user(
             7,
             &UserFeatures {
                 payer_side: vec![0.1, 0.2],
@@ -228,7 +226,7 @@ fn velocity_before_the_first_upload_degrades_instead_of_crashing() {
                 velocity: Vec::new(),
             },
             VERSION,
-        )
+        ))
         .unwrap();
     ms.invalidate_row_cache();
     let row = codec.get_user(&table, 7, VERSION).unwrap().unwrap();

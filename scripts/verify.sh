@@ -4,6 +4,7 @@
 #
 #   ./scripts/verify.sh           # build + tests + clippy + fmt + bench compile
 #                                 # + benchmark/ package build, tests and clippy
+#                                 # + the surface.sh size table (never fails)
 #   ./scripts/verify.sh --quick   # also run the nine gates through the one
 #                                 # `gates` runner, each writing its
 #                                 # BENCH_<name>.json at the repo root, then
@@ -11,7 +12,7 @@
 #     offline          cross-thread determinism of the offline fit
 #     chaos            seeded read faults vs the serving SLOs
 #     serving_scale    blooms, row cache, batch == single scores
-#     ingest           batched writes and WAL group commit, counted
+#     ingest           batched writes, compaction drain, group commit
 #     serving_million  dynamic region splitting under Zipf-hot traffic
 #     offline_sql      distributed SQL byte-identity and work scaling
 #     crash            write faults and crash-restart recovery
@@ -73,5 +74,9 @@ if [[ $QUICK -eq 1 ]]; then
     bash benchmark/run.sh --workload serve_cold --seconds 10
     bash benchmark/run.sh --workload ingest_durable --seconds 10
 fi
+
+# Information only: the one size measure (see scripts/surface.sh).
+echo "==> surface (non-test lines and pub fn per crate)"
+bash scripts/surface.sh || true
 
 echo "verify: all green"

@@ -94,8 +94,8 @@ proptest! {
         }
     }
 
-    /// LSM store: get always returns the highest version at or below the
-    /// read point, across any interleaving of puts and flushes.
+    /// LSM store: a row read always returns the highest version at or below
+    /// the read point, across any interleaving of writes and flushes.
     #[test]
     fn lsm_read_your_writes(
         ops in prop::collection::vec((0u8..4, 1u64..20, 0u8..2), 1..60)
@@ -105,9 +105,8 @@ proptest! {
             std::collections::HashMap::new();
         for &(row, version, val) in &ops {
             let key = CellKey::new(format!("u{row}").as_str(), "cf", "q");
-            store
-                .put(key, version, bytes::Bytes::from(vec![val]))
-                .unwrap();
+            let value = Some(bytes::Bytes::from(vec![val]));
+            store.put_batch(vec![(key, version, value)]).unwrap();
             expected.entry(row).or_default().push((version, val));
             if version % 5 == 0 {
                 store.flush().unwrap();
@@ -123,8 +122,10 @@ proptest! {
                 .find(|&&(v, _)| v == max_v)
                 .unwrap()
                 .1;
-            let got = store.get(&key).unwrap();
-            prop_assert_eq!(got.as_ref(), &[winner][..]);
+            let got = store.get_row(&key.row, u64::MAX);
+            prop_assert_eq!(got.len(), 1);
+            prop_assert_eq!(&got[0].0, &key);
+            prop_assert_eq!(got[0].1.as_ref(), &[winner][..]);
         }
     }
 }

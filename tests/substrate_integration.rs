@@ -74,8 +74,12 @@ fn feature_store_recovers_user_features_after_crash() {
     };
     {
         let table = RegionedTable::new(vec![RowKey::from_user(500)], cfg.clone()).unwrap();
-        codec.put_user(&table, 42, &features, 20170410).unwrap();
-        codec.put_user(&table, 999, &features, 20170410).unwrap();
+        table
+            .put_rows(codec.encode_user(42, &features, 20170410))
+            .unwrap();
+        table
+            .put_rows(codec.encode_user(999, &features, 20170410))
+            .unwrap();
         // Drop without flushing user 999's memtable = crash; WAL replays.
     }
     let table = RegionedTable::new(vec![RowKey::from_user(500)], cfg).unwrap();
