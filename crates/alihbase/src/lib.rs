@@ -24,9 +24,15 @@
 //!   reads (transient errors, latency, torn cells, region outages) and
 //!   writes (WAL append errors, fsync failures, write latency, power-loss
 //!   points), with crash-restart recovery via
-//!   [`region::RegionedTable::reopen`].
+//!   [`region::RegionedTable::reopen`];
+//! * [`counter_set!`] declares each counter set once — the snapshot
+//!   struct, field-wise `add`, saturating `since`, and optionally the live
+//!   twin of relaxed [`Counter`]s — for this crate and the Model Server.
+//!   A layer counts into its parent's set: the WAL into
+//!   [`WriteStatsSnapshot`], a store into [`StoreOpCounts`].
 
 pub mod bloom;
+mod counters;
 pub mod fault;
 pub mod memtable;
 pub mod region;
@@ -36,6 +42,7 @@ pub mod types;
 pub mod wal;
 
 pub use bloom::RowBloom;
+pub use counters::Counter;
 pub use fault::{
     FaultAction, FaultHook, FaultKind, FaultPlan, FaultPlanConfig, ReadCtx, ReadFault, ReadOptions,
     RowRead, UnavailableWindow, WriteCtx, WriteFault, WriteFaultAction, WriteFaultKind,
@@ -43,6 +50,6 @@ pub use fault::{
 };
 pub use region::{RegionedTable, ReopenReport, SplitConfig, StoreOpCounts};
 pub use sstable::RowPresence;
-pub use store::{ReadStatsSnapshot, Store, StoreConfig, TickReport, WriteStatsSnapshot};
+pub use store::{Store, StoreConfig, TickReport, WriteStatsSnapshot};
 pub use types::{Cell, CellKey, ColumnFamily, Qualifier, RowKey, Version};
-pub use wal::{SyncPolicy, WalStats};
+pub use wal::SyncPolicy;

@@ -42,7 +42,7 @@ use crate::fault::{
     FaultHook, FaultKind, ReadCtx, ReadFault, ReadOptions, RowRead, WriteCtx, WriteFault,
     WriteOptions,
 };
-use crate::store::{ReadStatsSnapshot, Store, StoreConfig, TickReport, WriteStatsSnapshot};
+use crate::store::{LiveWriteStats, Store, StoreConfig, TickReport, WriteStatsSnapshot};
 use crate::types::{CellKey, RowKey, Version};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -165,52 +165,51 @@ pub struct RegionedTable {
     /// Fault hook consulted by [`Self::try_get_row`] and
     /// [`Self::try_put_rows`]; `None` = clean operations.
     fault: RwLock<Option<Arc<dyn FaultHook>>>,
-    ops: OpCounters,
-    /// Table-level crash artifacts (orphan dirs + torn manifest tmp files)
-    /// swept by [`Self::open`] / [`Self::reopen`]; folded into
-    /// [`Self::write_stats`]'s `orphans_cleaned`.
-    orphans: AtomicU64,
+    /// The table's own counts: the logical ops (`row_gets`, `puts`,
+    /// `deletes`, `scans`) and the orphan dirs and manifest tmp files
+    /// [`Self::open`] / [`Self::reopen`] swept (`orphans_cleaned`). Its
+    /// stores count their physical work.
+    ops: LiveOpCounts,
+    writes: LiveWriteStats,
     /// Counters of stores this table has dropped — by [`Self::reopen`] (a
     /// crash-restart rebuilds every store with fresh atomics) or by a
     /// split/merge retiring the parent stores. The table's cumulative
     /// history (WAL work, injected failures, power-loss recoveries, runs
     /// scanned) must survive both; folded into [`Self::write_stats`] and
     /// [`Self::op_counts`].
-    carried: Mutex<(WriteStatsSnapshot, ReadStatsSnapshot)>,
+    carried: Mutex<(WriteStatsSnapshot, StoreOpCounts)>,
 }
 
-/// Lifetime operation counters (relaxed atomics; cheap enough to keep on
-/// in production). Used by the bench harness to verify the serving path's
-/// store-op budget — e.g. that a user fetch is exactly one row get.
-#[derive(Debug, Default)]
-struct OpCounters {
-    row_gets: AtomicU64,
-    puts: AtomicU64,
-    deletes: AtomicU64,
-    scans: AtomicU64,
-}
-
-/// A snapshot of a table's operation counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct StoreOpCounts {
-    /// Whole-row reads (`get_row`).
-    pub row_gets: u64,
-    /// Value cells written (`put_rows`).
-    pub puts: u64,
-    /// Tombstone cells written (`put_rows`).
-    pub deletes: u64,
-    /// Multi-row scans (`scan_rows`).
-    pub scans: u64,
-    /// Runs actually searched by reads, summed across every replica of
-    /// every region. Read-path *work* detail, not an operation — excluded
-    /// from [`StoreOpCounts::total`].
-    pub runs_scanned: u64,
-    /// Runs skipped by per-run bounds or bloom filters (work detail).
-    pub runs_skipped: u64,
-    /// Bloom filters that admitted a row a run did not hold (work detail).
-    pub bloom_false_positives: u64,
-    /// Torn-cell faults injected on the chaos read path (work detail).
-    pub torn_cells: u64,
+crate::counter_set! {
+    /// A snapshot of a table's operation counters (lifetime, relaxed
+    /// atomics; cheap enough to keep on in production). The gates use it
+    /// to verify the serving path's store-op budget — e.g. that a user
+    /// fetch is exactly one row get.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct StoreOpCounts {
+        /// Whole-row reads (`get_row`).
+        pub row_gets: u64,
+        /// Value cells written (`put_rows`).
+        pub puts: u64,
+        /// Tombstone cells written (`put_rows`).
+        pub deletes: u64,
+        /// Multi-row scans (`scan_rows`).
+        pub scans: u64,
+        /// Runs actually searched by reads, summed across every replica of
+        /// every region. Read-path *work* detail, not an operation —
+        /// excluded from [`StoreOpCounts::total`].
+        pub runs_scanned: u64,
+        /// Runs skipped by per-run bounds or bloom filters (work detail).
+        pub runs_skipped: u64,
+        /// Bloom filters that admitted a row a run did not hold (work
+        /// detail).
+        pub bloom_false_positives: u64,
+        /// Torn-cell faults injected on the chaos read path (work detail).
+        pub torn_cells: u64,
+    }
+    /// The operation counters a table bumps, and the run-level read work a
+    /// store bumps.
+    pub(crate) struct LiveOpCounts;
 }
 
 impl StoreOpCounts {
@@ -221,22 +220,6 @@ impl StoreOpCounts {
     /// many runs it touches.
     pub fn total(&self) -> u64 {
         self.row_gets + self.puts + self.deletes + self.scans
-    }
-
-    /// Counter delta since an earlier snapshot.
-    pub fn since(&self, earlier: &StoreOpCounts) -> StoreOpCounts {
-        StoreOpCounts {
-            row_gets: self.row_gets.saturating_sub(earlier.row_gets),
-            puts: self.puts.saturating_sub(earlier.puts),
-            deletes: self.deletes.saturating_sub(earlier.deletes),
-            scans: self.scans.saturating_sub(earlier.scans),
-            runs_scanned: self.runs_scanned.saturating_sub(earlier.runs_scanned),
-            runs_skipped: self.runs_skipped.saturating_sub(earlier.runs_skipped),
-            bloom_false_positives: self
-                .bloom_false_positives
-                .saturating_sub(earlier.bloom_false_positives),
-            torn_cells: self.torn_cells.saturating_sub(earlier.torn_cells),
-        }
     }
 }
 
@@ -274,8 +257,8 @@ impl RegionedTable {
             split_config: SplitConfig::default(),
             collapsed_splits: 0,
             fault: RwLock::new(None),
-            ops: OpCounters::default(),
-            orphans: AtomicU64::new(0),
+            ops: LiveOpCounts::default(),
+            writes: LiveWriteStats::default(),
             carried: Mutex::default(),
         };
         table.persist_layout(&table.map.read())?;
@@ -500,10 +483,14 @@ impl RegionedTable {
             split_config: SplitConfig::default(),
             collapsed_splits: 0,
             fault: RwLock::new(None),
-            ops: OpCounters::default(),
-            orphans: AtomicU64::new(report.orphan_dirs_removed + report.orphan_files_removed),
+            ops: LiveOpCounts::default(),
+            writes: LiveWriteStats::default(),
             carried: Mutex::default(),
         };
+        table
+            .writes
+            .orphans_cleaned
+            .add(report.orphan_dirs_removed + report.orphan_files_removed);
         Ok((table, report))
     }
 
@@ -521,10 +508,9 @@ impl RegionedTable {
         new_map.epoch = map.epoch + 1;
         *map = new_map;
         drop(map);
-        self.orphans.fetch_add(
-            report.orphan_dirs_removed + report.orphan_files_removed,
-            Ordering::Relaxed,
-        );
+        self.writes
+            .orphans_cleaned
+            .add(report.orphan_dirs_removed + report.orphan_files_removed);
         Ok(report)
     }
 
@@ -534,7 +520,7 @@ impl RegionedTable {
         let mut carried = self.carried.lock();
         for store in retired {
             carried.0.add(&store.write_stats());
-            carried.1.add(&store.read_stats());
+            carried.1.add(&store.op_counts());
         }
     }
 
@@ -720,8 +706,8 @@ impl RegionedTable {
             }
             by_region[map.region_of(&cell.0.row)].push(cell);
         }
-        self.ops.puts.fetch_add(values, Ordering::Relaxed);
-        self.ops.deletes.fetch_add(tombstones, Ordering::Relaxed);
+        self.ops.puts.add(values);
+        self.ops.deletes.add(tombstones);
         let mut waited = Duration::ZERO;
         for (region, batch) in by_region.into_iter().enumerate() {
             let Some(first) = batch.first() else {
@@ -973,18 +959,19 @@ impl RegionedTable {
         self.map.read().regions[region][0].inject_wal_sync_failure();
     }
 
-    /// Aggregate write-path counters across every replica of every region,
-    /// plus the table-level crash artifacts swept by [`Self::open`] /
-    /// [`Self::reopen`] (in `orphans_cleaned`).
+    /// Aggregate write-path counters: the table's own (the crash artifacts
+    /// swept by [`Self::open`] / [`Self::reopen`], in `orphans_cleaned`),
+    /// the carried counts of dropped stores, and every replica of every
+    /// region.
     pub fn write_stats(&self) -> WriteStatsSnapshot {
         // Map before `carried`, the order `carry` runs under: a snapshot
         // never sees a layout change's children without its parents.
         let map = self.map.read();
-        let mut out = self.carried.lock().0;
+        let mut out = self.writes.snapshot();
+        out.add(&self.carried.lock().0);
         for store in map.regions.iter().flatten() {
             out.add(&store.write_stats());
         }
-        out.orphans_cleaned += self.orphans.load(Ordering::Relaxed);
         out
     }
 
@@ -1030,7 +1017,7 @@ impl RegionedTable {
         read: impl FnOnce(usize, &Store) -> T,
     ) -> T {
         let region = map.region_of(row);
-        self.ops.row_gets.fetch_add(1, Ordering::Relaxed);
+        self.ops.row_gets.add(1);
         map.bump(region, 1);
         read(region, &map.regions[region][replica])
     }
@@ -1083,24 +1070,17 @@ impl RegionedTable {
         })
     }
 
-    /// Snapshot the lifetime operation counters, folding in the run-level
-    /// read stats of every replica of every region.
+    /// Snapshot the lifetime operation counters: the table's own ops, the
+    /// carried counts of dropped stores, and the run-level read work of
+    /// every replica of every region.
     pub fn op_counts(&self) -> StoreOpCounts {
         let map = self.map.read();
-        let mut reads = self.carried.lock().1;
+        let mut out = self.ops.snapshot();
+        out.add(&self.carried.lock().1);
         for store in map.regions.iter().flatten() {
-            reads.add(&store.read_stats());
+            out.add(&store.op_counts());
         }
-        StoreOpCounts {
-            row_gets: self.ops.row_gets.load(Ordering::Relaxed),
-            puts: self.ops.puts.load(Ordering::Relaxed),
-            deletes: self.ops.deletes.load(Ordering::Relaxed),
-            scans: self.ops.scans.load(Ordering::Relaxed),
-            runs_scanned: reads.runs_scanned,
-            runs_skipped: reads.runs_skipped,
-            bloom_false_positives: reads.bloom_false_positives,
-            torn_cells: reads.torn_cells,
-        }
+        out
     }
 
     /// Flush every region (all replicas).
@@ -1117,7 +1097,7 @@ impl RegionedTable {
     /// two binary searches; regions the scan provably misses contribute
     /// zero work (no store lock, no runs scanned or skipped).
     pub fn scan_rows(&self, start: &RowKey, end: &RowKey) -> Vec<(CellKey, Bytes)> {
-        self.ops.scans.fetch_add(1, Ordering::Relaxed);
+        self.ops.scans.add(1);
         let mut out = Vec::new();
         if start >= end {
             return out;

@@ -5,6 +5,7 @@ use crate::fault::{
     WriteFaultAction, WriteFaultKind,
 };
 use crate::memtable::MemTable;
+use crate::region::{LiveOpCounts, StoreOpCounts};
 use crate::sstable::{RowPresence, SsTable};
 use crate::types::{Cell, CellKey, RowKey, Version};
 use crate::wal::{SyncPolicy, Wal};
@@ -12,7 +13,6 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 use std::cmp::Reverse;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Store tuning knobs.
@@ -51,170 +51,72 @@ impl Default for StoreConfig {
     }
 }
 
-/// Read-path counters, bumped with relaxed atomics under the shared read
-/// lock. These are diagnostics, not operation counts — they do not feed
-/// [`crate::StoreOpCounts::total`].
-#[derive(Debug, Default)]
-struct ReadStats {
-    runs_scanned: AtomicU64,
-    runs_skipped: AtomicU64,
-    bloom_false_positives: AtomicU64,
-    torn_cells: AtomicU64,
-}
-
-/// Point-in-time copy of a store's read-path counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadStatsSnapshot {
-    /// Runs actually searched by `get_row` / `scan_rows`.
-    pub runs_scanned: u64,
-    /// Runs skipped by min/max bounds or a bloom miss.
-    pub runs_skipped: u64,
-    /// Bloom said "possible" but the run held no cell of the row: a
-    /// fruitless `get_row` walk proves the filter lied.
-    pub bloom_false_positives: u64,
-    /// Torn-cell faults injected by [`Store::try_get_row`].
-    pub torn_cells: u64,
-}
-
-impl ReadStatsSnapshot {
-    /// Field-wise sum (aggregation across replicas/regions).
-    pub fn add(&mut self, other: &ReadStatsSnapshot) {
-        self.runs_scanned += other.runs_scanned;
-        self.runs_skipped += other.runs_skipped;
-        self.bloom_false_positives += other.bloom_false_positives;
-        self.torn_cells += other.torn_cells;
+crate::counter_set! {
+    /// Point-in-time copy of a store's write-path counters, WAL work
+    /// included: *physical-work* diagnostics, deliberately apart from the
+    /// logical operation counts in [`StoreOpCounts::total`] — batching
+    /// changes how much physical work a logical write costs, never how many
+    /// logical writes happened.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct WriteStatsSnapshot {
+        /// Exclusive store-lock acquisitions taken to apply writes: one per
+        /// batch (`put_batch` / `try_put_batch`), however many cells it
+        /// holds.
+        pub lock_acquisitions: u64,
+        /// Cells applied to the memtable through the write path.
+        pub cells_written: u64,
+        /// `put_batch` calls.
+        pub batches: u64,
+        /// WAL frames appended (a batch is one frame).
+        pub wal_frames: u64,
+        /// WAL records across all frames.
+        pub wal_records: u64,
+        /// fdatasync barriers the WAL issued (appends and truncates).
+        pub wal_syncs: u64,
+        /// WAL bytes written, frame headers included.
+        pub wal_bytes: u64,
+        /// Simulated group-commit wait charged to deferred appends (µs;
+        /// always 0 outside [`SyncPolicy::GroupCommit`]).
+        pub wal_simulated_wait_micros: u64,
+        /// Injected WAL append I/O errors surfaced by
+        /// [`Store::try_put_batch`].
+        pub wal_append_failures: u64,
+        /// fsync failures surfaced by [`Store::try_put_batch`] or by a
+        /// tick's group-commit barrier.
+        pub wal_sync_failures: u64,
+        /// Simulated power losses recovered in place (WAL tail truncated,
+        /// memtable rebuilt from the surviving prefix).
+        pub power_loss_recoveries: u64,
+        /// Leftover crash artifacts (temp run files, aborted child dirs)
+        /// removed on open.
+        pub orphans_cleaned: u64,
     }
+    /// What a store (all but the `wal_*` fields, which its WAL counts) or
+    /// a table (`orphans_cleaned`) bumps.
+    pub(crate) struct LiveWriteStats;
 }
 
-/// Write-path counters (relaxed atomics). Like [`ReadStatsSnapshot`] these
-/// are *physical-work* diagnostics, deliberately separate from the logical
-/// operation counts in [`crate::StoreOpCounts::total`]: batching changes
-/// how much physical work a logical write costs, never how many logical
-/// writes happened.
-#[derive(Debug, Default)]
-struct WriteStats {
-    lock_acquisitions: AtomicU64,
-    cells_written: AtomicU64,
-    batches: AtomicU64,
-    wal_append_failures: AtomicU64,
-    wal_sync_failures: AtomicU64,
-    power_loss_recoveries: AtomicU64,
-    orphans_cleaned: AtomicU64,
-}
-
-/// Point-in-time copy of a store's write-path counters, WAL work included.
-/// The ingest benches gate on these: on a 1-core container a wall-clock
-/// speedup cannot manifest, but "10x fewer lock acquisitions and WAL
-/// frames per row" is measurable and deterministic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WriteStatsSnapshot {
-    /// Exclusive store-lock acquisitions taken to apply writes: one per
-    /// batch (`put_batch` / `try_put_batch`), however many cells it holds.
-    pub lock_acquisitions: u64,
-    /// Cells applied to the memtable through the write path.
-    pub cells_written: u64,
-    /// `put_batch` calls.
-    pub batches: u64,
-    /// WAL frames appended (a batch is one frame).
-    pub wal_frames: u64,
-    /// WAL records across all frames.
-    pub wal_records: u64,
-    /// fdatasync barriers the WAL issued.
-    pub wal_syncs: u64,
-    /// WAL bytes written, frame headers included.
-    pub wal_bytes: u64,
-    /// Simulated group-commit wait charged to deferred appends (µs).
-    pub wal_simulated_wait_micros: u64,
-    /// Injected WAL append I/O errors surfaced by [`Store::try_put_batch`].
-    pub wal_append_failures: u64,
-    /// fsync failures surfaced by [`Store::try_put_batch`] or by a tick's
-    /// group-commit barrier.
-    pub wal_sync_failures: u64,
-    /// Simulated power losses recovered in place (WAL tail truncated,
-    /// memtable rebuilt from the surviving prefix).
-    pub power_loss_recoveries: u64,
-    /// Leftover crash artifacts (temp run files, aborted child dirs)
-    /// removed on open.
-    pub orphans_cleaned: u64,
-}
-
-impl WriteStatsSnapshot {
-    /// Field-wise sum (aggregation across replicas/regions).
-    pub fn add(&mut self, other: &WriteStatsSnapshot) {
-        self.lock_acquisitions += other.lock_acquisitions;
-        self.cells_written += other.cells_written;
-        self.batches += other.batches;
-        self.wal_frames += other.wal_frames;
-        self.wal_records += other.wal_records;
-        self.wal_syncs += other.wal_syncs;
-        self.wal_bytes += other.wal_bytes;
-        self.wal_simulated_wait_micros += other.wal_simulated_wait_micros;
-        self.wal_append_failures += other.wal_append_failures;
-        self.wal_sync_failures += other.wal_sync_failures;
-        self.power_loss_recoveries += other.power_loss_recoveries;
-        self.orphans_cleaned += other.orphans_cleaned;
-    }
-
-    /// Field-wise delta against an earlier snapshot, saturating at zero
-    /// like [`crate::StoreOpCounts::since`].
-    pub fn since(&self, earlier: &WriteStatsSnapshot) -> WriteStatsSnapshot {
-        WriteStatsSnapshot {
-            lock_acquisitions: self
-                .lock_acquisitions
-                .saturating_sub(earlier.lock_acquisitions),
-            cells_written: self.cells_written.saturating_sub(earlier.cells_written),
-            batches: self.batches.saturating_sub(earlier.batches),
-            wal_frames: self.wal_frames.saturating_sub(earlier.wal_frames),
-            wal_records: self.wal_records.saturating_sub(earlier.wal_records),
-            wal_syncs: self.wal_syncs.saturating_sub(earlier.wal_syncs),
-            wal_bytes: self.wal_bytes.saturating_sub(earlier.wal_bytes),
-            wal_simulated_wait_micros: self
-                .wal_simulated_wait_micros
-                .saturating_sub(earlier.wal_simulated_wait_micros),
-            wal_append_failures: self
-                .wal_append_failures
-                .saturating_sub(earlier.wal_append_failures),
-            wal_sync_failures: self
-                .wal_sync_failures
-                .saturating_sub(earlier.wal_sync_failures),
-            power_loss_recoveries: self
-                .power_loss_recoveries
-                .saturating_sub(earlier.power_loss_recoveries),
-            orphans_cleaned: self.orphans_cleaned.saturating_sub(earlier.orphans_cleaned),
-        }
-    }
-}
-
-/// What one [`Store::tick`] did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TickReport {
-    /// Tiered merges performed (at most 1 per store per tick).
-    pub compactions: u64,
-    /// Input runs consumed by those merges.
-    pub runs_merged: u64,
-    /// Stores whose WAL had a pending group-commit window synced.
-    pub wal_synced: u64,
-    /// Regions split by [`crate::RegionedTable::tick`] (a single store
-    /// never splits; at most 1 per table tick).
-    pub region_splits: u64,
-    /// Cold sibling pairs merged by [`crate::RegionedTable::tick`] (at
-    /// most 1 per table tick).
-    pub region_merges: u64,
-    /// Stores whose pending group-commit sync *failed* this tick. The tick
-    /// carries on (the frames stay pending for the next barrier) — one
-    /// region's sick disk must not stall compaction everywhere else.
-    pub wal_sync_errors: u64,
-}
-
-impl TickReport {
-    /// Field-wise sum (aggregation across replicas/regions).
-    pub fn add(&mut self, other: &TickReport) {
-        self.compactions += other.compactions;
-        self.runs_merged += other.runs_merged;
-        self.wal_synced += other.wal_synced;
-        self.region_splits += other.region_splits;
-        self.region_merges += other.region_merges;
-        self.wal_sync_errors += other.wal_sync_errors;
+crate::counter_set! {
+    /// What one [`Store::tick`] did.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TickReport {
+        /// Tiered merges performed (at most 1 per store per tick).
+        pub compactions: u64,
+        /// Input runs consumed by those merges.
+        pub runs_merged: u64,
+        /// Stores whose WAL had a pending group-commit window synced.
+        pub wal_synced: u64,
+        /// Regions split by [`crate::RegionedTable::tick`] (a single store
+        /// never splits; at most 1 per table tick).
+        pub region_splits: u64,
+        /// Cold sibling pairs merged by [`crate::RegionedTable::tick`] (at
+        /// most 1 per table tick).
+        pub region_merges: u64,
+        /// Stores whose pending group-commit sync *failed* this tick. The
+        /// tick carries on (the frames stay pending for the next barrier) —
+        /// one region's sick disk must not stall compaction everywhere
+        /// else.
+        pub wal_sync_errors: u64,
     }
 }
 
@@ -265,8 +167,10 @@ struct Inner {
 pub struct Store {
     config: StoreConfig,
     inner: RwLock<Inner>,
-    stats: ReadStats,
-    write_stats: WriteStats,
+    /// Run-level read work (`runs_scanned`, `runs_skipped`,
+    /// `bloom_false_positives`, `torn_cells`); the table counts the ops.
+    reads: LiveOpCounts,
+    writes: LiveWriteStats,
 }
 
 impl Store {
@@ -330,52 +234,26 @@ impl Store {
                 wal,
                 next_run_id,
             }),
-            stats: ReadStats::default(),
-            write_stats: WriteStats::default(),
+            reads: LiveOpCounts::default(),
+            writes: LiveWriteStats::default(),
         };
-        store
-            .write_stats
-            .orphans_cleaned
-            .store(orphans_cleaned, Ordering::Relaxed);
+        store.writes.orphans_cleaned.add(orphans_cleaned);
         Ok(store)
     }
 
-    /// Snapshot the read-path counters.
-    pub fn read_stats(&self) -> ReadStatsSnapshot {
-        ReadStatsSnapshot {
-            runs_scanned: self.stats.runs_scanned.load(Ordering::Relaxed),
-            runs_skipped: self.stats.runs_skipped.load(Ordering::Relaxed),
-            bloom_false_positives: self.stats.bloom_false_positives.load(Ordering::Relaxed),
-            torn_cells: self.stats.torn_cells.load(Ordering::Relaxed),
-        }
+    /// Snapshot the run-level read work (the operation fields stay zero:
+    /// the table counts those).
+    pub fn op_counts(&self) -> StoreOpCounts {
+        self.reads.snapshot()
     }
 
-    /// Snapshot the write-path counters (WAL work included).
+    /// Snapshot the write-path counters: the store's own plus its WAL's.
     pub fn write_stats(&self) -> WriteStatsSnapshot {
-        let wal = self
-            .inner
-            .read()
-            .wal
-            .as_ref()
-            .map(|w| w.stats())
-            .unwrap_or_default();
-        WriteStatsSnapshot {
-            lock_acquisitions: self.write_stats.lock_acquisitions.load(Ordering::Relaxed),
-            cells_written: self.write_stats.cells_written.load(Ordering::Relaxed),
-            batches: self.write_stats.batches.load(Ordering::Relaxed),
-            wal_frames: wal.frames,
-            wal_records: wal.records,
-            wal_syncs: wal.syncs,
-            wal_bytes: wal.bytes,
-            wal_simulated_wait_micros: wal.simulated_wait_micros,
-            wal_append_failures: self.write_stats.wal_append_failures.load(Ordering::Relaxed),
-            wal_sync_failures: self.write_stats.wal_sync_failures.load(Ordering::Relaxed),
-            power_loss_recoveries: self
-                .write_stats
-                .power_loss_recoveries
-                .load(Ordering::Relaxed),
-            orphans_cleaned: self.write_stats.orphans_cleaned.load(Ordering::Relaxed),
+        let mut out = self.writes.snapshot();
+        if let Some(wal) = &self.inner.read().wal {
+            out.add(&wal.stats());
         }
+        out
     }
 
     /// Apply a batch of cell writes (values and tombstones) under **one**
@@ -395,13 +273,9 @@ impl Store {
             return Ok(Duration::ZERO);
         }
         let mut inner = self.inner.write();
-        self.write_stats
-            .lock_acquisitions
-            .fetch_add(1, Ordering::Relaxed);
-        self.write_stats.batches.fetch_add(1, Ordering::Relaxed);
-        self.write_stats
-            .cells_written
-            .fetch_add(cells.len() as u64, Ordering::Relaxed);
+        self.writes.lock_acquisitions.add(1);
+        self.writes.batches.add(1);
+        self.writes.cells_written.add(cells.len() as u64);
         let mut waited = Duration::ZERO;
         if let Some(wal) = &mut inner.wal {
             waited = wal.append_batch(&cells)?;
@@ -464,19 +338,13 @@ impl Store {
                 Ok(waited + d)
             }
             WriteFaultAction::AppendError => {
-                self.write_stats
-                    .wal_append_failures
-                    .fetch_add(1, Ordering::Relaxed);
+                self.writes.wal_append_failures.add(1);
                 Err(fault(WriteFaultKind::AppendError, None))
             }
             WriteFaultAction::SyncError => {
                 let mut inner = self.inner.write();
-                self.write_stats
-                    .lock_acquisitions
-                    .fetch_add(1, Ordering::Relaxed);
-                self.write_stats
-                    .wal_sync_failures
-                    .fetch_add(1, Ordering::Relaxed);
+                self.writes.lock_acquisitions.add(1);
+                self.writes.wal_sync_failures.add(1);
                 if let Some(wal) = &mut inner.wal {
                     // The frame lands in the file (it may yet become
                     // durable at a later barrier) but the fsync "failed":
@@ -487,12 +355,8 @@ impl Store {
             }
             WriteFaultAction::PowerLoss => {
                 let mut inner = self.inner.write();
-                self.write_stats
-                    .lock_acquisitions
-                    .fetch_add(1, Ordering::Relaxed);
-                self.write_stats
-                    .power_loss_recoveries
-                    .fetch_add(1, Ordering::Relaxed);
+                self.writes.lock_acquisitions.add(1);
+                self.writes.power_loss_recoveries.add(1);
                 self.power_loss_locked(&mut inner).map_err(io_fault)?;
                 Err(fault(WriteFaultKind::PowerLoss, None))
             }
@@ -559,15 +423,9 @@ impl Store {
             capacity += cells.len();
             sources.push(RowSource::Run(cells.iter()));
         }
-        self.stats
-            .runs_scanned
-            .fetch_add(sources.len() as u64 - 1, Ordering::Relaxed);
-        self.stats
-            .runs_skipped
-            .fetch_add(skipped, Ordering::Relaxed);
-        self.stats
-            .bloom_false_positives
-            .fetch_add(false_positives, Ordering::Relaxed);
+        self.reads.runs_scanned.add(sources.len() as u64 - 1);
+        self.reads.runs_skipped.add(skipped);
+        self.reads.bloom_false_positives.add(false_positives);
 
         let mut heads: Vec<_> = sources.iter_mut().map(|s| s.next_key(as_of)).collect();
         let mut out = Vec::with_capacity(capacity);
@@ -654,7 +512,7 @@ impl Store {
         if tear {
             // Count the injection whether or not the row had data, so chaos
             // plans can audit how many tears actually landed.
-            self.stats.torn_cells.fetch_add(1, Ordering::Relaxed);
+            self.reads.torn_cells.add(1);
             if let Some((_, value)) = cells.first_mut() {
                 // Strictly fewer bytes than the original (capped at 3), so
                 // even 1–3 byte cells come back torn rather than intact.
@@ -767,9 +625,7 @@ impl Store {
                 Ok(false) => {}
                 Err(_) => {
                     report.wal_sync_errors = 1;
-                    self.write_stats
-                        .wal_sync_failures
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.writes.wal_sync_failures.add(1);
                 }
             }
         }
@@ -857,12 +713,8 @@ impl Store {
                 consider(k, c);
             }
         }
-        self.stats
-            .runs_scanned
-            .fetch_add(scanned, Ordering::Relaxed);
-        self.stats
-            .runs_skipped
-            .fetch_add(skipped, Ordering::Relaxed);
+        self.reads.runs_scanned.add(scanned);
+        self.reads.runs_skipped.add(skipped);
         latest
             .into_iter()
             .filter_map(|(k, c)| c.value.map(|v| (k, v)))
@@ -1393,8 +1245,8 @@ mod tests {
                 "bloom must never change results (user {user})"
             );
         }
-        let filtered = with_bloom.read_stats();
-        let baseline = no_bloom.read_stats();
+        let filtered = with_bloom.op_counts();
+        let baseline = no_bloom.op_counts();
         // The baseline still skips a few runs via min/max bounds (edge
         // users near the ends of the interleaved ranges, plus u9999), but
         // the blooms must skip far more: each present user lives in exactly
@@ -1453,7 +1305,7 @@ mod tests {
                 "cell of {len} bytes returned {torn_len} bytes — not torn"
             );
             assert_eq!(torn_len, len.min(3).min(len - 1));
-            assert_eq!(s.read_stats().torn_cells, expected_tears);
+            assert_eq!(s.op_counts().torn_cells, expected_tears);
         }
     }
 

@@ -10,6 +10,7 @@
 //! never emits) truncates replay at the last good frame, which is exactly
 //! the recovery contract a crash leaves behind.
 
+use crate::store::WriteStatsSnapshot;
 use crate::types::{CellKey, Version};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::{File, OpenOptions};
@@ -150,24 +151,6 @@ pub enum SyncPolicy {
     },
 }
 
-/// Monotone counters of physical WAL work. The write-path benches gate on
-/// these (frames and syncs per logical row) because on a 1-core container
-/// wall-clock speedups cannot manifest; counted work can.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalStats {
-    /// Frames appended (a batch of any size is one frame).
-    pub frames: u64,
-    /// Records appended across all frames.
-    pub records: u64,
-    /// fdatasync barriers issued (appends and truncates).
-    pub syncs: u64,
-    /// Frame bytes written, headers included.
-    pub bytes: u64,
-    /// Simulated group-commit wait charged to deferred appends, in
-    /// microseconds (always 0 outside [`SyncPolicy::GroupCommit`]).
-    pub simulated_wait_micros: u64,
-}
-
 /// An append-only WAL file.
 pub struct Wal {
     path: PathBuf,
@@ -175,7 +158,8 @@ pub struct Wal {
     sync: SyncPolicy,
     /// Frames appended since the last durability barrier (group commit).
     pending: u32,
-    stats: WalStats,
+    /// Physical WAL work, in the store's set: only the `wal_*` fields move.
+    stats: WriteStatsSnapshot,
     /// Logical file length written so far (always frame-aligned).
     written_len: u64,
     /// Length covered by the last durability barrier: the prefix a
@@ -223,7 +207,7 @@ impl Wal {
                 writer,
                 sync,
                 pending: 0,
-                stats: WalStats::default(),
+                stats: WriteStatsSnapshot::default(),
                 written_len: good_len,
                 // Bytes that survived to be read back are durable by
                 // definition — they are on the platter we just read.
@@ -239,8 +223,9 @@ impl Wal {
         self.sync
     }
 
-    /// Snapshot the physical-work counters.
-    pub fn stats(&self) -> WalStats {
+    /// Snapshot the physical-work counters (the `wal_*` fields of a
+    /// [`WriteStatsSnapshot`]; the rest stay zero).
+    pub fn stats(&self) -> WriteStatsSnapshot {
         self.stats
     }
 
@@ -286,9 +271,9 @@ impl Wal {
         frame.put_slice(payload);
         self.writer.write_all(&frame)?;
         self.writer.flush()?;
-        self.stats.frames += 1;
-        self.stats.records += records;
-        self.stats.bytes += frame.len() as u64;
+        self.stats.wal_frames += 1;
+        self.stats.wal_records += records;
+        self.stats.wal_bytes += frame.len() as u64;
         self.written_len += frame.len() as u64;
         Ok(())
     }
@@ -316,7 +301,7 @@ impl Wal {
                     // window. A pure function of the policy, so replay is
                     // deterministic regardless of thread schedule.
                     let wait = max_wait / max_batch;
-                    self.stats.simulated_wait_micros += wait.as_micros() as u64;
+                    self.stats.wal_simulated_wait_micros += wait.as_micros() as u64;
                     Ok(wait)
                 }
             }
@@ -333,7 +318,7 @@ impl Wal {
         }
         self.writer.get_ref().sync_data()?;
         self.pending = 0;
-        self.stats.syncs += 1;
+        self.stats.wal_syncs += 1;
         self.synced_len = self.written_len;
         Ok(())
     }
@@ -367,7 +352,7 @@ impl Wal {
         file.set_len(0)?;
         self.pending = 0;
         file.sync_data()?;
-        self.stats.syncs += 1;
+        self.stats.wal_syncs += 1;
         self.writer = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
         // The truncation itself is treated as durable in the simulated
         // crash model (it rides on the flush that wrote the run file),
@@ -611,8 +596,8 @@ mod tests {
             .unwrap();
             wal.append_batch(&[]).unwrap(); // no-op, no frame
             let stats = wal.stats();
-            assert_eq!(stats.frames, 2, "one frame per append call");
-            assert_eq!(stats.records, 4);
+            assert_eq!(stats.wal_frames, 2, "one frame per append call");
+            assert_eq!(stats.wal_records, 4);
         }
         let (_w, replayed) = Wal::open(&path).unwrap();
         assert_eq!(replayed.len(), 4);
@@ -668,8 +653,8 @@ mod tests {
             waits.push(append(&mut wal, &record("u1", i, Some(b"x"))).unwrap());
         }
         let stats = wal.stats();
-        assert_eq!(stats.syncs, 2, "8 appends, groups of 4 -> 2 syncs");
-        assert_eq!(stats.frames, 8);
+        assert_eq!(stats.wal_syncs, 2, "8 appends, groups of 4 -> 2 syncs");
+        assert_eq!(stats.wal_frames, 8);
         // Group-closing appends (every 4th) pay nothing; deferred appends
         // pay the amortized share of the window: 400us / 4 = 100us.
         let expected_share = Duration::from_micros(100);
@@ -680,12 +665,12 @@ mod tests {
                 assert_eq!(*w, expected_share, "append {i} deferred");
             }
         }
-        assert_eq!(stats.simulated_wait_micros, 600, "6 deferred x 100us");
+        assert_eq!(stats.wal_simulated_wait_micros, 600, "6 deferred x 100us");
         // An open group is closed by sync_pending (the tick-driven timer).
         append(&mut wal, &record("u1", 9, Some(b"y"))).unwrap();
         assert!(wal.sync_pending().unwrap());
         assert!(!wal.sync_pending().unwrap(), "nothing left pending");
-        assert_eq!(wal.stats().syncs, 3);
+        assert_eq!(wal.stats().wal_syncs, 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -106,8 +106,8 @@ proptest! {
             }
         }
         // Sanity: the filtered store never does *more* run searches.
-        let filtered = with_bloom.read_stats();
-        let baseline = reference.read_stats();
+        let filtered = with_bloom.op_counts();
+        let baseline = reference.op_counts();
         prop_assert!(filtered.runs_scanned <= baseline.runs_scanned);
         prop_assert_eq!(
             filtered.runs_scanned + filtered.runs_skipped,
@@ -139,7 +139,7 @@ proptest! {
             // Every injection is counted, and any non-empty cell comes back
             // strictly shorter — including the 1–3 byte cells the old
             // `min(len, 3)` truncation returned intact.
-            prop_assert_eq!(store.read_stats().torn_cells, injected);
+            prop_assert_eq!(store.op_counts().torn_cells, injected);
             if *len > 0 {
                 prop_assert!(
                     read.cells[0].1.len() < *len,

@@ -3,6 +3,7 @@
 //! ```sh
 //! TITANT_SCALE=small cargo run --release -p titant-bench --bin ablation walks
 //! TITANT_SCALE=small cargo run --release -p titant-bench --bin ablation mules
+//! TITANT_SCALE=small cargo run --release -p titant-bench --bin ablation s2v
 //! ```
 //!
 //! * `walks` — uniform vs transfer-count-weighted random walks feeding
@@ -12,12 +13,16 @@
 //!   more mule frauds should depress every configuration, graph-aware ones
 //!   least of all... up to the point where the receiver isn't in the
 //!   window at all.
+//! * `s2v` — Structure2Vec embedding statistics (zero share, mean, max,
+//!   finiteness, live dimensions) across three training settings: the
+//!   check that per-round L2 normalisation keeps mean-field propagation
+//!   from diverging.
 
 use std::fmt::Write as _;
 use titant_bench::{harness, Experiment, FeatureConfig, ModelKind, Scale};
 use titant_datagen::{DatasetSlice, World, WorldConfig};
 use titant_models::{Classifier, GbdtConfig};
-use titant_nrl::{DeepWalk, DeepWalkConfig, Word2VecConfig};
+use titant_nrl::{DeepWalk, DeepWalkConfig, Structure2Vec, Structure2VecConfig, Word2VecConfig};
 use titant_txgraph::{WalkConfig, WalkStrategy};
 
 fn main() {
@@ -25,7 +30,8 @@ fn main() {
     match which.as_str() {
         "walks" => ablate_walks(),
         "mules" => ablate_mules(),
-        other => eprintln!("unknown ablation {other}; use walks|mules"),
+        "s2v" => ablate_s2v(),
+        other => eprintln!("unknown ablation {other}; use walks|mules|s2v"),
     }
 }
 
@@ -139,4 +145,63 @@ fn ablate_mules() {
     out.push_str("\nexpected: F1 declines as more fraud routes through window-invisible mules\n");
     println!("{out}");
     harness::save_results("ablation_mules.txt", &out);
+}
+
+fn ablate_s2v() {
+    let exp = Experiment::new(Scale::from_env(), 0x0711_4a47);
+    let slice = DatasetSlice::paper(0);
+    let graph = exp.world().build_graph(slice.graph_days.clone());
+    let labels = exp
+        .world()
+        .edge_labels(&graph, slice.graph_days.clone(), slice.label_cutoff());
+    let pos = labels.iter().filter(|&&(_, _, y)| y).count();
+    let mut out = String::from("Ablation: S2V stabilisation (embedding statistics)\n\n");
+    let _ = writeln!(
+        out,
+        "graph: {} nodes, {} edges, {} fraud edges ({:.3}%)",
+        graph.node_count(),
+        graph.edge_count(),
+        pos,
+        100.0 * pos as f64 / labels.len() as f64
+    );
+    for (epochs, rounds, lr) in [(3usize, 2usize, 0.01f32), (10, 2, 0.05), (10, 3, 0.001)] {
+        let emb = Structure2Vec::train(
+            &graph,
+            &labels,
+            &Structure2VecConfig {
+                dim: 32,
+                epochs,
+                rounds,
+                learning_rate: lr,
+                ..Default::default()
+            },
+        )
+        .into_embeddings();
+        let n = emb.node_count();
+        let vals = emb.as_slice();
+        let zeros = vals.iter().filter(|&&v| v == 0.0).count() as f64 / vals.len() as f64;
+        let mean = vals.iter().map(|&v| v as f64).sum::<f64>() / vals.len() as f64;
+        let max = vals.iter().cloned().fold(f32::MIN, f32::max);
+        let finite = vals.iter().all(|v| v.is_finite());
+        // A dimension is live when it varies across nodes.
+        let d = emb.dim();
+        let live_dims = (0..d)
+            .filter(|&k| {
+                let col: Vec<f64> = (0..n).map(|i| vals[i * d + k] as f64).collect();
+                let m = col.iter().sum::<f64>() / n as f64;
+                col.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / n as f64 > 1e-9
+            })
+            .count();
+        let _ = writeln!(
+            out,
+            "ep{epochs} r{rounds} lr{lr}: zeros {:.1}%  mean {mean:.4}  max {max:.3}  finite {finite}  live_dims {live_dims}/{d}",
+            zeros * 100.0
+        );
+    }
+    out.push_str(
+        "\nexpected: finite values, max <= 1 in every setting — each round L2-normalises\n\
+         the embeddings; without it magnitudes reached 10^10\n",
+    );
+    println!("{out}");
+    harness::save_results("ablation_s2v.txt", &out);
 }

@@ -195,7 +195,9 @@ pub fn run() -> Outcome {
     let served = score_map(&server, &stream, 0);
     let predict_stage_flat_us = server
         .latency()
-        .stage_mean(Stage::Predict)
+        .snapshot()
+        .stage(Stage::Predict)
+        .mean()
         .map_or(0.0, |d| d.as_secs_f64() * 1e6);
     let panel = assembled_panel(&fx, &stream);
     let flat_vs_reference_identical = checks.check(

@@ -120,18 +120,6 @@ impl FeatureConfig {
         deepwalk: true,
         structure2vec: true,
     };
-    /// DeepWalk embeddings only (diagnostic, not a paper config).
-    pub const DW_ONLY: Self = Self {
-        basic: false,
-        deepwalk: true,
-        structure2vec: false,
-    };
-    /// S2V embeddings only (diagnostic, not a paper config).
-    pub const S2V_ONLY: Self = Self {
-        basic: false,
-        deepwalk: false,
-        structure2vec: true,
-    };
 
     /// Paper-style label fragment ("", "+S2V", "+DW", "+DW+S2V").
     pub fn label(&self) -> String {

@@ -5,8 +5,11 @@ use crate::error::TitAntError;
 use crate::layout;
 use crate::offline::OfflineArtifacts;
 use std::time::Duration;
+use titant_alihbase::WriteStatsSnapshot;
 use titant_datagen::{DatasetSlice, World};
-use titant_modelserver::{AlipayServer, ModelServer, ServeError, Stage, TransferOutcome};
+use titant_modelserver::{
+    AlipayServer, ModelServer, ResilienceSnapshot, ServeError, Stage, TransferOutcome,
+};
 
 /// p50/p99 of one serving stage over the replayed interval.
 #[derive(Debug, Clone, Copy, Default)]
@@ -38,34 +41,19 @@ pub struct ServingReport {
     pub assemble: StageBreakdown,
     /// Model-predict stage.
     pub predict: StageBreakdown,
-    /// Requests the MS rejected as malformed during this replay.
+    /// Requests the MS rejected as malformed during this replay (deadline
+    /// misses are in `resilience.deadline_exceeded`: the request was
+    /// well-formed, the SLO resolved it).
     pub errors: usize,
     /// Transactions scored in degraded (context-only) mode.
-    pub degraded: usize,
-    /// Transactions whose deadline budget ran out (counted apart from
-    /// `errors`: the request was well-formed, the SLO resolved it).
-    pub deadline_exceeded: usize,
-    /// Transient-fault retries the serving path performed.
-    pub retried: usize,
-    /// Hedged reads issued against replicas.
-    pub hedged: usize,
-    /// Replica failovers performed.
-    pub failovers: usize,
-    /// Requests shed at the serving queue (always 0 in this synchronous
-    /// replay; populated by pool-driven harnesses).
-    pub shed: usize,
-    /// Ingest write retries performed against write faults during the
-    /// replayed interval (0 unless a write-fault hook is installed).
-    pub write_retried: usize,
-    /// WAL append failures the feature table absorbed during the interval.
-    pub wal_append_failures: u64,
-    /// WAL fsync failures (injected or real) absorbed during the interval.
-    pub wal_sync_failures: u64,
-    /// Seeded power-loss events recovered in place during the interval.
-    pub power_loss_recoveries: u64,
-    /// Crash artifacts (orphan temp runs, aborted child dirs) swept by
-    /// store opens during the interval.
-    pub orphans_cleaned: u64,
+    pub degraded: u64,
+    /// The Model Server's resilience counters over the replayed interval:
+    /// retries, hedges, failovers, deadline misses, sheds (always 0 in
+    /// this synchronous replay) and ingest write retries.
+    pub resilience: ResilienceSnapshot,
+    /// The feature table's write-path counters over the replayed interval:
+    /// WAL append and fsync failures, power-loss recoveries, orphans swept.
+    pub writes: WriteStatsSnapshot,
 }
 
 /// A live deployment built from offline artifacts.
@@ -108,14 +96,14 @@ impl OnlineDeployment {
         let range = world.record_range(slice.test_day..slice.test_day + 1);
         // Snapshot the recorder so the report covers *this* replay only —
         // cumulative stats would let earlier traffic pollute the quantiles.
-        let latency_before = self.model_server().latency().snapshot();
-        let stats_before = self.alipay.stats();
-        let resilience_before = self.model_server().resilience();
-        let write_before = self.model_server().write_stats();
+        let ms = self.model_server();
+        let latency_before = ms.latency().snapshot();
+        let degraded_before = ms.degraded_count();
+        let resilience_before = ms.resilience();
+        let writes_before = ms.write_stats();
         let (mut tp, mut fp, mut fn_) = (0usize, 0usize, 0usize);
         let mut total = 0usize;
         let mut errors = 0usize;
-        let mut deadline_exceeded = 0usize;
         for i in range {
             let outcome = self.alipay.transfer(layout::score_request(world, i));
             let is_fraud = world.label_as_of(i, i64::MAX) > 0.5;
@@ -127,7 +115,7 @@ impl OnlineDeployment {
                 // A deadline miss is a counted SLO outcome, not an error;
                 // a malformed record must not take the replay down either.
                 // Both are counted and the day continues.
-                (Err(ServeError::DeadlineExceeded { .. }), _) => deadline_exceeded += 1,
+                (Err(ServeError::DeadlineExceeded { .. }), _) => {}
                 (Err(_), _) => errors += 1,
             }
             total += 1;
@@ -147,11 +135,7 @@ impl OnlineDeployment {
         } else {
             0.0
         };
-        let delta = self
-            .model_server()
-            .latency()
-            .snapshot()
-            .since(&latency_before);
+        let delta = ms.latency().snapshot().since(&latency_before);
         let breakdown = |stage: Stage| {
             let s = delta.stage(stage);
             StageBreakdown {
@@ -160,8 +144,6 @@ impl OnlineDeployment {
             }
         };
         let total_stage = delta.stage(Stage::Total);
-        let resilience = self.model_server().resilience();
-        let write_delta = self.model_server().write_stats().since(&write_before);
         ServingReport {
             transactions: total,
             true_alerts: tp,
@@ -174,17 +156,9 @@ impl OnlineDeployment {
             assemble: breakdown(Stage::Assemble),
             predict: breakdown(Stage::Predict),
             errors,
-            degraded: self.alipay.stats().degraded - stats_before.degraded,
-            deadline_exceeded,
-            retried: (resilience.retried - resilience_before.retried) as usize,
-            hedged: (resilience.hedged - resilience_before.hedged) as usize,
-            failovers: (resilience.failovers - resilience_before.failovers) as usize,
-            shed: (resilience.shed - resilience_before.shed) as usize,
-            write_retried: (resilience.write_retried - resilience_before.write_retried) as usize,
-            wal_append_failures: write_delta.wal_append_failures,
-            wal_sync_failures: write_delta.wal_sync_failures,
-            power_loss_recoveries: write_delta.power_loss_recoveries,
-            orphans_cleaned: write_delta.orphans_cleaned,
+            degraded: ms.degraded_count().saturating_sub(degraded_before),
+            resilience: ms.resilience().since(&resilience_before),
+            writes: ms.write_stats().since(&writes_before),
         }
     }
 }

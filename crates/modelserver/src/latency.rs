@@ -69,8 +69,9 @@ impl Stage {
     }
 }
 
+/// One stage's live histogram. The sample count is the sum of the
+/// buckets, so a sample costs two relaxed atomic adds.
 struct StageHist {
-    count: AtomicU64,
     sum: AtomicU64,
     buckets: Box<[AtomicU64]>,
 }
@@ -78,7 +79,6 @@ struct StageHist {
 impl StageHist {
     fn new() -> Self {
         Self {
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             buckets: (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
         }
@@ -87,20 +87,10 @@ impl StageHist {
     fn record(&self, nanos: u64) {
         self.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(nanos, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn reset(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.sum.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> StageSnapshot {
         StageSnapshot {
-            count: self.count.load(Ordering::Relaxed),
             sum: self.sum.load(Ordering::Relaxed),
             buckets: self
                 .buckets
@@ -111,7 +101,9 @@ impl StageHist {
     }
 }
 
-/// Collects per-request, per-stage latencies and reports quantiles.
+/// Collects per-request, per-stage latencies. Every read goes through
+/// [`Self::snapshot`]: counts, quantiles and means are
+/// [`StageSnapshot`]'s, and [`LatencySnapshot::since`] cuts an interval.
 pub struct LatencyRecorder {
     stages: [StageHist; 4],
 }
@@ -125,7 +117,7 @@ impl Default for LatencyRecorder {
 impl std::fmt::Debug for LatencyRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LatencyRecorder")
-            .field("count", &self.count())
+            .field("count", &self.stages[Stage::Total.idx()].snapshot().count())
             .finish()
     }
 }
@@ -153,46 +145,6 @@ impl LatencyRecorder {
         self.stages[stage.idx()].record(d.as_nanos().min(u128::from(u64::MAX)) as u64);
     }
 
-    /// Number of whole requests recorded.
-    pub fn count(&self) -> usize {
-        self.stage_count(Stage::Total)
-    }
-
-    /// Number of samples recorded for one stage.
-    pub fn stage_count(&self, stage: Stage) -> usize {
-        self.stages[stage.idx()].count.load(Ordering::Relaxed) as usize
-    }
-
-    /// Whole-request quantile (nearest-rank, out-of-range `q` clamped to
-    /// `[0, 1]`); `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<Duration> {
-        self.stage_quantile(Stage::Total, q)
-    }
-
-    /// Per-stage quantile; `None` when the stage has no samples.
-    pub fn stage_quantile(&self, stage: Stage, q: f64) -> Option<Duration> {
-        self.stages[stage.idx()].snapshot().quantile(q)
-    }
-
-    /// Whole-request mean; `None` when empty. The sum and count are exact,
-    /// so the mean is not subject to bucket quantisation; the division
-    /// rounds to nearest instead of truncating.
-    pub fn mean(&self) -> Option<Duration> {
-        self.stage_mean(Stage::Total)
-    }
-
-    /// Per-stage mean; `None` when the stage has no samples.
-    pub fn stage_mean(&self, stage: Stage) -> Option<Duration> {
-        self.stages[stage.idx()].snapshot().mean()
-    }
-
-    /// Clear all stages.
-    pub fn reset(&self) {
-        for s in &self.stages {
-            s.reset();
-        }
-    }
-
     /// A point-in-time copy of every stage's histogram. Pair two snapshots
     /// with [`LatencySnapshot::since`] to get interval statistics that
     /// earlier traffic cannot pollute.
@@ -211,28 +163,29 @@ impl LatencyRecorder {
 /// One stage's frozen histogram.
 #[derive(Debug, Clone)]
 pub struct StageSnapshot {
-    count: u64,
     sum: u64,
     buckets: Vec<u64>,
 }
 
 impl StageSnapshot {
-    /// Sample count.
+    /// Sample count: the sum of the buckets, so an interval's count is
+    /// always one its buckets reach.
     pub fn count(&self) -> u64 {
-        self.count
+        self.buckets.iter().sum()
     }
 
     /// Nearest-rank quantile over the bucketed samples; the returned value
     /// is the midpoint of the bucket holding the ranked sample (≤ ~6.25%
     /// relative error). Out-of-range `q` is clamped; `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<Duration> {
-        if self.count == 0 {
+        let count = self.count();
+        if count == 0 {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
         // Nearest rank: smallest k with cumulative count ≥ ceil(q·n),
         // clamped to [1, n] so q = 0 is the minimum and q = 1 the maximum.
-        let rank = ((self.count as f64 * q).ceil() as u64).clamp(1, self.count);
+        let rank = ((count as f64 * q).ceil() as u64).clamp(1, count);
         let mut cum = 0u64;
         for (idx, n) in self.buckets.iter().enumerate() {
             cum += n;
@@ -243,21 +196,21 @@ impl StageSnapshot {
         None
     }
 
-    /// Exact mean (sum and count are tracked outside the buckets), rounded
-    /// to the nearest nanosecond; `None` when empty.
+    /// Exact mean (the sum is tracked outside the buckets, and bucket
+    /// counts are exact), rounded to the nearest nanosecond; `None` when
+    /// empty.
     pub fn mean(&self) -> Option<Duration> {
-        if self.count == 0 {
+        let count = u128::from(self.count());
+        if count == 0 {
             return None;
         }
         let sum = u128::from(self.sum);
-        let count = u128::from(self.count);
         Some(Duration::from_nanos(((sum + count / 2) / count) as u64))
     }
 
     /// Counter delta since an earlier snapshot of the same stage.
     pub fn since(&self, earlier: &StageSnapshot) -> StageSnapshot {
         StageSnapshot {
-            count: self.count.saturating_sub(earlier.count),
             sum: self.sum.saturating_sub(earlier.sum),
             buckets: self
                 .buckets
@@ -310,40 +263,52 @@ mod tests {
         );
     }
 
+    /// The whole-request histogram as of now.
+    fn total(r: &LatencyRecorder) -> StageSnapshot {
+        r.snapshot().stage(Stage::Total).clone()
+    }
+
     #[test]
     fn quantiles_of_known_distribution() {
         let r = LatencyRecorder::new();
         for ms in 1..=100u64 {
             r.record(Duration::from_millis(ms));
         }
-        close(r.quantile(0.5).unwrap(), Duration::from_millis(50));
-        close(r.quantile(0.99).unwrap(), Duration::from_millis(99));
-        close(r.quantile(1.0).unwrap(), Duration::from_millis(100));
-        close(r.quantile(0.0).unwrap(), Duration::from_millis(1));
-        assert_eq!(r.count(), 100);
+        let s = total(&r);
+        close(s.quantile(0.5).unwrap(), Duration::from_millis(50));
+        close(s.quantile(0.99).unwrap(), Duration::from_millis(99));
+        close(s.quantile(1.0).unwrap(), Duration::from_millis(100));
+        close(s.quantile(0.0).unwrap(), Duration::from_millis(1));
+        assert_eq!(s.count(), 100);
         // Mean is exact: buckets only quantise quantiles.
-        assert_eq!(r.mean().unwrap(), Duration::from_micros(50_500));
+        assert_eq!(s.mean().unwrap(), Duration::from_micros(50_500));
     }
 
     #[test]
     fn empty_recorder_returns_none() {
-        let r = LatencyRecorder::new();
-        assert!(r.quantile(0.5).is_none());
-        assert!(r.mean().is_none());
+        let r = LatencyRecorder::new().snapshot();
         for s in Stage::ALL {
-            assert!(r.stage_quantile(s, 0.5).is_none());
-            assert!(r.stage_mean(s).is_none());
+            assert_eq!(r.stage(s).count(), 0);
+            assert!(r.stage(s).quantile(0.5).is_none());
+            assert!(r.stage(s).mean().is_none());
         }
     }
 
+    /// An earlier snapshot `since` a later one saturates to an empty
+    /// interval: its count (the bucket sum) is zero, so no quantile claims
+    /// samples the buckets do not hold.
     #[test]
-    fn reset_clears() {
+    fn reversed_interval_is_empty() {
         let r = LatencyRecorder::new();
+        let before = r.snapshot();
         r.record(Duration::from_millis(1));
         r.record_stage(Stage::Fetch, Duration::from_micros(3));
-        r.reset();
-        assert_eq!(r.count(), 0);
-        assert_eq!(r.stage_count(Stage::Fetch), 0);
+        let reversed = before.since(&r.snapshot());
+        for s in Stage::ALL {
+            assert_eq!(reversed.stage(s).count(), 0);
+            assert!(reversed.stage(s).quantile(1.0).is_none());
+            assert!(reversed.stage(s).mean().is_none());
+        }
     }
 
     #[test]
@@ -352,15 +317,20 @@ mod tests {
         r.record_stage(Stage::Fetch, Duration::from_micros(10));
         r.record_stage(Stage::Fetch, Duration::from_micros(20));
         r.record_stage(Stage::Predict, Duration::from_micros(100));
-        assert_eq!(r.stage_count(Stage::Fetch), 2);
-        assert_eq!(r.stage_count(Stage::Predict), 1);
-        assert_eq!(r.count(), 0, "stage samples must not count as requests");
+        let s = r.snapshot();
+        assert_eq!(s.stage(Stage::Fetch).count(), 2);
+        assert_eq!(s.stage(Stage::Predict).count(), 1);
         assert_eq!(
-            r.stage_mean(Stage::Fetch).unwrap(),
+            s.stage(Stage::Total).count(),
+            0,
+            "stage samples must not count as requests"
+        );
+        assert_eq!(
+            s.stage(Stage::Fetch).mean().unwrap(),
             Duration::from_micros(15)
         );
         close(
-            r.stage_quantile(Stage::Predict, 0.5).unwrap(),
+            s.stage(Stage::Predict).quantile(0.5).unwrap(),
             Duration::from_micros(100),
         );
     }
@@ -381,7 +351,7 @@ mod tests {
         close(delta.quantile(0.99).unwrap(), Duration::from_micros(100));
         assert_eq!(delta.mean().unwrap(), Duration::from_micros(100));
         // Lifetime view still sees the warm-up tail.
-        assert!(r.quantile(0.99).unwrap() > Duration::from_millis(100));
+        assert!(total(&r).quantile(0.99).unwrap() > Duration::from_millis(100));
     }
 
     #[test]
@@ -390,7 +360,7 @@ mod tests {
         r.record(Duration::from_nanos(1));
         r.record(Duration::from_nanos(2));
         // 1.5ns rounds to 2, not down to 1.
-        assert_eq!(r.mean().unwrap(), Duration::from_nanos(2));
+        assert_eq!(total(&r).mean().unwrap(), Duration::from_nanos(2));
     }
 
     #[test]
@@ -429,7 +399,7 @@ mod tests {
             sorted.sort_unstable();
             let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
             let exact = sorted[rank - 1];
-            let got = r.quantile(q).unwrap().as_nanos() as u64;
+            let got = total(&r).quantile(q).unwrap().as_nanos() as u64;
             let err = (got as f64 - exact as f64).abs();
             prop_assert!(
                 err <= exact as f64 / 16.0 + 1.0,

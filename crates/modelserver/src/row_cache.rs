@@ -27,7 +27,6 @@ use crate::feature_codec::UserFeatures;
 use crate::slo::splitmix64;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Cache geometry.
@@ -49,14 +48,23 @@ impl Default for RowCacheConfig {
     }
 }
 
-/// Counters for observability (relaxed atomics, monotone).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RowCacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub inserted: u64,
-    pub evicted: u64,
-    pub invalidations: u64,
+titant_alihbase::counter_set! {
+    /// Counters for observability (relaxed atomics, monotone).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RowCacheStats {
+        /// Lookups that found the user cached.
+        pub hits: u64,
+        /// Lookups that did not.
+        pub misses: u64,
+        /// Entries inserted (first write wins; dropped duplicates excluded).
+        pub inserted: u64,
+        /// Entries evicted to make room (FIFO).
+        pub evicted: u64,
+        /// Per-user invalidations that dropped an entry, plus whole clears.
+        pub invalidations: u64,
+    }
+    /// The counters the cache bumps.
+    pub(crate) struct LiveRowCacheStats;
 }
 
 impl RowCacheStats {
@@ -84,11 +92,7 @@ struct Shard {
 pub struct RowCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserted: AtomicU64,
-    evicted: AtomicU64,
-    invalidations: AtomicU64,
+    stats: LiveRowCacheStats,
 }
 
 impl RowCache {
@@ -105,11 +109,7 @@ impl RowCache {
         Self {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             per_shard_cap,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserted: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
+            stats: LiveRowCacheStats::default(),
         }
     }
 
@@ -125,11 +125,11 @@ impl RowCache {
         let shard = self.shards[self.shard_of(user)].lock();
         match shard.map.get(&user) {
             Some(cached) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.stats.hits.add(1);
                 Some(cached.clone())
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.stats.misses.add(1);
                 None
             }
         }
@@ -150,14 +150,14 @@ impl RowCache {
             match shard.order.pop_front() {
                 Some(oldest) => {
                     shard.map.remove(&oldest);
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
+                    self.stats.evicted.add(1);
                 }
                 None => break,
             }
         }
         shard.map.insert(user, features);
         shard.order.push_back(user);
-        self.inserted.fetch_add(1, Ordering::Relaxed);
+        self.stats.inserted.add(1);
     }
 
     /// Drop one user's cached entry.
@@ -176,7 +176,7 @@ impl RowCache {
         // behind would later pop without a matching map entry and silently
         // shrink the shard's effective capacity accounting.
         shard.order.retain(|&u| u != user);
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        self.stats.invalidations.add(1);
         1
     }
 
@@ -187,7 +187,7 @@ impl RowCache {
             shard.map.clear();
             shard.order.clear();
         }
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        self.stats.invalidations.add(1);
     }
 
     /// Entries currently cached.
@@ -202,13 +202,7 @@ impl RowCache {
 
     /// Snapshot the counters.
     pub fn stats(&self) -> RowCacheStats {
-        RowCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserted: self.inserted.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-        }
+        self.stats.snapshot()
     }
 }
 

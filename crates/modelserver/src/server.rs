@@ -11,17 +11,17 @@ use crate::feature_codec::{FeatureCodec, FeatureDelta, UserFeatures};
 use crate::latency::{LatencyRecorder, Stage};
 use crate::model_file::ModelFile;
 use crate::row_cache::{RowCache, RowCacheConfig, RowCacheStats};
-use crate::slo::{Deadline, ReqRng, ResilienceCounters, ResilienceSnapshot, SloConfig};
+use crate::slo::{Deadline, LiveResilience, ReqRng, ResilienceSnapshot, SloConfig};
 use crossbeam::channel::{bounded, SendError, Sender, TrySendError};
 use parking_lot::RwLock;
 use std::collections::BTreeSet;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use titant_alihbase::{
-    FaultKind, ReadOptions, RegionedTable, ReopenReport, Version, WriteFaultKind, WriteOptions,
-    WriteStatsSnapshot,
+    Counter, FaultKind, ReadOptions, RegionedTable, ReopenReport, Version, WriteFaultKind,
+    WriteOptions, WriteStatsSnapshot,
 };
 use titant_models::{Classifier, Dataset};
 
@@ -166,10 +166,10 @@ struct Inner {
     layout: FeatureLayout,
     latency: LatencyRecorder,
     slo: SloConfig,
-    resilience: ResilienceCounters,
+    resilience: LiveResilience,
     /// Requests served context-only because a party's features could not
     /// be fetched intact.
-    degraded: AtomicU64,
+    degraded: Counter,
     /// Optional decoded-row cache in front of the feature fetch. Off by
     /// default: the chaos-replay guarantees assume every read consults the
     /// store, so the cache is opt-in via [`ModelServer::with_options`].
@@ -219,8 +219,8 @@ impl ModelServer {
                 layout,
                 latency: LatencyRecorder::new(),
                 slo,
-                resilience: ResilienceCounters::default(),
-                degraded: AtomicU64::new(0),
+                resilience: LiveResilience::default(),
+                degraded: Counter::default(),
                 cache: cache.map(RowCache::new),
             }),
         })
@@ -385,14 +385,14 @@ impl ModelServer {
                             });
                         }
                         if attempt >= inner.slo.retry.max_retries || deadline.exceeded() {
-                            inner.resilience.record_write_retries_exhausted();
+                            inner.resilience.write_retries_exhausted.add(1);
                             return Err(ServeError::IngestRetriesExhausted {
                                 attempts: attempt + 1,
                                 message: fault.to_string(),
                             });
                         }
                         deadline.back_off(&inner.slo.retry, &mut prev, &mut rng);
-                        inner.resilience.record_write_retry();
+                        inner.resilience.write_retried.add(1);
                         report.write_retries += 1;
                         attempt += 1;
                     }
@@ -435,7 +435,7 @@ impl ModelServer {
 
     /// Requests served in degraded (context-only) mode so far.
     pub fn degraded_count(&self) -> u64 {
-        self.inner.degraded.load(Ordering::Relaxed)
+        self.inner.degraded.get()
     }
 
     /// Resilience counters accumulated so far (retries, hedges, failovers,
@@ -477,7 +477,7 @@ impl ModelServer {
         let slo = &inner.slo;
         let n_replicas = inner.table.replica_count();
         let deadline_err = |d: &Deadline| {
-            inner.resilience.record_deadline_exceeded();
+            inner.resilience.deadline_exceeded.add(1);
             ServeError::DeadlineExceeded {
                 tx_id,
                 budget: d.budget().unwrap_or_default(),
@@ -535,19 +535,19 @@ impl ModelServer {
                             retries_left -= 1;
                             attempt += 1;
                             deadline.back_off(&slo.retry, &mut prev_backoff, rng);
-                            inner.resilience.record_retry();
+                            inner.resilience.retried.add(1);
                         }
                         FaultKind::Unavailable if failovers_left > 0 => {
                             failovers_left -= 1;
                             attempt += 1;
                             replica = (replica + 1) % n_replicas;
-                            inner.resilience.record_failover();
+                            inner.resilience.failovers.add(1);
                         }
                         FaultKind::TimedOut if hedges_left > 0 => {
                             hedges_left -= 1;
                             attempt += 1;
                             replica = (replica + 1) % n_replicas;
-                            inner.resilience.record_hedge();
+                            inner.resilience.hedged.add(1);
                         }
                         // Out of options for this fault kind: degrade to
                         // context-only scoring. That includes
@@ -690,7 +690,7 @@ impl ModelServer {
         degraded: bool,
     ) -> ScoreResponse {
         if degraded {
-            self.inner.degraded.fetch_add(1, Ordering::Relaxed);
+            self.inner.degraded.add(1);
         }
         ScoreResponse {
             tx_id: req.tx_id,
@@ -860,7 +860,7 @@ impl ServePool {
     /// Returns `true` when the request was accepted.
     pub fn submit(&self, req: ScoreRequest) -> bool {
         let shed = |req: ScoreRequest, queue_depth: usize| {
-            self.server.inner.resilience.record_shed();
+            self.server.inner.resilience.shed.add(1);
             (self.on_error)(ServeError::Shed {
                 tx_id: req.tx_id,
                 queue_depth,
@@ -913,6 +913,7 @@ mod tests {
     use crate::model_file::ServableModel;
     use crate::slo::{HedgePolicy, RetryPolicy};
     use proptest::prelude::*;
+    use std::sync::atomic::AtomicU64;
     use std::sync::OnceLock;
     use std::time::Duration;
     use titant_alihbase::{
@@ -993,6 +994,11 @@ mod tests {
 
     fn setup() -> ModelServer {
         setup_with_table().0
+    }
+
+    /// Whole requests the server's latency recorder has seen.
+    fn requests_recorded(ms: &ModelServer) -> u64 {
+        ms.latency().snapshot().stage(Stage::Total).count()
     }
 
     fn req(tx_id: u64, context: f32) -> ScoreRequest {
@@ -1123,7 +1129,7 @@ mod tests {
         assert!(fraud.alert, "fraud tx got p={}", fraud.probability);
         assert!(fraud.probability > safe.probability);
         assert!(!safe.degraded && !fraud.degraded);
-        assert_eq!(ms.latency().count(), 2);
+        assert_eq!(requests_recorded(&ms), 2);
         assert_eq!(ms.degraded_count(), 0);
     }
 
@@ -1133,15 +1139,15 @@ mod tests {
         for i in 0..10 {
             ms.score(&req(i, 0.2)).unwrap();
         }
+        let latency = ms.latency().snapshot();
         for stage in Stage::ALL {
-            assert_eq!(ms.latency().stage_count(stage), 10, "{stage:?}");
-            assert!(ms.latency().stage_quantile(stage, 0.99).is_some());
+            assert_eq!(latency.stage(stage).count(), 10, "{stage:?}");
+            assert!(latency.stage(stage).quantile(0.99).is_some());
         }
         // Stage sum cannot exceed the total (each is a sub-interval).
-        let total = ms.latency().stage_mean(Stage::Total).unwrap();
-        let parts = ms.latency().stage_mean(Stage::Fetch).unwrap()
-            + ms.latency().stage_mean(Stage::Assemble).unwrap()
-            + ms.latency().stage_mean(Stage::Predict).unwrap();
+        let mean = |stage| latency.stage(stage).mean().unwrap();
+        let total = mean(Stage::Total);
+        let parts = mean(Stage::Fetch) + mean(Stage::Assemble) + mean(Stage::Predict);
         assert!(parts <= total + std::time::Duration::from_micros(50));
     }
 
@@ -1198,7 +1204,7 @@ mod tests {
             }
         );
         // Rejected requests record no latency sample.
-        assert_eq!(ms.latency().count(), 0);
+        assert_eq!(requests_recorded(&ms), 0);
     }
 
     #[test]
@@ -1338,7 +1344,7 @@ mod tests {
         );
         assert_eq!(ms.resilience().deadline_exceeded, 1);
         // Deadline misses record no latency sample and no degradation.
-        assert_eq!(ms.latency().count(), 0);
+        assert_eq!(requests_recorded(&ms), 0);
         assert_eq!(ms.degraded_count(), 0);
     }
 
@@ -1411,7 +1417,8 @@ mod tests {
         assert_eq!(ms.resilience().hedged, 2, "one hedge per party");
         // The hedge abandoned the slow primary after the threshold instead
         // of waiting out the full 5 ms injected delay, twice.
-        let fetch = ms.latency().stage_quantile(Stage::Fetch, 1.0).unwrap();
+        let latency = ms.latency().snapshot();
+        let fetch = latency.stage(Stage::Fetch).quantile(1.0).unwrap();
         assert!(fetch < Duration::from_millis(5), "fetch took {fetch:?}");
     }
 

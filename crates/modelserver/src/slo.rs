@@ -10,7 +10,6 @@
 //! still happen — the latency histograms stay honest — but they never
 //! feed a decision.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// SplitMix64 finalizer shared by the per-request RNG and the row cache's
@@ -155,100 +154,28 @@ impl Deadline {
     }
 }
 
-/// Monotonic resilience counters a [`crate::ModelServer`] accumulates.
-#[derive(Debug, Default)]
-pub struct ResilienceCounters {
-    retried: AtomicU64,
-    hedged: AtomicU64,
-    failovers: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    shed: AtomicU64,
-    write_retried: AtomicU64,
-    write_retries_exhausted: AtomicU64,
-}
-
-impl ResilienceCounters {
-    /// A transient fault was retried.
-    pub fn record_retry(&self) {
-        self.retried.fetch_add(1, Ordering::Relaxed);
+titant_alihbase::counter_set! {
+    /// Point-in-time copy of the resilience counters a
+    /// [`crate::ModelServer`] accumulates.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct ResilienceSnapshot {
+        /// Transient-fault retries performed.
+        pub retried: u64,
+        /// Hedged reads issued.
+        pub hedged: u64,
+        /// Replica failovers performed.
+        pub failovers: u64,
+        /// Requests that exhausted their deadline budget.
+        pub deadline_exceeded: u64,
+        /// Requests shed at the queue.
+        pub shed: u64,
+        /// Ingest write retries performed against write faults.
+        pub write_retried: u64,
+        /// Ingest calls whose write retries were exhausted unacknowledged.
+        pub write_retries_exhausted: u64,
     }
-
-    /// A slow primary was hedged to a replica.
-    pub fn record_hedge(&self) {
-        self.hedged.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An unavailable replica was failed over.
-    pub fn record_failover(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request ran out of deadline budget.
-    pub fn record_deadline_exceeded(&self) {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request was shed at the queue.
-    pub fn record_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A faulted ingest write was retried.
-    pub fn record_write_retry(&self) {
-        self.write_retried.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An ingest write ran out of retries without being acknowledged.
-    pub fn record_write_retries_exhausted(&self) {
-        self.write_retries_exhausted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy of every counter.
-    pub fn snapshot(&self) -> ResilienceSnapshot {
-        ResilienceSnapshot {
-            retried: self.retried.load(Ordering::Relaxed),
-            hedged: self.hedged.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            write_retried: self.write_retried.load(Ordering::Relaxed),
-            write_retries_exhausted: self.write_retries_exhausted.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time copy of the resilience counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ResilienceSnapshot {
-    /// Transient-fault retries performed.
-    pub retried: u64,
-    /// Hedged reads issued.
-    pub hedged: u64,
-    /// Replica failovers performed.
-    pub failovers: u64,
-    /// Requests that exhausted their deadline budget.
-    pub deadline_exceeded: u64,
-    /// Requests shed at the queue.
-    pub shed: u64,
-    /// Ingest write retries performed against write faults.
-    pub write_retried: u64,
-    /// Ingest calls whose write retries were exhausted unacknowledged.
-    pub write_retries_exhausted: u64,
-}
-
-impl ResilienceSnapshot {
-    /// Per-field delta against an earlier snapshot.
-    pub fn since(&self, earlier: &ResilienceSnapshot) -> ResilienceSnapshot {
-        ResilienceSnapshot {
-            retried: self.retried - earlier.retried,
-            hedged: self.hedged - earlier.hedged,
-            failovers: self.failovers - earlier.failovers,
-            deadline_exceeded: self.deadline_exceeded - earlier.deadline_exceeded,
-            shed: self.shed - earlier.shed,
-            write_retried: self.write_retried - earlier.write_retried,
-            write_retries_exhausted: self.write_retries_exhausted - earlier.write_retries_exhausted,
-        }
-    }
+    /// The resilience counters the serving and ingest paths bump.
+    pub(crate) struct LiveResilience;
 }
 
 #[cfg(test)]
@@ -296,17 +223,15 @@ mod tests {
 
     #[test]
     fn resilience_snapshot_deltas() {
-        let c = ResilienceCounters::default();
-        c.record_retry();
-        c.record_retry();
-        c.record_hedge();
+        let c = LiveResilience::default();
+        c.retried.add(2);
+        c.hedged.add(1);
         let before = c.snapshot();
-        c.record_failover();
-        c.record_deadline_exceeded();
-        c.record_shed();
-        c.record_write_retry();
-        c.record_write_retry();
-        c.record_write_retries_exhausted();
+        c.failovers.add(1);
+        c.deadline_exceeded.add(1);
+        c.shed.add(1);
+        c.write_retried.add(2);
+        c.write_retries_exhausted.add(1);
         let delta = c.snapshot().since(&before);
         assert_eq!(
             delta,

@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use titant::core::layout;
-use titant::modelserver::ScoreRequest;
+use titant::modelserver::{ScoreRequest, Stage};
 use titant::prelude::*;
 
 fn main() {
@@ -52,7 +52,8 @@ fn main() {
 
     for pool in [1usize, 4, 8] {
         let ms = deployment.model_server().clone();
-        ms.latency().reset();
+        // This pass's latencies only: an interval since here.
+        let before = ms.latency().snapshot();
         let caught = Arc::new(AtomicUsize::new(0));
         let done = Arc::new(AtomicUsize::new(0));
 
@@ -90,20 +91,21 @@ fn main() {
         // Drain the queue and join every worker before reading the clock.
         worker_pool.shutdown();
         let elapsed = t0.elapsed();
-        let lat = ms.latency();
+        let lat = ms.latency().snapshot().since(&before);
+        let total = lat.stage(Stage::Total);
         println!(
             "pool {pool}: {:.0} tx/s  p50 {:?}  p99 {:?}  fraud alerts {}/{} per pass",
             done.load(Ordering::Relaxed) as f64 / elapsed.as_secs_f64(),
-            lat.quantile(0.5).unwrap_or_default(),
-            lat.quantile(0.99).unwrap_or_default(),
+            total.quantile(0.5).unwrap_or_default(),
+            total.quantile(0.99).unwrap_or_default(),
             caught.load(Ordering::Relaxed) / multiplier,
             fraud_ids.len(),
         );
-        for stage in titant::modelserver::Stage::ALL {
+        for stage in Stage::ALL {
             println!(
                 "  {stage:?}: p50 {:?}  p99 {:?}",
-                lat.stage_quantile(stage, 0.5).unwrap_or_default(),
-                lat.stage_quantile(stage, 0.99).unwrap_or_default(),
+                lat.stage(stage).quantile(0.5).unwrap_or_default(),
+                lat.stage(stage).quantile(0.99).unwrap_or_default(),
             );
         }
     }

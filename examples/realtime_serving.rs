@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use titant::core::layout;
-use titant::modelserver::ScoreRequest;
+use titant::modelserver::{ScoreRequest, Stage};
 use titant::prelude::*;
 
 fn main() {
@@ -93,7 +93,8 @@ fn main() {
     pool.shutdown();
     let elapsed = t0.elapsed();
 
-    let lat = ms.latency();
+    let lat = ms.latency().snapshot();
+    let total_stage = lat.stage(Stage::Total);
     println!(
         "done: {} requests in {:.2?} = {:.0} tx/s, {} alerts raised, {} rejected",
         done.load(Ordering::Relaxed),
@@ -102,18 +103,18 @@ fn main() {
         alerts.load(Ordering::Relaxed),
         errors.load(Ordering::Relaxed),
     );
-    let q = |q| lat.quantile(q).unwrap_or_default();
+    let q = |q| total_stage.quantile(q).unwrap_or_default();
     println!(
         "latency p50 {:?}  p99 {:?}  mean {:?} — \"predict online real-time transaction fraud within only milliseconds\"",
         q(0.5),
         q(0.99),
-        lat.mean().unwrap_or_default(),
+        total_stage.mean().unwrap_or_default(),
     );
-    for stage in titant::modelserver::Stage::ALL {
+    for stage in Stage::ALL {
         println!(
             "  {stage:?}: p50 {:?}  p99 {:?}",
-            lat.stage_quantile(stage, 0.5).unwrap_or_default(),
-            lat.stage_quantile(stage, 0.99).unwrap_or_default(),
+            lat.stage(stage).quantile(0.5).unwrap_or_default(),
+            lat.stage(stage).quantile(0.99).unwrap_or_default(),
         );
     }
 }

@@ -56,10 +56,12 @@ cargo bench --no-run
 # every crate item it uses in benchmark/src/api.rs; building it here makes
 # a rename of a pinned item fail verify instead of the benchmark run. Its
 # unit tests pin the fixture layout and BENCHMARK.json's metric list.
+# --locked: benchmark/Cargo.lock is tracked and pinned, so a new crate or
+# dependency edge fails here instead of silently rewriting the lock file.
 echo "==> benchmark package: build + tests + clippy"
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
-cargo test --release --offline --manifest-path benchmark/Cargo.toml
-cargo clippy --release --offline --manifest-path benchmark/Cargo.toml -- -D warnings
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
+cargo clippy --release --offline --locked --manifest-path benchmark/Cargo.toml -- -D warnings
 
 if [[ $QUICK -eq 1 ]]; then
     echo "==> the nine gates"
