@@ -179,6 +179,17 @@ impl SsTable {
 
     /// Persist to a file (length-prefixed CRC frame).
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        let payload = self.encode_payload();
+        let mut f = File::create(path)?;
+        let mut header = [0u8; 8];
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crc32(&payload).to_le_bytes());
+        f.write_all(&header)?;
+        f.write_all(&payload)
+    }
+
+    /// The frame payload: the entry count, then each entry in run order.
+    fn encode_payload(&self) -> BytesMut {
         let mut payload = BytesMut::new();
         payload.put_u64_le(self.entries.len() as u64);
         for (k, c) in &self.entries {
@@ -194,18 +205,22 @@ impl SsTable {
                 None => payload.put_u8(0),
             }
         }
-        let mut f = File::create(path)?;
-        let mut header = [0u8; 8];
-        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        header[4..].copy_from_slice(&crc32(&payload).to_le_bytes());
-        f.write_all(&header)?;
-        f.write_all(&payload)
+        payload
     }
 
     /// Load from a file written by [`SsTable::save`].
     pub fn load(path: &Path) -> std::io::Result<SsTable> {
         let mut data = Vec::new();
         File::open(path)?.read_to_end(&mut data)?;
+        Self::decode(&data)
+    }
+
+    /// Decode a whole run file. Accepts exactly what [`SsTable::save`]
+    /// writes — one frame, a count no larger than the payload can hold,
+    /// entries in run order with no repeated `(key, version)`, nothing
+    /// after the last entry — and returns `InvalidData` for anything
+    /// else, never a panic or a count-sized allocation.
+    fn decode(data: &[u8]) -> std::io::Result<SsTable> {
         if data.len() < 8 {
             return Err(corrupt("truncated header"));
         }
@@ -214,7 +229,10 @@ impl SsTable {
         if data.len() < 8 + len {
             return Err(corrupt("truncated payload"));
         }
-        let payload = &data[8..8 + len];
+        if data.len() > 8 + len {
+            return Err(corrupt("bytes after the frame"));
+        }
+        let payload = &data[8..];
         if crc32(payload) != crc {
             return Err(corrupt("crc mismatch"));
         }
@@ -222,8 +240,9 @@ impl SsTable {
         if buf.remaining() < 8 {
             return Err(corrupt("missing count"));
         }
-        let count = buf.get_u64_le() as usize;
-        let mut entries = Vec::with_capacity(count);
+        let count = buf.get_u64_le();
+        let mut entries: Vec<(CellKey, Cell)> =
+            Vec::with_capacity(count.min((buf.remaining() / MIN_ENTRY_BYTES) as u64) as usize);
         for _ in 0..count {
             let row = get_slice(&mut buf).ok_or_else(|| corrupt("row"))?;
             let family = get_slice(&mut buf).ok_or_else(|| corrupt("family"))?;
@@ -232,21 +251,29 @@ impl SsTable {
                 return Err(corrupt("cell header"));
             }
             let version = buf.get_u64_le();
-            let value = if buf.get_u8() == 1 {
-                Some(Bytes::copy_from_slice(
+            let value = match buf.get_u8() {
+                0 => None,
+                1 => Some(Bytes::copy_from_slice(
                     get_slice(&mut buf).ok_or_else(|| corrupt("value"))?,
-                ))
-            } else {
-                None
+                )),
+                _ => return Err(corrupt("value flag")),
             };
-            entries.push((
-                CellKey {
-                    row: row.into(),
-                    family: utf8(family)?.into(),
-                    qualifier: utf8(qualifier)?.into(),
-                },
-                Cell { version, value },
-            ));
+            let key = CellKey {
+                row: row.into(),
+                family: utf8(family)?.into(),
+                qualifier: utf8(qualifier)?.into(),
+            };
+            // Key ascending, then version strictly descending: what
+            // `row_slice`'s binary search and the merge read assume.
+            if let Some((prev_key, prev)) = entries.last() {
+                if *prev_key > key || (*prev_key == key && prev.version <= version) {
+                    return Err(corrupt("entries out of order"));
+                }
+            }
+            entries.push((key, Cell { version, value }));
+        }
+        if buf.remaining() != 0 {
+            return Err(corrupt("bytes after the last entry"));
         }
         Ok(SsTable {
             entries,
@@ -254,6 +281,11 @@ impl SsTable {
         })
     }
 }
+
+/// The smallest encoded entry: three empty slices (a `u32` length each), a
+/// `u64` version and a tombstone flag. Caps the preallocation a claimed
+/// count can ask for.
+const MIN_ENTRY_BYTES: usize = 3 * 4 + 8 + 1;
 
 fn corrupt(what: &str) -> std::io::Error {
     std::io::Error::new(
@@ -357,6 +389,104 @@ mod tests {
         std::fs::write(&path, &data).unwrap();
         assert!(SsTable::load(&path).is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `payload` framed as a run file, with a valid CRC.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut file = (payload.len() as u32).to_le_bytes().to_vec();
+        file.extend_from_slice(&crc32(payload).to_le_bytes());
+        file.extend_from_slice(payload);
+        file
+    }
+
+    /// The payload `save` writes for `t`, with its count replaced.
+    fn payload_with_count(t: &SsTable, count: u64) -> Vec<u8> {
+        let mut payload = t.encode_payload().to_vec();
+        payload[..8].copy_from_slice(&count.to_le_bytes());
+        payload
+    }
+
+    fn invalid_data(result: std::io::Result<SsTable>) -> bool {
+        matches!(result, Err(e) if e.kind() == std::io::ErrorKind::InvalidData)
+    }
+
+    /// Regression: a CRC-valid count of `u64::MAX` panicked with "capacity
+    /// overflow", and 2^32 asked for a ~300 GB allocation.
+    #[test]
+    fn claimed_count_never_sizes_the_allocation() {
+        let t = table_with(&[("u1", "age", 1, Some(b"x"))]);
+        for count in [u64::MAX, 1 << 32, 2] {
+            let file = framed(&payload_with_count(&t, count));
+            assert!(invalid_data(SsTable::decode(&file)), "count {count}");
+        }
+    }
+
+    /// Regression: bytes after the last entry were silently ignored.
+    #[test]
+    fn bytes_after_the_last_entry_are_rejected() {
+        let t = table_with(&[("u1", "age", 1, Some(b"x"))]);
+        let mut payload = payload_with_count(&t, 1);
+        assert_eq!(SsTable::decode(&framed(&payload)).unwrap().len(), 1);
+        payload.push(0);
+        assert!(invalid_data(SsTable::decode(&framed(&payload))));
+    }
+
+    /// Regression: entries in an order `save` never writes were accepted,
+    /// and `row_slice`'s binary search then misread them.
+    #[test]
+    fn entries_out_of_run_order_are_rejected() {
+        let encode = |entries: &[(&str, u64)]| {
+            let mut payload = BytesMut::new();
+            payload.put_u64_le(entries.len() as u64);
+            for &(row, version) in entries {
+                put_slice(&mut payload, row.as_bytes());
+                put_slice(&mut payload, b"basic");
+                put_slice(&mut payload, b"age");
+                payload.put_u64_le(version);
+                payload.put_u8(0);
+            }
+            framed(&payload)
+        };
+        assert_eq!(
+            SsTable::decode(&encode(&[("u1", 2), ("u1", 1), ("u2", 1)]))
+                .unwrap()
+                .len(),
+            3
+        );
+        for (name, entries) in [
+            ("keys descending", [("u2", 1), ("u1", 1)]),
+            ("versions ascending", [("u1", 1), ("u1", 2)]),
+            ("repeated (key, version)", [("u1", 1), ("u1", 1)]),
+        ] {
+            assert!(invalid_data(SsTable::decode(&encode(&entries))), "{name}");
+        }
+    }
+
+    /// Every truncation and every single-bit flip of a saved run file is
+    /// `InvalidData`: never a panic, never a silently different run.
+    #[test]
+    fn every_truncation_and_bit_flip_of_a_run_file_is_invalid_data() {
+        let t = table_with(&[
+            ("u1", "age", 1, Some(b"30")),
+            ("u1", "age", 2, None),
+            ("u2", "gender", 1, Some(b"f")),
+        ]);
+        let dir = std::env::temp_dir().join(format!("titant-sstw-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.sst");
+        t.save(&path).unwrap();
+        let file = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(SsTable::decode(&file).unwrap().len(), t.len());
+        for cut in 0..file.len() {
+            assert!(invalid_data(SsTable::decode(&file[..cut])), "cut {cut}");
+        }
+        let mut flipped = file.clone();
+        for bit in 0..file.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(invalid_data(SsTable::decode(&flipped)), "bit {bit}");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 
     #[test]

@@ -23,17 +23,61 @@ use std::time::Duration;
 /// unchanged; replay rejects a payload that lacks it.
 const BATCH_SENTINEL: u32 = u32::MAX;
 
-/// CRC-32 (IEEE) implemented locally to keep the dependency set to the
-/// approved list.
-pub fn crc32(data: &[u8]) -> u32 {
-    const POLY: u32 = 0xEDB8_8320;
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
+/// The reflected IEEE CRC-32 polynomial.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 lookup tables, built at compile time. `CRC_TABLES[0][b]` is
+/// the CRC register after feeding byte `b` alone; `CRC_TABLES[k][b]` is
+/// that register after `k` further zero bytes, so eight table reads fold
+/// eight input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE) implemented locally to keep the dependency set to the
+/// approved list: slice-by-8 over `CRC_TABLES`, then a byte at a time
+/// for the last `len % 8` bytes.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
 }
@@ -436,6 +480,7 @@ fn decode_payload(payload: &[u8], out: &mut Vec<WalRecord>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn record(row: &str, version: u64, value: Option<&'static [u8]>) -> WalRecord {
         WalRecord {
@@ -456,11 +501,41 @@ mod tests {
         dir
     }
 
+    /// The bitwise CRC-32 the log used before the table kernel: the
+    /// reference every frame and run file checksum must still equal.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (POLY & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_reference_vector() {
         // Standard test vector: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    proptest! {
+        /// The slice-by-8 kernel equals the bitwise loop on every length
+        /// (whole words plus each remainder) at every start alignment.
+        #[test]
+        fn crc32_equals_the_bitwise_reference(
+            buf in prop::collection::vec(0u8..=255, 0..=4_104),
+            start in 0usize..8,
+            len in 0usize..=4_096,
+        ) {
+            let start = start.min(buf.len());
+            let data = &buf[start..buf.len().min(start + len)];
+            prop_assert_eq!(crc32(data), crc32_bitwise(data));
+        }
     }
 
     #[test]

@@ -3,10 +3,15 @@
 //! State is per user, per window: a ring buffer of per-tick partial
 //! aggregates plus running totals. Observing an event touches one slot
 //! per window; advancing the clock subtracts the slot that leaves each
-//! window and reuses it for the tick that enters — O(windows) per event
-//! and per tick, independent of window length.
+//! window and reuses it for the tick that enters. Closing a tick visits
+//! only the users whose windows can have changed — those observed in it,
+//! and those a slot just left — found through a history ring of each
+//! recent tick's distinct payers: O(windows) per event and O(touched
+//! users × windows) per tick, independent of window length and of how
+//! many users hold live state.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use titant_modelserver::{FeatureDelta, IngestOptions, IngestReport, ModelServer, ServeError};
 
 /// Feature slots emitted per window, in order: txn count, amount sum
@@ -104,8 +109,13 @@ impl Ring {
         }
     }
 
+    /// The slot `tick` maps to.
+    fn index(&self, tick: u64) -> usize {
+        (tick % self.slots.len() as u64) as usize
+    }
+
     fn observe(&mut self, tick: u64, payee: u64, amount_cents: u64, cap: usize) {
-        let idx = (tick % self.slots.len() as u64) as usize;
+        let idx = self.index(tick);
         let slot = &mut self.slots[idx];
         slot.count += 1;
         slot.amount += amount_cents;
@@ -121,7 +131,7 @@ impl Ring {
     /// enters the window and its previous occupant (`tick - window`)
     /// leaves.
     fn evict_for(&mut self, tick: u64) {
-        let idx = (tick % self.slots.len() as u64) as usize;
+        let idx = self.index(tick);
         let slot = &mut self.slots[idx];
         self.count -= slot.count;
         self.amount -= slot.amount;
@@ -148,17 +158,26 @@ impl Ring {
 /// then [`Self::advance`] (or [`Self::advance_and_ingest`]) to close the
 /// tick: the windows ending at the closed tick are compared against what
 /// was last emitted per user and only the changed slots become
-/// [`FeatureDelta`]s. All iteration is over ordered maps, so the emitted
-/// sequence is a pure function of the event sequence.
+/// [`FeatureDelta`]s. Users are diffed in ascending id order, so the
+/// emitted sequence is a pure function of the event sequence.
 #[derive(Debug)]
 pub struct VelocityAggregator {
     config: VelocityConfig,
     tick: u64,
     /// Live window state per user; a user with every window empty is
-    /// dropped (after their zeroing delta has been emitted).
-    users: BTreeMap<u64, Vec<Ring>>,
+    /// dropped (after their zeroing delta has been emitted). Like
+    /// `last_emitted`, only ever looked up by id, never iterated: the
+    /// emitted order comes from the sorted candidate list.
+    users: HashMap<u64, Vec<Ring>>,
     /// The velocity vector last flushed per user; absent = all zeros.
-    last_emitted: BTreeMap<u64, Vec<f32>>,
+    last_emitted: HashMap<u64, Vec<f32>>,
+    /// Distinct payers observed in the open tick, in first-observed order.
+    observed: Vec<u64>,
+    /// Distinct payers of each of the last `max(windows)` closed ticks:
+    /// closed tick `t` at index `t % max(windows)`. Closing tick `T` moves
+    /// ring `w`'s window off tick `T + 1 - w`, so its payers are exactly
+    /// the users that slot eviction touches.
+    history: Vec<Vec<u64>>,
     stats: StreamStats,
 }
 
@@ -175,11 +194,14 @@ impl VelocityAggregator {
             "window lengths must be at least 1 tick"
         );
         assert!(config.max_counterparties > 0, "need a distinct bound >= 1");
+        let longest = config.windows.iter().copied().max().unwrap_or(1);
         Self {
             config,
             tick: 0,
-            users: BTreeMap::new(),
-            last_emitted: BTreeMap::new(),
+            users: HashMap::new(),
+            last_emitted: HashMap::new(),
+            observed: Vec::new(),
+            history: vec![Vec::new(); longest as usize],
             stats: StreamStats::default(),
         }
     }
@@ -223,6 +245,11 @@ impl VelocityAggregator {
             .users
             .entry(event.payer)
             .or_insert_with(|| self.config.windows.iter().map(|&w| Ring::new(w)).collect());
+        // Every ring's slot for the open tick was cleared when the tick
+        // opened, so an empty one means this is the payer's first event.
+        if rings[0].slots[rings[0].index(event.tick)].count == 0 {
+            self.observed.push(event.payer);
+        }
         for ring in rings.iter_mut() {
             ring.observe(
                 event.tick,
@@ -238,10 +265,11 @@ impl VelocityAggregator {
     /// The velocity vector for `user` over the windows ending at the
     /// current tick (what [`Self::advance`] would flush for them now).
     pub fn features_of(&self, user: u64) -> Vec<f32> {
-        match self.users.get(&user) {
-            Some(rings) => Self::vector_of(rings),
-            None => vec![0.0; self.config.width()],
+        let mut out = vec![0.0; self.config.width()];
+        if let Some(rings) = self.users.get(&user) {
+            Self::vector_into(rings, &mut out);
         }
+        out
     }
 
     /// The velocity vector last flushed for `user` (all zeros when the
@@ -253,49 +281,72 @@ impl VelocityAggregator {
         }
     }
 
-    fn vector_of(rings: &[Ring]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(rings.len() * STATS_PER_WINDOW);
+    /// Overwrite `out` with the velocity vector of `rings`.
+    fn vector_into(rings: &[Ring], out: &mut Vec<f32>) {
+        out.clear();
         for ring in rings {
-            out.push(ring.count as f32);
-            out.push(ring.amount as f32);
-            out.push(ring.distinct.len() as f32);
+            out.extend([
+                ring.count as f32,
+                ring.amount as f32,
+                ring.distinct.len() as f32,
+            ]);
         }
-        out
     }
 
     /// Compute the deltas closing the current tick would flush, without
     /// changing any state: per user, the changed `(slot, value)` pairs
     /// between the windows ending now and what was last emitted. Users
     /// whose activity fully expired get an explicit zeroing delta.
+    ///
+    /// Only two kinds of user can differ from what was last emitted: one
+    /// observed in the open tick, and one whose slot for it the previous
+    /// commit evicted — a payer of tick `T - w` for some window `w`. Every
+    /// other user was diffed clean at the last flush and has not moved.
     pub fn pending_deltas(&self) -> Vec<FeatureDelta> {
-        let zeros = vec![0.0; self.config.width()];
-        let mut deltas = Vec::new();
-        // Union of live users and users with a nonzero flushed vector;
-        // both maps are ordered, so the merge — and the emitted order —
-        // is deterministic.
-        let mut users: Vec<u64> = self.users.keys().copied().collect();
-        users.extend(self.last_emitted.keys().copied());
+        let mut users = self.observed.clone();
+        for &w in &self.config.windows {
+            if let Some(left) = self.tick.checked_sub(u64::from(w)) {
+                users.extend_from_slice(&self.history[self.history_slot(left)]);
+            }
+        }
         users.sort_unstable();
         users.dedup();
-        for user in users {
-            let current = match self.users.get(&user) {
-                Some(rings) => Self::vector_of(rings),
-                None => zeros.clone(),
-            };
+        self.diff(&users)
+    }
+
+    /// Where closed tick `tick`'s payers live in `history`.
+    fn history_slot(&self, tick: u64) -> usize {
+        (tick % self.history.len() as u64) as usize
+    }
+
+    /// Diff `users`, in the order given, against what was last emitted.
+    fn diff(&self, users: &[u64]) -> Vec<FeatureDelta> {
+        let zeros = vec![0.0; self.config.width()];
+        // Reused across users, so a delta allocates only its own slots.
+        let mut current = Vec::with_capacity(zeros.len());
+        let mut changed = Vec::with_capacity(zeros.len());
+        let mut deltas = Vec::new();
+        for &user in users {
+            match self.users.get(&user) {
+                Some(rings) => Self::vector_into(rings, &mut current),
+                None => current.clone_from(&zeros),
+            }
             let prev = self.last_emitted.get(&user).unwrap_or(&zeros);
-            let velocity: Vec<(usize, f32)> = current
-                .iter()
-                .zip(prev)
-                .enumerate()
-                .filter(|(_, (c, p))| c.to_bits() != p.to_bits())
-                .map(|(i, (c, _))| (i, *c))
-                .collect();
-            if !velocity.is_empty() {
+            changed.extend(
+                current
+                    .iter()
+                    .zip(prev)
+                    .enumerate()
+                    .filter(|(_, (c, p))| c.to_bits() != p.to_bits())
+                    .map(|(i, (c, _))| (i, *c)),
+            );
+            if !changed.is_empty() {
                 deltas.push(FeatureDelta {
                     user,
-                    velocity,
+                    velocity: changed.to_vec(),
                     ..FeatureDelta::default()
                 });
+                changed.clear();
             }
         }
         deltas
@@ -303,29 +354,42 @@ impl VelocityAggregator {
 
     /// Commit a flush: fold `deltas` into the last-emitted vectors, close
     /// the tick, evict the slots leaving each window, and drop users with
-    /// no remaining state.
+    /// no remaining state. Only the payers of tick `next - w` hold ring
+    /// `w`'s slot for `next`, so only they are evicted and checked.
     fn commit(&mut self, deltas: &[FeatureDelta]) {
         for d in deltas {
-            let v = self
-                .last_emitted
-                .entry(d.user)
-                .or_insert_with(|| vec![0.0; self.config.width()]);
+            let mut emitted = match self.last_emitted.entry(d.user) {
+                Entry::Occupied(e) => e,
+                Entry::Vacant(e) => e.insert_entry(vec![0.0; self.config.width()]),
+            };
+            let v = emitted.get_mut();
             for &(i, value) in &d.velocity {
                 v[i] = value;
             }
             if v.iter().all(|&x| x == 0.0) {
-                self.last_emitted.remove(&d.user);
+                emitted.remove();
             }
             self.stats.slots_emitted += d.velocity.len() as u64;
         }
+        let slot = self.history_slot(self.tick);
+        std::mem::swap(&mut self.history[slot], &mut self.observed);
+        self.observed.clear();
         self.tick += 1;
         let next = self.tick;
-        self.users.retain(|_, rings| {
-            for ring in rings.iter_mut() {
-                ring.evict_for(next);
+        for (i, &w) in self.config.windows.iter().enumerate() {
+            let Some(left) = next.checked_sub(u64::from(w)) else {
+                continue;
+            };
+            for &user in &self.history[self.history_slot(left)] {
+                // Vacant when an earlier ring's eviction dropped the user.
+                if let Entry::Occupied(mut rings) = self.users.entry(user) {
+                    rings.get_mut()[i].evict_for(next);
+                    if rings.get().iter().all(Ring::is_empty) {
+                        rings.remove();
+                    }
+                }
             }
-            !rings.iter().all(Ring::is_empty)
-        });
+        }
         self.stats.ticks_advanced += 1;
     }
 
@@ -402,6 +466,7 @@ pub fn brute_force_velocity(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn cfg(windows: &[u32], cap: usize) -> VelocityConfig {
         VelocityConfig {
@@ -428,6 +493,27 @@ mod tests {
                 v[i] = value;
             }
         }
+    }
+
+    /// The advance before it visited only touched users: a diff over
+    /// every user with live window state or a nonzero flushed vector.
+    fn full_scan_deltas(agg: &VelocityAggregator) -> Vec<FeatureDelta> {
+        let mut users: Vec<u64> = agg.users.keys().copied().collect();
+        users.extend(agg.last_emitted.keys().copied());
+        users.sort_unstable();
+        users.dedup();
+        agg.diff(&users)
+    }
+
+    /// Deltas with every value as its bit pattern, so equality is bitwise.
+    fn bits(deltas: &[FeatureDelta]) -> Vec<(u64, Vec<(usize, u32)>)> {
+        deltas
+            .iter()
+            .map(|d| {
+                let slots = d.velocity.iter().map(|&(i, v)| (i, v.to_bits()));
+                (d.user, slots.collect())
+            })
+            .collect()
     }
 
     #[test]
@@ -614,6 +700,47 @@ mod tests {
                         brute_force_velocity(&c, &log, tick, u)
                     );
                 }
+            }
+        }
+
+        /// The touched-users advance equals a diff over every user with
+        /// live or flushed state, in order and bits, before every advance
+        /// and on a repeated call; after every commit no all-empty user
+        /// remains and the live count is the number of payers still inside
+        /// the longest window. Window sets: one tick, a repeated window,
+        /// one longer than the stream, and random ones.
+        #[test]
+        fn touched_users_advance_equals_a_full_scan(
+            set in 0usize..4,
+            random in proptest::collection::vec(1u32..6, 1..4),
+            cap in 1usize..4,
+            raw in proptest::collection::vec((0u64..5, 0u64..6, 1u64..500, 0u8..4), 0..80),
+        ) {
+            let windows = [vec![1], vec![2, 2], vec![1_000], random][set].clone();
+            let longest = u64::from(*windows.iter().max().unwrap());
+            let mut agg = VelocityAggregator::new(cfg(&windows, cap));
+            let mut log: Vec<TxnEvent> = Vec::new();
+            let mut tick = 0u64;
+            // One trailing gap drains the short windows back to empty.
+            let tail = (0, 0, 1, 7u8);
+            for (payer, payee, cents, gap) in raw.into_iter().chain([tail]) {
+                for _ in 0..gap {
+                    let want = bits(&full_scan_deltas(&agg));
+                    prop_assert_eq!(bits(&agg.pending_deltas()), want.clone());
+                    prop_assert_eq!(bits(&agg.pending_deltas()), want.clone());
+                    prop_assert_eq!(bits(&agg.advance()), want);
+                    tick += 1;
+                    prop_assert!(agg.users.values().all(|r| !r.iter().all(Ring::is_empty)));
+                    let live: BTreeSet<u64> = log
+                        .iter()
+                        .filter(|e| e.tick + longest > tick)
+                        .map(|e| e.payer)
+                        .collect();
+                    prop_assert_eq!(agg.live_users(), live.len());
+                }
+                let e = ev(tick, payer, payee, cents);
+                agg.observe(&e);
+                log.push(e);
             }
         }
 
