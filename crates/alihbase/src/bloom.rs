@@ -33,6 +33,24 @@ fn base_hash(key: &[u8]) -> u64 {
     h
 }
 
+/// The two double-hashing probe bases of one key: a function of the key
+/// bytes and the fixed seed alone, so one value serves every filter.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowProbe {
+    h1: u64,
+    h2: u64,
+}
+
+impl RowProbe {
+    pub(crate) fn new(key: &[u8]) -> Self {
+        let h1 = base_hash(key);
+        // An odd second hash keeps the probe stride co-prime-ish with
+        // power-of-two bit counts.
+        let h2 = splitmix64(h1 ^ BLOOM_SEED) | 1;
+        Self { h1, h2 }
+    }
+}
+
 /// A classic k-probe bloom filter over row-key bytes, double-hashed so each
 /// key costs two 64-bit hashes regardless of `k`.
 #[derive(Debug, Clone)]
@@ -68,7 +86,7 @@ impl RowBloom {
     }
 
     fn insert(&mut self, key: &[u8]) {
-        let (h1, h2) = Self::probes(key);
+        let RowProbe { h1, h2 } = RowProbe::new(key);
         for i in 0..self.k {
             let bit = h1.wrapping_add((i as u64).wrapping_mul(h2)) % self.n_bits;
             self.words[(bit / 64) as usize] |= 1u64 << (bit % 64);
@@ -78,20 +96,17 @@ impl RowBloom {
     /// True when the key *may* be present (false positives possible);
     /// false means the key is definitely absent.
     pub fn may_contain(&self, key: &[u8]) -> bool {
-        let (h1, h2) = Self::probes(key);
+        self.may_contain_probe(&RowProbe::new(key))
+    }
+
+    /// [`Self::may_contain`] for a key already hashed: a row read hashes
+    /// its row once and probes every run's filter with the result.
+    pub(crate) fn may_contain_probe(&self, probe: &RowProbe) -> bool {
+        let RowProbe { h1, h2 } = *probe;
         (0..self.k).all(|i| {
             let bit = h1.wrapping_add((i as u64).wrapping_mul(h2)) % self.n_bits;
             self.words[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0
         })
-    }
-
-    /// The two double-hashing probe bases for a key.
-    fn probes(key: &[u8]) -> (u64, u64) {
-        let h1 = base_hash(key);
-        // An odd second hash keeps the probe stride co-prime-ish with
-        // power-of-two bit counts.
-        let h2 = splitmix64(h1 ^ BLOOM_SEED) | 1;
-        (h1, h2)
     }
 
     /// Number of probe bits per lookup.

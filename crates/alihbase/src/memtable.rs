@@ -76,7 +76,7 @@ impl MemTable {
     pub fn iter_row<'a>(
         &'a self,
         row: &'a RowKey,
-    ) -> impl Iterator<Item = (&'a CellKey, &'a Vec<Cell>)> + 'a {
+    ) -> impl Iterator<Item = (&'a CellKey, &'a Vec<Cell>)> + Clone + 'a {
         // The empty family and qualifier sort first within the row.
         let start = CellKey::new(row.clone(), "", "");
         self.entries

@@ -5,10 +5,11 @@
 //! length-prefixed file format (same framing as the WAL, one frame per run)
 //! and loaded back, giving the store durability beyond the WAL.
 
-use crate::bloom::RowBloom;
+use crate::bloom::{RowBloom, RowProbe};
 use crate::types::{Cell, CellKey, RowKey};
 use crate::wal::crc32;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::cell::OnceCell;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -85,6 +86,17 @@ impl SsTable {
     /// bloom filter if present. Never a false negative — `OutOfBounds` and
     /// `BloomMiss` both guarantee the row is not in this run.
     pub fn row_presence(&self, row: &RowKey) -> RowPresence {
+        self.row_presence_probed(row, &OnceCell::new())
+    }
+
+    /// [`Self::row_presence`] with the row's bloom probe shared across
+    /// runs: `probe` hashes the row the first time a filter needs it, so a
+    /// read over many runs hashes once (and a read no filter sees, never).
+    pub(crate) fn row_presence_probed(
+        &self,
+        row: &RowKey,
+        probe: &OnceCell<RowProbe>,
+    ) -> RowPresence {
         let (Some((first, _)), Some((last, _))) = (self.entries.first(), self.entries.last())
         else {
             return RowPresence::OutOfBounds;
@@ -92,8 +104,9 @@ impl SsTable {
         if *row < first.row || *row > last.row {
             return RowPresence::OutOfBounds;
         }
+        let probe = || probe.get_or_init(|| RowProbe::new(row.as_bytes()));
         match &self.bloom {
-            Some(bloom) if !bloom.may_contain(row.as_bytes()) => RowPresence::BloomMiss,
+            Some(bloom) if !bloom.may_contain_probe(probe()) => RowPresence::BloomMiss,
             Some(_) => RowPresence::Possible {
                 bloom_checked: true,
             },

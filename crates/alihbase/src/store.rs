@@ -11,6 +11,7 @@ use crate::types::{Cell, CellKey, RowKey, Version};
 use crate::wal::{SyncPolicy, Wal};
 use bytes::Bytes;
 use parking_lot::RwLock;
+use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -147,6 +148,26 @@ impl<'a, M: Iterator<Item = (&'a CellKey, &'a Vec<Cell>)>> RowSource<'a, M> {
             }
         }
     }
+}
+
+/// The newest version at or below `as_of` of each key in one run's row
+/// slice, tombstones elided: what the merge reads when that run is its only
+/// source.
+fn newest_visible(cells: &[(CellKey, Cell)], as_of: Version) -> Vec<(CellKey, Bytes)> {
+    let mut out = Vec::with_capacity(cells.len());
+    let mut last = None;
+    for (key, cell) in cells {
+        // Versions run newest first within a key: once one is visible,
+        // the key's older versions cannot win.
+        if cell.version > as_of || last == Some(key) {
+            continue;
+        }
+        last = Some(key);
+        if let Some(value) = &cell.value {
+            out.push((key.clone(), value.clone()));
+        }
+    }
+    out
 }
 
 struct Inner {
@@ -398,16 +419,24 @@ impl Store {
     /// sized once. Where several sources hold a key the higher version
     /// wins; on equal versions the memtable beats every run and a newer run
     /// an older one. The store side of the serving fast path.
+    ///
+    /// The common read — nothing in the memtable for the row, and at most
+    /// one run admitted — skips the merge: it copies the newest visible
+    /// version of each key straight from that run's row slice. The row is
+    /// hashed for the bloom filters once per read, and the memtable's row
+    /// range is located once.
     pub fn get_row(&self, row: &RowKey, as_of: Version) -> Vec<(CellKey, Bytes)> {
         let inner = self.inner.read();
+        let probe = OnceCell::new();
         let mut skipped = 0u64;
         let mut false_positives = 0u64;
-        // Newest first, like `inner.runs`: source order breaks version ties.
-        let mut sources = Vec::with_capacity(1 + inner.runs.len());
-        let mut capacity = inner.memtable.iter_row(row).count();
-        sources.push(RowSource::Memtable(inner.memtable.iter_row(row)));
+        // The row slices of the admitted runs, newest first like
+        // `inner.runs`: source order breaks version ties. The first stays
+        // apart, so a one-run read stages nothing.
+        let mut first = None;
+        let mut more = Vec::new();
         for run in &inner.runs {
-            let bloom_checked = match run.row_presence(row) {
+            let bloom_checked = match run.row_presence_probed(row, &probe) {
                 RowPresence::OutOfBounds | RowPresence::BloomMiss => {
                     skipped += 1;
                     continue;
@@ -420,12 +449,32 @@ impl Store {
             if bloom_checked && cells.is_empty() {
                 false_positives += 1;
             }
-            capacity += cells.len();
-            sources.push(RowSource::Run(cells.iter()));
+            match first {
+                None => first = Some(cells),
+                Some(_) => more.push(cells),
+            }
         }
-        self.reads.runs_scanned.add(sources.len() as u64 - 1);
+        self.reads
+            .runs_scanned
+            .add(inner.runs.len() as u64 - skipped);
         self.reads.runs_skipped.add(skipped);
         self.reads.bloom_false_positives.add(false_positives);
+
+        let mut memtable = inner.memtable.iter_row(row).peekable();
+        if memtable.peek().is_none() && more.is_empty() {
+            return first.map_or_else(Vec::new, |cells| newest_visible(cells, as_of));
+        }
+        // Sized by a copy of the positioned cursor: no second descent.
+        let capacity =
+            memtable.clone().count() + first.iter().chain(&more).map(|c| c.len()).sum::<usize>();
+        let mut sources = Vec::with_capacity(1 + usize::from(first.is_some()) + more.len());
+        sources.push(RowSource::Memtable(memtable));
+        sources.extend(
+            first
+                .into_iter()
+                .chain(more)
+                .map(|c| RowSource::Run(c.iter())),
+        );
 
         let mut heads: Vec<_> = sources.iter_mut().map(|s| s.next_key(as_of)).collect();
         let mut out = Vec::with_capacity(capacity);

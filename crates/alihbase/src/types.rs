@@ -42,9 +42,22 @@ impl KeyBytes {
     }
 }
 
+/// An inline buffer as two big-endian words: bytes 0..16, then bytes 16..22
+/// followed by two zero bytes. Word order is the buffer's byte order.
+fn words(buf: &[u8; INLINE]) -> (u128, u64) {
+    let mut high = [0; 16];
+    high.copy_from_slice(&buf[..16]);
+    let mut low = [0; 8];
+    low[..INLINE - 16].copy_from_slice(&buf[16..]);
+    (u128::from_be_bytes(high), u64::from_be_bytes(low))
+}
+
 impl PartialEq for KeyBytes {
     fn eq(&self, other: &Self) -> bool {
-        self.as_bytes() == other.as_bytes()
+        match (self, other) {
+            (Self::Inline { len: a, buf: x }, Self::Inline { len: b, buf: y }) => a == b && x == y,
+            _ => self.as_bytes() == other.as_bytes(),
+        }
     }
 }
 
@@ -56,9 +69,19 @@ impl PartialOrd for KeyBytes {
     }
 }
 
+/// Two inline keys compare as their zero-padded buffers, word by word, then
+/// by length. That is the byte-slice order: where the slices first differ,
+/// the buffers do too; where one slice is a prefix of the other, the
+/// shorter one's padding (all zero) is never above the longer one's bytes,
+/// and when it equals them (`a` against `a\0`) the length decides.
 impl Ord for KeyBytes {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_bytes().cmp(other.as_bytes())
+        match (self, other) {
+            (Self::Inline { len: a, buf: x }, Self::Inline { len: b, buf: y }) => {
+                words(x).cmp(&words(y)).then(a.cmp(b))
+            }
+            _ => self.as_bytes().cmp(other.as_bytes()),
+        }
     }
 }
 
@@ -290,12 +313,15 @@ mod tests {
 
     /// Ordering, equality and hash are those of the byte slice, on both
     /// sides of the inline/heap boundary — including an inline and a boxed
-    /// key of equal content.
+    /// key of equal content, bytes 0x00 and 0xff, keys that differ only by
+    /// a trailing NUL (`a` against `a\0`, where only the length tells the
+    /// zero-padded inline buffers apart), and lengths 21–23 either side of
+    /// the boundary.
     #[test]
     fn keys_behave_as_their_byte_slices() {
-        let strings: Vec<Vec<u8>> = (0..=40usize)
+        let mut strings: Vec<Vec<u8>> = (0..=40usize)
             .flat_map(|len| {
-                [b'a', b'b'].map(|fill| {
+                [b'a', b'b', 0x00, 0xff].map(|fill| {
                     let mut s = vec![b'a'; len];
                     if let Some(last) = s.last_mut() {
                         *last = fill;
@@ -304,14 +330,27 @@ mod tests {
                 })
             })
             .collect();
+        for len in [1, 15, 16, 17, 21, 22, 23] {
+            for fill in [0x00, 0xff] {
+                let s = vec![fill; len];
+                strings.push([s.as_slice(), &[0x00]].concat());
+                strings.push([s.as_slice(), &[0x00, 0x00]].concat());
+                strings.push(s);
+            }
+        }
+        strings.extend([&b"a"[..], b"a\0", b"a\0\0", b"\0", b"\0a"].map(<[u8]>::to_vec));
+        // Each key both as `KeyBytes::new` stores it and boxed.
+        let keys = |s: &[u8]| [RowKey::from(s), RowKey(KeyBytes::Heap(s.into()))];
         for a in &strings {
-            let ka = RowKey::from(a.as_slice());
-            assert_eq!(ka.as_bytes(), a.as_slice());
-            assert_eq!(hash_of(&ka), hash_of(a.as_slice()), "{a:?}");
-            for b in &strings {
-                let kb = RowKey::from(b.as_slice());
-                assert_eq!(ka.cmp(&kb), a.cmp(b), "{a:?} vs {b:?}");
-                assert_eq!(ka == kb, a == b, "{a:?} vs {b:?}");
+            for ka in keys(a) {
+                assert_eq!(ka.as_bytes(), a.as_slice());
+                assert_eq!(hash_of(&ka), hash_of(a.as_slice()), "{a:?}");
+                for b in &strings {
+                    for kb in keys(b) {
+                        assert_eq!(ka.cmp(&kb), a.cmp(b), "{a:?} vs {b:?}");
+                        assert_eq!(ka == kb, a == b, "{a:?} vs {b:?}");
+                    }
+                }
             }
         }
         let short = b"short".to_vec();

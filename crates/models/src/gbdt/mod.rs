@@ -125,16 +125,25 @@ impl Serialize for Gbdt {
     }
 }
 
+/// A tree that could not be walked — empty, a child out of range or not
+/// after its split, a split feature past `n_features` — is an error here,
+/// not a panic or a hang on the first score.
 impl Deserialize for Gbdt {
     fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
         let entries = value
             .as_map()
             .ok_or_else(|| serde::Error::custom("expected map for struct `Gbdt`"))?;
+        let trees: Vec<RegTree> = Deserialize::deserialize(serde::field(entries, "trees")?)?;
+        let n_features = Deserialize::deserialize(serde::field(entries, "n_features")?)?;
+        for (t, tree) in trees.iter().enumerate() {
+            tree.check(n_features)
+                .map_err(|e| serde::Error::custom(format!("GBDT tree {t}: {e}")))?;
+        }
         Ok(Gbdt {
-            trees: Deserialize::deserialize(serde::field(entries, "trees")?)?,
+            trees,
             base_score: Deserialize::deserialize(serde::field(entries, "base_score")?)?,
             objective: Deserialize::deserialize(serde::field(entries, "objective")?)?,
-            n_features: Deserialize::deserialize(serde::field(entries, "n_features")?)?,
+            n_features,
             threads: Deserialize::deserialize(serde::field(entries, "threads")?)?,
             flat: OnceLock::new(),
             pool: OnceLock::new(),

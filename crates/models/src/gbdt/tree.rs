@@ -170,6 +170,20 @@ impl RegTree {
     pub(crate) fn nodes(&self) -> &[RegNode] {
         &self.nodes
     }
+
+    /// [`crate::check_tree`] over this tree's nodes.
+    pub(crate) fn check(&self, n_features: usize) -> Result<(), String> {
+        let nodes = self.nodes.iter().map(|node| match *node {
+            RegNode::Split {
+                feature,
+                left,
+                right,
+                ..
+            } => Some((feature, left, right)),
+            RegNode::Leaf { .. } => None,
+        });
+        crate::check_tree(nodes, n_features)
+    }
 }
 
 /// Best split over one contiguous chunk of the sorted feature sample.

@@ -21,20 +21,13 @@ use titant_alihbase::{
 /// correctness limit.
 const PRECOMPUTED_QUALIFIERS: usize = 512;
 
-/// Where a `basic`-family qualifier lands in the decoded row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BasicSlot {
-    Payer(usize),
-    Receiver(usize),
-}
-
 /// Precomputed family and qualifier names.
 ///
 /// Encoding used to build `p{i}` / `r{i}` / `{i}` strings per cell per put;
 /// it now copies a prebuilt name (a qualifier is an inline value, so the
-/// copy allocates nothing). Decoding needs no table: [`basic_slot`] and
-/// [`index_of`] parse the name. Built once per process, shared by every
-/// codec instance (the layout names do not depend on codec widths).
+/// copy allocates nothing). Decoding needs no table: [`index_of`] parses
+/// the name's bytes. Built once per process, shared by every codec instance
+/// (the layout names do not depend on codec widths).
 struct QualTable {
     basic: ColumnFamily,
     embedding_family: ColumnFamily,
@@ -87,23 +80,17 @@ fn name(names: &[Qualifier], prefix: &str, i: usize) -> Qualifier {
     }
 }
 
-/// The index a qualifier spells, accepting exactly what the encoder emits:
-/// decimal digits with no sign and no leading zero. `str::parse` alone would
-/// also take `+5` and `007`, letting a stray cell alias a real slot.
-fn index_of(digits: &str) -> Option<usize> {
-    let canonical =
-        digits.bytes().all(|b| b.is_ascii_digit()) && (digits == "0" || !digits.starts_with('0'));
-    digits.parse().ok().filter(|_| canonical)
-}
-
-/// Resolve a `basic` qualifier (`p{i}` / `r{i}`) to its slot.
-fn basic_slot(qualifier: &str) -> Option<BasicSlot> {
-    let (tag, digits) = qualifier.split_at_checked(1)?;
-    let i = index_of(digits)?;
-    match tag {
-        "p" => Some(BasicSlot::Payer(i)),
-        "r" => Some(BasicSlot::Receiver(i)),
-        _ => None,
+/// The index a qualifier's bytes spell, accepting exactly what the encoder
+/// emits: decimal digits with no sign and no leading zero (`0` itself
+/// aside), and nothing that overflows a `usize`. A looser parse would take
+/// `+5` and `007` too, letting a stray cell alias a real slot.
+fn index_of(digits: &[u8]) -> Option<usize> {
+    match digits {
+        [] | [b'0', _, ..] => None,
+        _ => digits.iter().try_fold(0usize, |n, &b| {
+            let digit = b.is_ascii_digit().then(|| usize::from(b - b'0'))?;
+            n.checked_mul(10)?.checked_add(digit)
+        }),
     }
 }
 
@@ -335,7 +322,14 @@ impl FeatureCodec {
         Ok((self.decode_cells(user, &read.cells)?, read.waited))
     }
 
-    /// Decode one row's cells into [`UserFeatures`].
+    /// Decode one row's cells into [`UserFeatures`], straight into the four
+    /// served vectors (allocated once, at their final widths): families and
+    /// qualifiers resolve from their bytes, and a count per block of the
+    /// slots written stands in for staging each slot as an `Option`.
+    ///
+    /// The counts are exact because the cells come from one row read —
+    /// key-sorted with no key twice — and [`index_of`] maps at most one
+    /// qualifier to each slot.
     fn decode_cells(
         &self,
         user: u64,
@@ -344,21 +338,34 @@ impl FeatureCodec {
         if cells.is_empty() {
             return Ok(None);
         }
-        let mut payer_side = vec![None; self.payer_width];
-        let mut receiver_side = vec![None; self.receiver_width];
-        let mut embedding = vec![None; self.embedding_dim];
-        let mut velocity = vec![None; self.velocity_width];
+        let mut row = UserFeatures {
+            payer_side: vec![0.0; self.payer_width],
+            receiver_side: vec![0.0; self.receiver_width],
+            embedding: vec![0.0; self.embedding_dim],
+            velocity: vec![0.0; self.velocity_width],
+        };
+        let (mut basic_seen, mut embedding_seen) = (0, 0);
         for (key, bytes) in cells {
-            let qualifier = key.qualifier.as_str();
-            let slot = match key.family.as_str() {
-                "basic" => match basic_slot(qualifier) {
-                    Some(BasicSlot::Payer(i)) => payer_side.get_mut(i),
-                    Some(BasicSlot::Receiver(i)) => receiver_side.get_mut(i),
-                    None => None,
-                },
-                "embedding" => index_of(qualifier).and_then(|i| embedding.get_mut(i)),
-                "velocity" => index_of(qualifier).and_then(|i| velocity.get_mut(i)),
-                _ => None,
+            let qualifier = key.qualifier.as_bytes();
+            let (slot, seen) = match key.family.as_bytes() {
+                b"basic" => {
+                    let side = match qualifier.split_first() {
+                        Some((b'p', digits)) => Some((&mut row.payer_side, digits)),
+                        Some((b'r', digits)) => Some((&mut row.receiver_side, digits)),
+                        _ => None,
+                    };
+                    let slot = side.and_then(|(side, digits)| side.get_mut(index_of(digits)?));
+                    (slot, Some(&mut basic_seen))
+                }
+                b"embedding" => (
+                    index_of(qualifier).and_then(|i| row.embedding.get_mut(i)),
+                    Some(&mut embedding_seen),
+                ),
+                b"velocity" => (
+                    index_of(qualifier).and_then(|i| row.velocity.get_mut(i)),
+                    None,
+                ),
+                _ => (None, None),
             };
             // Unknown families/qualifiers and out-of-range indices are
             // ignored: the layout, not the row, decides what gets served.
@@ -371,10 +378,102 @@ impl FeatureCodec {
                     column: format!("{}:{}", key.family, key.qualifier),
                     len: bytes.len(),
                 })?;
+            *slot = f32::from_le_bytes(value);
+            if let Some(seen) = seen {
+                *seen += 1;
+            }
+        }
+        let expected = self.payer_width + self.receiver_width;
+        if basic_seen < expected {
+            return Err(ServeError::TornRow {
+                user,
+                present: basic_seen,
+                expected,
+            });
+        }
+        // Any missing embedding dimension downgrades the whole embedding to
+        // the zero vector — the cold-start input the models trained on.
+        if embedding_seen < self.embedding_dim {
+            row.embedding.fill(0.0);
+        }
+        // Velocity slots are independent counters patched one at a time by
+        // streaming deltas, so — unlike the all-or-nothing embedding — each
+        // missing slot individually decodes as zero ("no activity seen"):
+        // the value it was allocated with.
+        Ok(Some(row))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use titant_alihbase::StoreConfig;
+
+    /// Where a `basic`-family qualifier lands in the decoded row.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum BasicSlot {
+        Payer(usize),
+        Receiver(usize),
+    }
+
+    /// The string parse the byte parse replaced.
+    fn reference_index_of(digits: &str) -> Option<usize> {
+        let canonical = digits.bytes().all(|b| b.is_ascii_digit())
+            && (digits == "0" || !digits.starts_with('0'));
+        digits.parse().ok().filter(|_| canonical)
+    }
+
+    /// The string resolve of a `basic` qualifier the byte decode replaced.
+    fn reference_basic_slot(qualifier: &str) -> Option<BasicSlot> {
+        let (tag, digits) = qualifier.split_at_checked(1)?;
+        let i = reference_index_of(digits)?;
+        match tag {
+            "p" => Some(BasicSlot::Payer(i)),
+            "r" => Some(BasicSlot::Receiver(i)),
+            _ => None,
+        }
+    }
+
+    /// The decode [`FeatureCodec::decode_cells`] replaced: names resolved as
+    /// strings, every slot staged as an `Option`, then collected.
+    fn reference_decode_cells(
+        codec: &FeatureCodec,
+        user: u64,
+        cells: &[(CellKey, Bytes)],
+    ) -> Result<Option<UserFeatures>, ServeError> {
+        if cells.is_empty() {
+            return Ok(None);
+        }
+        let mut payer_side = vec![None; codec.payer_width];
+        let mut receiver_side = vec![None; codec.receiver_width];
+        let mut embedding = vec![None; codec.embedding_dim];
+        let mut velocity = vec![None; codec.velocity_width];
+        for (key, bytes) in cells {
+            let qualifier = key.qualifier.as_str();
+            let slot = match key.family.as_str() {
+                "basic" => match reference_basic_slot(qualifier) {
+                    Some(BasicSlot::Payer(i)) => payer_side.get_mut(i),
+                    Some(BasicSlot::Receiver(i)) => receiver_side.get_mut(i),
+                    None => None,
+                },
+                "embedding" => reference_index_of(qualifier).and_then(|i| embedding.get_mut(i)),
+                "velocity" => reference_index_of(qualifier).and_then(|i| velocity.get_mut(i)),
+                _ => None,
+            };
+            let Some(slot) = slot else { continue };
+            let value: [u8; 4] = bytes
+                .as_ref()
+                .try_into()
+                .map_err(|_| ServeError::TornCell {
+                    user,
+                    column: format!("{}:{}", key.family, key.qualifier),
+                    len: bytes.len(),
+                })?;
             *slot = Some(f32::from_le_bytes(value));
         }
         let present = payer_side.iter().flatten().count() + receiver_side.iter().flatten().count();
-        let expected = self.payer_width + self.receiver_width;
+        let expected = codec.payer_width + codec.receiver_width;
         if present < expected {
             return Err(ServeError::TornRow {
                 user,
@@ -382,16 +481,11 @@ impl FeatureCodec {
                 expected,
             });
         }
-        // Any missing embedding dimension downgrades the whole embedding to
-        // the zero vector — the cold-start input the models trained on.
         let embedding = if embedding.iter().all(Option::is_some) {
             embedding.into_iter().flatten().collect()
         } else {
-            vec![0.0; self.embedding_dim]
+            vec![0.0; codec.embedding_dim]
         };
-        // Velocity slots are independent counters patched one at a time by
-        // streaming deltas, so — unlike the all-or-nothing embedding — each
-        // missing slot individually decodes as zero ("no activity seen").
         let velocity = velocity.into_iter().map(|v| v.unwrap_or(0.0)).collect();
         Ok(Some(UserFeatures {
             payer_side: payer_side.into_iter().flatten().collect(),
@@ -400,12 +494,104 @@ impl FeatureCodec {
             velocity,
         }))
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use titant_alihbase::StoreConfig;
+    const FAMILIES: [&str; 5] = ["basic", "embedding", "velocity", "audit", ""];
+
+    /// Qualifiers the encoder emits (`p{i}`, `r{i}`, `{i}` for i ≤ 40) and
+    /// aliases it never does.
+    fn qualifiers() -> Vec<String> {
+        let mut names: Vec<String> = (0..=40)
+            .flat_map(|i| [format!("p{i}"), format!("r{i}"), format!("{i}")])
+            .collect();
+        let aliases = ["+5", "007", "00", "-0", " 1", "p", "p+1"];
+        names.extend(aliases.map(String::from));
+        names.push("1234567890123456789012345".into());
+        names
+    }
+
+    /// Bits of every served value, so NaN payloads compare exactly.
+    fn bits(decoded: &Result<Option<UserFeatures>, ServeError>) -> Option<Vec<Vec<u32>>> {
+        let Ok(Some(f)) = decoded else { return None };
+        let blocks = [&f.payer_side, &f.receiver_side, &f.embedding, &f.velocity];
+        Some(
+            blocks
+                .map(|b| b.iter().map(|v| v.to_bits()).collect())
+                .to_vec(),
+        )
+    }
+
+    proptest! {
+        /// The byte decode gives the string decode's `Ok` bits, or the same
+        /// error variant with the same fields, on key-sorted duplicate-free
+        /// cell lists mixing served names, aliases, foreign families and
+        /// torn values. Most lists start from a served row with each cell
+        /// kept at 7/8, so both complete and torn rows are common.
+        #[test]
+        fn byte_decode_is_the_string_decode(
+            raw in prop::collection::vec((0usize..5, 0usize..131, 0usize..12, 0u64..u64::MAX), 0..40),
+            row_seed in 0u64..u64::MAX,
+            served in 0usize..4,
+            velocity_width in 0usize..2,
+        ) {
+            let codec = FeatureCodec {
+                embedding_dim: 4,
+                payer_width: 3,
+                receiver_width: 2,
+                velocity_width: [0, 3][velocity_width],
+            };
+            let names = qualifiers();
+            let cell = |family: &str, name: &str, value: &[u8]| {
+                let key = CellKey::new(FeatureCodec::row_key(7), family, name);
+                (key, Bytes::copy_from_slice(value))
+            };
+            let mut cells: Vec<(CellKey, Bytes)> = raw
+                .iter()
+                .map(|&(family, name, len, seed)| {
+                    // Mostly 4-byte values, lengths 0..=8 otherwise.
+                    let len = if len >= 9 { 4 } else { len };
+                    cell(FAMILIES[family], &names[name], &seed.to_le_bytes()[..len])
+                })
+                .collect();
+            let row = ["p0", "p1", "p2", "r0", "r1"]
+                .map(|q| ("basic", q))
+                .into_iter()
+                .chain(["0", "1", "2", "3"].map(|q| ("embedding", q)))
+                .chain(["0", "1", "2"].map(|q| ("velocity", q)));
+            for (i, (family, name)) in row.enumerate() {
+                let value = row_seed.rotate_left(5 * i as u32);
+                if served > 0 && value & 7 != 0 {
+                    cells.push(cell(family, name, &value.to_le_bytes()[..4]));
+                }
+            }
+            // A stable sort keeps the random cells ahead of the served row's
+            // cells with the same key, so they override it.
+            cells.sort_by(|a, b| a.0.cmp(&b.0));
+            cells.dedup_by(|later, kept| later.0 == kept.0);
+            let got = codec.decode_cells(7, &cells);
+            let want = reference_decode_cells(&codec, 7, &cells);
+            match (&got, &want) {
+                (Ok(_), Ok(_)) => prop_assert_eq!(bits(&got), bits(&want)),
+                (Err(g), Err(w)) => prop_assert_eq!(format!("{g:?}"), format!("{w:?}")),
+                _ => prop_assert!(false, "byte decode {got:?} vs string decode {want:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_row_decodes_like_the_string_decode() {
+        let c = velocity_codec();
+        let mut f = features(1.5);
+        f.velocity = vec![2.0, 350.0, 1.0];
+        let mut cells: Vec<(CellKey, Bytes)> = c
+            .encode_user(3, &f, 1)
+            .into_iter()
+            .filter_map(|(key, _, value)| Some((key, value?)))
+            .collect();
+        cells.sort_by(|a, b| a.0.cmp(&b.0));
+        let got = c.decode_cells(3, &cells);
+        assert_eq!(bits(&got), bits(&reference_decode_cells(&c, 3, &cells)));
+        assert_eq!(got.unwrap(), Some(f));
+    }
 
     fn codec() -> FeatureCodec {
         FeatureCodec {
@@ -648,14 +834,23 @@ mod tests {
         assert_eq!(q.payer_qualifier(big).as_str(), format!("p{big}"));
         assert_eq!(q.index_qualifier(big).as_str(), big.to_string());
         // Parsing a name back agrees, inside and past the table.
-        assert_eq!(basic_slot("p7"), Some(BasicSlot::Payer(7)));
-        assert_eq!(basic_slot("r600"), Some(BasicSlot::Receiver(600)));
-        assert_eq!(basic_slot("x1"), None);
-        assert_eq!(basic_slot("p"), None);
-        assert_eq!(index_of("0"), Some(0));
-        assert_eq!(index_of("600"), Some(600));
-        assert_eq!(index_of("seven"), None);
-        assert_eq!(index_of("99999999999999999999999"), None);
+        assert_eq!(reference_basic_slot("p7"), Some(BasicSlot::Payer(7)));
+        assert_eq!(reference_basic_slot("r600"), Some(BasicSlot::Receiver(600)));
+        assert_eq!(reference_basic_slot("x1"), None);
+        assert_eq!(reference_basic_slot("p"), None);
+        for (name, want) in [
+            ("0", Some(0)),
+            ("7", Some(7)),
+            ("600", Some(600)),
+            ("seven", None),
+            ("", None),
+            ("99999999999999999999999", None),
+            (&usize::MAX.to_string(), Some(usize::MAX)),
+            ("18446744073709551616", None),
+        ] {
+            assert_eq!(index_of(name.as_bytes()), want, "{name:?}");
+            assert_eq!(reference_index_of(name), want, "{name:?}");
+        }
     }
 
     /// Only the names the encoder emits resolve to a slot: `str::parse`
@@ -664,8 +859,8 @@ mod tests {
     #[test]
     fn aliasing_qualifiers_are_ignored() {
         for alias in ["+5", "007", "00", "-0", " 1", "1 "] {
-            assert_eq!(index_of(alias), None, "{alias:?}");
-            assert_eq!(basic_slot(&format!("p{alias}")), None);
+            assert_eq!(index_of(alias.as_bytes()), None, "{alias:?}");
+            assert_eq!(reference_basic_slot(&format!("p{alias}")), None);
         }
         let t = table();
         let c = codec();

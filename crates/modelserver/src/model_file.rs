@@ -73,8 +73,29 @@ impl ModelFile {
     /// Parse from bytes. The contained model is precompiled before it is
     /// returned, so deployment (not the first transaction) pays the
     /// flat-form lowering cost.
+    ///
+    /// A file whose trees cannot score an `n_features`-wide row is an
+    /// error, never a panic or a hang later: a tree with no nodes, a split
+    /// whose children are out of range or not after it, a split feature at
+    /// or past `n_features`, or a GBDT whose own width differs from the
+    /// file's.
     pub fn from_bytes(data: &[u8]) -> Result<Self, serde_json::Error> {
         let mf: Self = serde_json::from_slice(data)?;
+        let invalid = |message: String| serde_json::Error::from(serde::Error::custom(message));
+        match &mf.model {
+            // Deserializing checked each tree against the GBDT's own width.
+            ServableModel::Gbdt(m) => {
+                let width = m.flat().n_features();
+                if width != mf.n_features {
+                    return Err(invalid(format!(
+                        "GBDT reads {width} features, the file declares {}",
+                        mf.n_features
+                    )));
+                }
+            }
+            ServableModel::IsolationForest(m) => m.check(mf.n_features).map_err(invalid)?,
+            ServableModel::LogisticRegression(_) => {}
+        }
         mf.model.precompile();
         Ok(mf)
     }
@@ -172,6 +193,110 @@ mod tests {
     #[test]
     fn corrupt_bytes_are_rejected() {
         assert!(ModelFile::from_bytes(b"not a model").is_err());
+    }
+
+    /// A GBDT file (declaring `width` features, its model `own_width`)
+    /// and an isolation-forest file (declaring `width`) whose one tree is
+    /// `nodes`: `Some((feature, left, right))` a split, `None` a leaf.
+    fn model_files(
+        nodes: &[Option<(u32, u32, u32)>],
+        width: usize,
+        own_width: usize,
+    ) -> [String; 2] {
+        let tree = |split: &dyn Fn(u32, u32, u32) -> String, leaf: &str| {
+            let nodes: Vec<String> = nodes
+                .iter()
+                .map(|node| match *node {
+                    Some((f, l, r)) => split(f, l, r),
+                    None => leaf.to_string(),
+                })
+                .collect();
+            format!("{{\"nodes\":[{}]}}", nodes.join(","))
+        };
+        let gbdt = tree(
+            &|f, l, r| {
+                format!(
+                    "{{\"Split\":{{\"feature\":{f},\"threshold\":0.5,\"bin_split\":1,\
+                     \"left\":{l},\"right\":{r},\"gain\":1.0}}}}"
+                )
+            },
+            "{\"Leaf\":{\"value\":0.25}}",
+        );
+        let forest = tree(
+            &|f, l, r| {
+                format!(
+                    "{{\"Split\":{{\"feature\":{f},\"threshold\":0.5,\"left\":{l},\"right\":{r}}}}}"
+                )
+            },
+            "{\"Leaf\":{\"n\":1}}",
+        );
+        let file = |model: String| {
+            format!(
+                "{{\"version\":1,\"alert_threshold\":0.5,\"n_features\":{width},\"model\":{model}}}"
+            )
+        };
+        [
+            file(format!(
+                "{{\"Gbdt\":{{\"trees\":[{gbdt}],\"base_score\":0.5,\
+                 \"objective\":\"SquaredError\",\"n_features\":{own_width},\"threads\":1}}}}"
+            )),
+            file(format!(
+                "{{\"IsolationForest\":{{\"trees\":[{forest}],\"c_psi\":1.5}}}}"
+            )),
+        ]
+    }
+
+    /// `from_bytes` on both model kinds: an error, or a model that scores.
+    fn loads(nodes: &[Option<(u32, u32, u32)>], width: usize, own_width: usize) -> [bool; 2] {
+        model_files(nodes, width, own_width).map(|json| {
+            let loaded = ModelFile::from_bytes(json.as_bytes());
+            if let Ok(mf) = &loaded {
+                mf.model.predict_proba(&vec![0.75; mf.n_features]);
+            }
+            loaded.is_ok()
+        })
+    }
+
+    const SPLIT_THEN_LEAVES: [Option<(u32, u32, u32)>; 3] = [Some((1, 1, 2)), None, None];
+
+    #[test]
+    fn well_formed_hand_written_trees_load_and_score() {
+        assert_eq!(loads(&SPLIT_THEN_LEAVES, 2, 2), [true, true]);
+        assert_eq!(loads(&[None], 2, 2), [true, true]);
+    }
+
+    #[test]
+    fn a_tree_with_no_nodes_is_an_error() {
+        assert_eq!(loads(&[], 2, 2), [false, false]);
+    }
+
+    /// Regression: the GBDT panicked inside `from_bytes` ("index out of
+    /// bounds" lowering its flat forest); the forest on its first score.
+    #[test]
+    fn a_child_past_the_tree_is_an_error() {
+        assert_eq!(loads(&[Some((0, 1, 3)), None, None], 2, 2), [false, false]);
+    }
+
+    /// A child at or before its split made both walks loop forever.
+    #[test]
+    fn a_child_that_points_back_is_an_error() {
+        let to_itself = [Some((0, 0, 1)), None];
+        let to_the_root = [Some((0, 1, 2)), Some((0, 0, 3)), None, None];
+        assert_eq!(loads(&to_itself, 2, 2), [false, false]);
+        assert_eq!(loads(&to_the_root, 2, 2), [false, false]);
+    }
+
+    /// Regression: a split feature past the row passed `from_bytes` and
+    /// `deploy`, then panicked on the first `predict_proba`.
+    #[test]
+    fn a_split_feature_past_the_row_is_an_error() {
+        assert_eq!(loads(&[Some((2, 1, 2)), None, None], 2, 2), [false, false]);
+    }
+
+    #[test]
+    fn a_gbdt_wider_or_narrower_than_its_file_is_an_error() {
+        assert!(!loads(&SPLIT_THEN_LEAVES, 2, 3)[0]);
+        assert!(!loads(&SPLIT_THEN_LEAVES, 3, 2)[0]);
     }
 
     #[test]

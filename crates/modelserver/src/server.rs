@@ -139,9 +139,27 @@ impl FeatureLayout {
     }
 }
 
+/// One fetched party: the row cache's shared decode, or a decode this
+/// request owns. Only a cache fill pays for an `Arc`.
+enum Party {
+    Cached(Arc<UserFeatures>),
+    Owned(UserFeatures),
+}
+
+impl std::ops::Deref for Party {
+    type Target = UserFeatures;
+
+    fn deref(&self) -> &UserFeatures {
+        match self {
+            Party::Cached(features) => features,
+            Party::Owned(features) => features,
+        }
+    }
+}
+
 /// What the fetch stage yields: `[payer, receiver]` and whether either
 /// fetch degraded.
-type Parties = ([Option<Arc<UserFeatures>>; 2], bool);
+type Parties = ([Option<Party>; 2], bool);
 
 /// A model server instance. Cheap to clone (shared internals) — clones act
 /// as additional serving replicas over the same store and model.
@@ -467,11 +485,11 @@ impl ModelServer {
         deadline: &mut Deadline,
         rng: &mut ReqRng,
         degraded: &mut bool,
-    ) -> Result<Option<Arc<UserFeatures>>, ServeError> {
+    ) -> Result<Option<Party>, ServeError> {
         let inner = &self.inner;
         if let Some(cache) = &inner.cache {
             if let Some(cached) = cache.get(user) {
-                return Ok(cached);
+                return Ok(cached.map(Party::Cached));
             }
         }
         let slo = &inner.slo;
@@ -517,13 +535,15 @@ impl ModelServer {
                     // Only this path caches: the read completed and decoded
                     // cleanly. Torn, faulted, and degraded outcomes below
                     // must be re-observed on every request, never cached.
-                    // The decode moves into an `Arc` once; the cache keeps a
-                    // pointer clone, so later hits never deep-copy it.
+                    // A fill moves the decode into an `Arc` once; the cache
+                    // keeps a pointer clone, so later hits never deep-copy
+                    // it. Without a cache the request keeps the decode.
+                    let Some(cache) = &inner.cache else {
+                        return Ok(found.map(Party::Owned));
+                    };
                     let found = found.map(Arc::new);
-                    if let Some(cache) = &inner.cache {
-                        cache.insert(user, found.clone());
-                    }
-                    return Ok(found);
+                    cache.insert(user, found.clone());
+                    return Ok(found.map(Party::Cached));
                 }
                 Err(ServeError::Fetch { fault, .. }) => {
                     deadline.charge(fault.waited);
@@ -613,7 +633,8 @@ impl ModelServer {
         let fetched = Instant::now();
 
         let layout = &self.inner.layout;
-        let features = assemble_features(layout, payer.as_deref(), recv.as_deref(), &req.context);
+        let mut features = vec![0f32; layout.width()];
+        assemble_features(layout, [&payer, &recv], &req.context, &mut features);
         let assembled = Instant::now();
 
         let probability = model.model.predict_proba(&features);
@@ -637,29 +658,34 @@ impl ModelServer {
     /// One latency sample per call: the stages measure the batch, not a
     /// synthetic per-request split.
     pub fn score_batch(&self, reqs: &[ScoreRequest]) -> Vec<Result<ScoreResponse, ServeError>> {
+        if reqs.is_empty() {
+            return Vec::new();
+        }
         let layout = &self.inner.layout;
         let start = Instant::now();
         let model = Arc::clone(&self.inner.model.read());
         let parties: Vec<_> = reqs.iter().map(|req| self.fetch_parties(req)).collect();
         let fetched = Instant::now();
 
-        // One row per request that fetched, in input order.
-        let mut dataset = Dataset::new(layout.width());
-        for (req, outcome) in reqs.iter().zip(&parties) {
-            if let Ok(([payer, recv], _)) = outcome {
-                let features =
-                    assemble_features(layout, payer.as_deref(), recv.as_deref(), &req.context);
-                dataset.push_row(&features, 0.0);
-            }
+        // One row per request that fetched, in input order, assembled in
+        // place in one `rows × width` buffer.
+        let width = layout.width();
+        let rows = parties.iter().filter(|outcome| outcome.is_ok()).count();
+        let mut values = vec![0f32; rows * width];
+        let fetched_rows = reqs.iter().zip(&parties).filter_map(|(req, outcome)| {
+            let (parties, _) = outcome.as_ref().ok()?;
+            Some((req, parties))
+        });
+        for (row, (req, [payer, recv])) in values.chunks_exact_mut(width).zip(fetched_rows) {
+            assemble_features(layout, [payer, recv], &req.context, row);
         }
+        let dataset = Dataset::from_parts(width, values, Vec::new());
         let assembled = Instant::now();
 
         let probabilities = model.model.predict_batch(&dataset);
         let done = Instant::now();
 
-        if !reqs.is_empty() {
-            self.record_stages(start, fetched, assembled, done);
-        }
+        self.record_stages(start, fetched, assembled, done);
         let mut row = 0;
         reqs.iter()
             .zip(parties)
@@ -767,17 +793,17 @@ impl ModelServer {
 }
 
 /// Lay both parties' features and the request context into one model input
-/// row. Absent parties (brand-new accounts or degraded fetches) leave their
-/// slots at zero — the trained models saw the same cold starts. Shared by
-/// [`ModelServer::score`] and [`ModelServer::score_batch`] so the two paths
-/// cannot drift.
+/// row, `features` (zeroed, `layout.width()` long). Absent parties
+/// (brand-new accounts or degraded fetches) leave their slots at zero — the
+/// trained models saw the same cold starts. Shared by [`ModelServer::score`]
+/// and [`ModelServer::score_batch`] so the two paths cannot drift.
 fn assemble_features(
     layout: &FeatureLayout,
-    payer: Option<&UserFeatures>,
-    recv: Option<&UserFeatures>,
+    [payer, recv]: [&Option<Party>; 2],
     context: &[f32],
-) -> Vec<f32> {
-    let mut features = vec![0f32; layout.width()];
+    features: &mut [f32],
+) {
+    let (payer, recv) = (payer.as_deref(), recv.as_deref());
     if let Some(p) = payer {
         for (slot, v) in layout.payer_slots.iter().zip(&p.payer_side) {
             if let Some(f) = features.get_mut(*slot) {
@@ -819,7 +845,6 @@ fn assemble_features(
             *f = *v;
         }
     }
-    features
 }
 
 /// Best-effort string form of a caught panic payload.
@@ -1035,7 +1060,16 @@ mod tests {
             embedding: vec![0.7, 0.8],
             velocity: vec![1.0, 2.0, 3.0],
         };
-        let f = assemble_features(&lay, Some(&payer), Some(&recv), &[0.9]);
+        let assemble = |lay: &FeatureLayout, payer: &Option<Party>, recv: &Option<Party>| {
+            let mut features = vec![0f32; lay.width()];
+            assemble_features(lay, [payer, recv], &[0.9], &mut features);
+            features
+        };
+        let (payer, recv) = (
+            Some(Party::Owned(payer)),
+            Some(Party::Cached(Arc::new(recv))),
+        );
+        let f = assemble(&lay, &payer, &recv);
         assert_eq!(f.len(), 5 + 4 + 6);
         assert_eq!(&f[..5], &[0.1, 0.2, 0.3, 0.4, 0.9][..]);
         assert_eq!(&f[5..9], &[0.5, 0.6, 0.7, 0.8][..], "embedding blocks");
@@ -1044,9 +1078,9 @@ mod tests {
         // An absent party leaves its velocity block at zero, like a missing
         // embedding — and an all-velocity-free request matches the plain
         // layout's assembly on the shared prefix.
-        let g = assemble_features(&lay, Some(&payer), None, &[0.9]);
+        let g = assemble(&lay, &payer, &None);
         assert_eq!(&g[12..], &[0.0; 3][..]);
-        let plain = assemble_features(&layout(), Some(&payer), Some(&recv), &[0.9]);
+        let plain = assemble(&layout(), &payer, &recv);
         assert_eq!(&f[..9], &plain[..]);
     }
 

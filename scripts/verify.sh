@@ -8,7 +8,7 @@
 #   ./scripts/verify.sh --quick   # also run the nine gates through the one
 #                                 # `gates` runner, each writing its
 #                                 # BENCH_<name>.json at the repo root, then
-#                                 # a three-workload benchmark smoke (below):
+#                                 # a four-workload benchmark smoke (below):
 #     offline          cross-thread determinism of the offline fit
 #     chaos            seeded read faults vs the serving SLOs
 #     serving_scale    blooms, row cache, batch == single scores
@@ -67,16 +67,19 @@ if [[ $QUICK -eq 1 ]]; then
     echo "==> the nine gates"
     cargo run --release -q -p titant-bench --bin gates
 
-    # One read workload and one write workload, untraced then traced: any
-    # FAULT line (oracle mismatch, lost delta, trace.coverage out of range)
-    # exits 1. At BENCHMARK.json's own run length, not a shorter one: a
-    # short traced pass is mostly tracer warm-up, and serve_cold's coverage
-    # reads ~0.76 at 1 second and 0.91-0.93 at 3 against a floor of 0.90.
+    # Both read entries (score, score_batch) and the write workload,
+    # untraced then traced: any FAULT line (oracle mismatch, lost delta,
+    # trace.coverage out of range) exits 1. At BENCHMARK.json's own run
+    # length, not a shorter one: a short traced pass is mostly tracer
+    # warm-up, and serve_cold's coverage reads ~0.76 at 1 second and
+    # 0.91-0.93 at 3 against a floor of 0.90. serve_batch is the other
+    # coverage-gated workload; its traced pass rests on 320 calls.
     # Then stream_mixed, untraced only (~25 s): the one pass through the
     # velocity flush (`advance_and_ingest`), where a failed flush, a
     # refused event or a score that differs from the oracle exits 1.
-    echo "==> benchmark smoke: serve_cold, ingest_durable, stream_mixed"
+    echo "==> benchmark smoke: serve_cold, serve_batch, ingest_durable, stream_mixed"
     bash benchmark/run.sh --workload serve_cold --seconds 10
+    bash benchmark/run.sh --workload serve_batch --seconds 10
     bash benchmark/run.sh --workload ingest_durable --seconds 10
     bash benchmark/run.sh --workload stream_mixed --trace 0
 fi
