@@ -58,13 +58,148 @@ fn hex_encode(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
+/// The inverse of [`hex_encode`]: lowercase digit pairs only.
 fn hex_decode(s: &str) -> Option<Vec<u8>> {
+    let digit = |c: u8| match c {
+        b'0'..=b'9' => Some(c - b'0'),
+        b'a'..=b'f' => Some(c - b'a' + 10),
+        _ => None,
+    };
     if !s.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len() / 2)
-        .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).ok())
+    s.as_bytes()
+        .chunks(2)
+        .map(|pair| Some(digit(pair[0])? << 4 | digit(pair[1])?))
         .collect()
+}
+
+/// A decimal number exactly as `format!("{n}")` prints it: no sign, no
+/// leading zero.
+fn decimal(s: &str) -> Option<u64> {
+    let n: u64 = s.parse().ok()?;
+    (n.to_string() == s).then_some(n)
+}
+
+/// One `key arg…` line of a manifest with exactly `N` single-space
+/// separated arguments.
+fn directive<'a, const N: usize>(line: Option<&'a str>, key: &str) -> Result<[&'a str; N], String> {
+    let line = line.ok_or_else(|| format!("missing {key} line"))?;
+    let mut parts = line.split(' ');
+    if parts.next() != Some(key) {
+        return Err(format!("expected a {key} line, found {line:?}"));
+    }
+    let args: Vec<&str> = parts.collect();
+    args.try_into()
+        .map_err(|_| format!("bad {key} line {line:?}"))
+}
+
+/// A region directory name as [`RegionedTable::new`] (`region-NNNN`) or a
+/// split or merge (`child-NNNNNN`, numbered below `next_child`) makes it.
+fn is_store_name(name: &str, next_child: u64) -> bool {
+    let numbered = |prefix: &str, width: usize| -> Option<u64> {
+        let n: u64 = name.strip_prefix(prefix)?.parse().ok()?;
+        (format!("{prefix}{n:0width$}") == name).then_some(n)
+    };
+    numbered("region-", 4).is_some() || numbered("child-", 6).is_some_and(|n| n < next_child)
+}
+
+/// Directory of replica `k` of the region whose primary lives in `name`.
+fn replica_dir_name(name: &str, k: usize) -> String {
+    if k == 0 {
+        name.to_string()
+    } else {
+        format!("{name}-r{k}")
+    }
+}
+
+/// The contents of `layout.manifest`: the header, `replicas`,
+/// `next_child`, then `region` lines with one `split` line between each
+/// neighbouring pair. [`Manifest::parse`] accepts only what
+/// [`Manifest::render`] writes, so a corrupt manifest is refused before
+/// any store is opened or any directory swept.
+struct Manifest {
+    replicas: usize,
+    next_child: u64,
+    names: Vec<String>,
+    splits: Vec<RowKey>,
+    split_origin: Vec<bool>,
+}
+
+impl Manifest {
+    fn render(&self) -> String {
+        let mut text = String::from("titant-layout v1\n");
+        text.push_str(&format!("replicas {}\n", self.replicas));
+        text.push_str(&format!("next_child {}\n", self.next_child));
+        for (i, name) in self.names.iter().enumerate() {
+            text.push_str(&format!("region {name}\n"));
+            if let Some(split) = self.splits.get(i) {
+                let origin = if self.split_origin[i] {
+                    "origin"
+                } else {
+                    "fixed"
+                };
+                text.push_str(&format!(
+                    "split {} {origin}\n",
+                    hex_encode(split.as_bytes())
+                ));
+            }
+        }
+        text
+    }
+
+    fn parse(text: &str) -> Result<Self, String> {
+        let mut lines = text
+            .strip_suffix('\n')
+            .ok_or("no final newline")?
+            .split('\n');
+        if lines.next() != Some("titant-layout v1") {
+            return Err("unknown header".into());
+        }
+        let [replicas] = directive(lines.next(), "replicas")?;
+        let replicas = decimal(replicas)
+            .and_then(|n| usize::try_from(n).ok())
+            .filter(|&n| n > 0)
+            .ok_or_else(|| format!("bad replica count {replicas:?}"))?;
+        let [next_child] = directive(lines.next(), "next_child")?;
+        let next_child =
+            decimal(next_child).ok_or_else(|| format!("bad next_child {next_child:?}"))?;
+        let mut manifest = Self {
+            replicas,
+            next_child,
+            names: Vec::new(),
+            splits: Vec::new(),
+            split_origin: Vec::new(),
+        };
+        loop {
+            let [name] = directive(lines.next(), "region")?;
+            if !is_store_name(name, next_child) {
+                return Err(format!("bad region name {name:?}"));
+            }
+            if manifest.names.iter().any(|n| n == name) {
+                return Err(format!("region {name:?} listed twice"));
+            }
+            manifest.names.push(name.to_string());
+            let Some(line) = lines.next() else {
+                return Ok(manifest);
+            };
+            let [hex, origin] = directive(Some(line), "split")?;
+            let row = RowKey::from(
+                hex_decode(hex)
+                    .ok_or_else(|| format!("bad split point {hex:?}"))?
+                    .as_slice(),
+            );
+            if manifest.splits.last().is_some_and(|last| *last >= row) {
+                return Err("split points not strictly ascending".into());
+            }
+            manifest.splits.push(row);
+            manifest.split_origin.push(match origin {
+                "origin" => true,
+                "fixed" => false,
+                _ => return Err(format!("bad split origin {origin:?}")),
+            });
+        }
+    }
 }
 
 /// What [`RegionedTable::open`] / [`RegionedTable::reopen`] found and
@@ -271,11 +406,7 @@ impl RegionedTable {
     fn replica_config(config: &StoreConfig, region: usize, replica: usize) -> StoreConfig {
         let mut cfg = config.clone();
         if let Some(dir) = &config.dir {
-            cfg.dir = Some(if replica == 0 {
-                dir.join(format!("region-{region:04}"))
-            } else {
-                dir.join(format!("region-{region:04}-r{replica}"))
-            });
+            cfg.dir = Some(dir.join(replica_dir_name(&format!("region-{region:04}"), replica)));
         }
         cfg
     }
@@ -286,11 +417,7 @@ impl RegionedTable {
     fn child_config(&self, child: u64, replica: usize) -> StoreConfig {
         let mut cfg = self.config.clone();
         if let Some(dir) = &self.config.dir {
-            cfg.dir = Some(if replica == 0 {
-                dir.join(format!("child-{child:06}"))
-            } else {
-                dir.join(format!("child-{child:06}-r{replica}"))
-            });
+            cfg.dir = Some(dir.join(replica_dir_name(&format!("child-{child:06}"), replica)));
         }
         cfg
     }
@@ -314,29 +441,25 @@ impl RegionedTable {
         let Some(dir) = &self.config.dir else {
             return Ok(());
         };
-        let mut text = String::from("titant-layout v1\n");
-        let replicas = map.regions.first().map_or(1, Vec::len);
-        text.push_str(&format!("replicas {replicas}\n"));
-        text.push_str(&format!("next_child {}\n", map.next_child));
-        for (i, region) in map.regions.iter().enumerate() {
-            let name = region[0]
-                .dir()
-                .and_then(|d| d.file_name())
-                .map(|f| f.to_string_lossy().into_owned())
-                .ok_or_else(|| std::io::Error::other("region store has no directory"))?;
-            text.push_str(&format!("region {name}\n"));
-            if i < map.splits.len() {
-                text.push_str(&format!(
-                    "split {} {}\n",
-                    hex_encode(map.splits[i].as_bytes()),
-                    if map.split_origin[i] {
-                        "origin"
-                    } else {
-                        "fixed"
-                    }
-                ));
-            }
+        let names = map
+            .regions
+            .iter()
+            .map(|region| {
+                region[0]
+                    .dir()
+                    .and_then(|d| d.file_name())
+                    .map(|f| f.to_string_lossy().into_owned())
+                    .ok_or_else(|| std::io::Error::other("region store has no directory"))
+            })
+            .collect::<std::io::Result<_>>()?;
+        let text = Manifest {
+            replicas: map.regions.first().map_or(1, Vec::len),
+            next_child: map.next_child,
+            names,
+            splits: map.splits.clone(),
+            split_origin: map.split_origin.clone(),
         }
+        .render();
         let tmp = dir.join(format!("{LAYOUT_MANIFEST}.tmp"));
         {
             use std::io::Write as _;
@@ -361,65 +484,31 @@ impl RegionedTable {
         })?;
         let bad = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
         let text = std::fs::read_to_string(dir.join(LAYOUT_MANIFEST))?;
-        let mut lines = text.lines();
-        if lines.next() != Some("titant-layout v1") {
-            return Err(bad("layout.manifest: unknown header".into()));
-        }
-        let mut replicas = 1usize;
-        let mut next_child = 0u64;
-        let mut names: Vec<String> = Vec::new();
-        let mut splits: Vec<RowKey> = Vec::new();
-        let mut split_origin: Vec<bool> = Vec::new();
-        for line in lines {
-            let mut parts = line.split_whitespace();
-            match parts.next() {
-                Some("replicas") => {
-                    replicas = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad("layout.manifest: bad replicas line".into()))?
-                }
-                Some("next_child") => {
-                    next_child = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad("layout.manifest: bad next_child line".into()))?
-                }
-                Some("region") => names.push(
-                    parts
-                        .next()
-                        .ok_or_else(|| bad("layout.manifest: bad region line".into()))?
-                        .to_string(),
-                ),
-                Some("split") => {
-                    let row = parts
-                        .next()
-                        .and_then(hex_decode)
-                        .ok_or_else(|| bad("layout.manifest: bad split line".into()))?;
-                    split_origin.push(parts.next() == Some("origin"));
-                    splits.push(RowKey::from(row.as_slice()));
-                }
-                None => {}
-                Some(other) => {
-                    return Err(bad(format!("layout.manifest: unknown directive {other}")))
+        let Manifest {
+            replicas,
+            next_child,
+            names,
+            splits,
+            split_origin,
+        } = Manifest::parse(&text).map_err(|m| bad(format!("layout.manifest: {m}")))?;
+        // The writer creates every store directory before it commits the
+        // manifest naming it; a missing one means the manifest is wrong,
+        // and opening it would create an empty store in its place.
+        for name in &names {
+            for k in 0..replicas {
+                let sub = replica_dir_name(name, k);
+                if !dir.join(&sub).is_dir() {
+                    return Err(bad(format!("layout.manifest: no directory {sub}")));
                 }
             }
         }
-        if names.is_empty() || names.len() != splits.len() + 1 {
-            return Err(bad("layout.manifest: region/split count mismatch".into()));
-        }
-        let replicas = replicas.max(1);
         let mut regions = Vec::with_capacity(names.len());
         let mut referenced = std::collections::HashSet::new();
         let mut orphan_runs = 0u64;
         for name in &names {
             let mut reps = Vec::with_capacity(replicas);
             for k in 0..replicas {
-                let sub = if k == 0 {
-                    name.clone()
-                } else {
-                    format!("{name}-r{k}")
-                };
+                let sub = replica_dir_name(name, k);
                 let mut cfg = config.clone();
                 cfg.dir = Some(dir.join(&sub));
                 referenced.insert(sub);
@@ -632,7 +721,7 @@ impl RegionedTable {
                         .file_name()
                         .map(|f| f.to_string_lossy().into_owned())
                         .unwrap_or_default();
-                    d.with_file_name(format!("{name}-r{k}"))
+                    d.with_file_name(replica_dir_name(&name, k))
                 });
                 let store = Store::open(cfg)?;
                 store.put_batch(cells.clone())?;
@@ -2173,5 +2262,195 @@ mod tests {
             after_first,
             "identical rewrite is a no-op on contents"
         );
+    }
+
+    /// Everything under a directory: each file with its bytes, and each
+    /// directory as `None`.
+    type Tree = std::collections::BTreeMap<std::path::PathBuf, Option<Vec<u8>>>;
+
+    fn tree(dir: &std::path::Path) -> Tree {
+        let mut out = Tree::new();
+        let mut stack = vec![dir.to_path_buf()];
+        while let Some(d) = stack.pop() {
+            for entry in std::fs::read_dir(&d).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    out.insert(path.clone(), None);
+                    stack.push(path);
+                } else {
+                    let bytes = std::fs::read(&path).unwrap();
+                    out.insert(path, Some(bytes));
+                }
+            }
+        }
+        out
+    }
+
+    /// Put `dir` back exactly as [`tree`] saw it.
+    fn restore(dir: &std::path::Path, saved: &Tree) {
+        std::fs::remove_dir_all(dir).unwrap();
+        std::fs::create_dir_all(dir).unwrap();
+        // Parents sort before their children.
+        for (path, bytes) in saved {
+            match bytes {
+                None => std::fs::create_dir_all(path).unwrap(),
+                Some(bytes) => std::fs::write(path, bytes).unwrap(),
+            }
+        }
+    }
+
+    /// An on-disk table with two replicas and three regions: `region-0000`,
+    /// then `child-000000` and `child-000001` split from `region-0001`.
+    /// Returns its config and its manifest text.
+    fn manifest_fixture(dir: &std::path::Path) -> (StoreConfig, String) {
+        std::fs::remove_dir_all(dir).ok();
+        let cfg = StoreConfig {
+            dir: Some(dir.to_path_buf()),
+            replicas: 2,
+            ..Default::default()
+        };
+        let t = RegionedTable::new(vec![RowKey::from_str("m")], cfg.clone())
+            .unwrap()
+            .with_rebalancing(rebalancing(8, 0));
+        seed_users(&t, 12);
+        t.flush().unwrap();
+        assert_eq!(t.tick().unwrap().region_splits, 1);
+        drop(t);
+        let text = std::fs::read_to_string(dir.join(LAYOUT_MANIFEST)).unwrap();
+        assert!(text.contains("region region-0000\nsplit 6d fixed\nregion child-000000\nsplit "));
+        (cfg, text)
+    }
+
+    fn open_err(cfg: &StoreConfig) -> Option<std::io::ErrorKind> {
+        RegionedTable::open(cfg.clone()).err().map(|e| e.kind())
+    }
+
+    /// Each manifest defect is refused as `InvalidData` before any store
+    /// is opened or anything swept: the directory is left byte-identical.
+    #[test]
+    fn open_refuses_a_manifest_its_writer_never_writes() {
+        let dir = std::env::temp_dir().join(format!("titant-badmanifest-{}", std::process::id()));
+        let (cfg, text) = manifest_fixture(&dir);
+        let path = dir.join(LAYOUT_MANIFEST);
+        let split_line = text.lines().find(|l| l.ends_with(" origin")).unwrap();
+        let hex = split_line.split(' ').nth(1).unwrap();
+        let edits: Vec<(&str, String)> = vec![
+            (
+                "non-hex split",
+                text.replace("split 6d fixed", "split a\u{e9}b fixed"),
+            ),
+            (
+                "uppercase hex",
+                text.replace("split 6d fixed", "split 6D fixed"),
+            ),
+            ("odd hex", text.replace("split 6d fixed", "split 6d0 fixed")),
+            (
+                "huge replica count",
+                text.replace("replicas 2", "replicas 99999999999999"),
+            ),
+            ("zero replicas", text.replace("replicas 2", "replicas 0")),
+            ("leading zero", text.replace("replicas 2", "replicas 02")),
+            (
+                "escaping name",
+                text.replace("region region-0000", "region ../escaped-0000"),
+            ),
+            (
+                "foreign name",
+                text.replace("region region-0000", "region region-0"),
+            ),
+            (
+                "duplicate name",
+                text.replace("child-000001", "child-000000"),
+            ),
+            (
+                "child past next_child",
+                text.replace("next_child 2", "next_child 1"),
+            ),
+            (
+                "missing directory",
+                text.replace("region-0000", "region-0007"),
+            ),
+            ("missing replica", text.replace("replicas 2", "replicas 3")),
+            ("unsorted splits", text.replace(hex, "6c")),
+            ("repeated split", text.replace(hex, "6d")),
+            ("bad origin", text.replace(" origin", " born")),
+            ("extra token", text.replace("replicas 2", "replicas 2 2")),
+            ("tab separator", text.replace("replicas 2", "replicas\t2")),
+            ("missing next_child", text.replace("next_child 2\n", "")),
+            (
+                "region count",
+                text.replace("\nregion child-000001\n", "\n"),
+            ),
+            ("no final newline", text.trim_end().to_string()),
+            ("unknown directive", format!("{text}compact now\n")),
+        ];
+        let before = tree(&dir);
+        for (name, edited) in edits {
+            assert_ne!(edited, text, "{name}: the edit applies");
+            std::fs::write(&path, &edited).unwrap();
+            assert_eq!(
+                open_err(&cfg),
+                Some(std::io::ErrorKind::InvalidData),
+                "{name}"
+            );
+            std::fs::write(&path, &text).unwrap();
+            assert!(tree(&dir) == before, "{name}: the directory is untouched");
+        }
+        let (t, report) = RegionedTable::open(cfg).unwrap();
+        assert_eq!((report.regions, report.replicas), (3, 2));
+        assert_eq!(report.orphan_dirs_removed, 0);
+        drop(t);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every truncation and every single-bit flip of a real manifest
+    /// either is refused as `InvalidData` with the directory untouched, or
+    /// is a manifest the writer itself could have written: a cut just
+    /// after a `region` line (a shorter layout), or a flip inside a split
+    /// point or `next_child` that leaves another valid value. Only a
+    /// checksum could tell those apart, and it would change the bytes on
+    /// disk. Either way it names no store the original did not, and
+    /// nothing panics or allocates by what the bytes claim.
+    #[test]
+    fn every_truncation_and_bit_flip_of_a_manifest_is_refused_or_canonical() {
+        let dir = std::env::temp_dir().join(format!("titant-manifestflip-{}", std::process::id()));
+        let (cfg, text) = manifest_fixture(&dir);
+        let path = dir.join(LAYOUT_MANIFEST);
+        let file = text.as_bytes();
+        let original = Manifest::parse(&text).unwrap();
+        let saved = tree(&dir);
+        let check = |bytes: &[u8], what: String| {
+            let parsed = std::str::from_utf8(bytes).map(Manifest::parse);
+            if let Ok(Ok(manifest)) = &parsed {
+                assert_eq!(manifest.render().as_bytes(), bytes, "{what}: not canonical");
+            }
+            std::fs::write(&path, bytes).unwrap();
+            match RegionedTable::open(cfg.clone()) {
+                Err(e) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{what}");
+                    std::fs::write(&path, file).unwrap();
+                    assert!(tree(&dir) == saved, "{what}: the directory is untouched");
+                }
+                Ok((t, _)) => {
+                    let Ok(Ok(manifest)) = parsed else {
+                        panic!("{what}: opened but does not parse")
+                    };
+                    assert_eq!(manifest.replicas, original.replicas, "{what}");
+                    assert!(original.names.starts_with(&manifest.names), "{what}");
+                    drop(t);
+                    restore(&dir, &saved);
+                }
+            }
+        };
+        for cut in 0..file.len() {
+            check(&file[..cut], format!("cut {cut}"));
+        }
+        let mut flipped = file.to_vec();
+        for bit in 0..file.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check(&flipped, format!("bit {bit}"));
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

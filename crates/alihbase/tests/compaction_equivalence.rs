@@ -13,7 +13,10 @@
 //! cut** (conservative merges keep all versions and tombstones). Versions
 //! are monotone, as in production where they are upload date-times.
 
+mod common;
+
 use bytes::Bytes;
+use common::sized_value;
 use proptest::prelude::*;
 use titant_alihbase::{CellKey, RowKey, Store, StoreConfig, Version};
 
@@ -53,7 +56,10 @@ fn apply(store: &Store, op: &Op, version: u64) {
             store,
             cell_key(*user, *qual),
             version,
-            Some(Bytes::from(format!("v{user}-{qual}-{version}"))),
+            Some(sized_value(
+                &format!("v{user}-{qual}-{version}"),
+                version as usize,
+            )),
         ),
         Op::Delete { user, qual } => put(store, cell_key(*user, *qual), version, None),
         Op::Flush => store.flush().unwrap(),

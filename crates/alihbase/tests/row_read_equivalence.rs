@@ -18,7 +18,10 @@
 //! the key length orders). Blooms run at 2 bits per row so false
 //! positives are common.
 
+mod common;
+
 use bytes::Bytes;
+use common::sized_value;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::BTreeMap;
@@ -48,8 +51,9 @@ fn apply(store: &Store, step: usize, raw: &(u8, u64, u8, u64)) {
     let write = |value| put(store, cell_key(user, column), version, value);
     match selector % 12 {
         // The step number makes every write's value distinct, so a wrong
-        // winner among equal versions shows.
-        0..=6 => write(Some(Bytes::from(format!("{step}")))),
+        // winner among equal versions shows; its length crosses the inline
+        // boundary and reaches zero.
+        0..=6 => write(Some(sized_value(&step.to_string(), step))),
         7 | 8 => write(None),
         9 => store.flush().unwrap(),
         10 => drop(store.tick().unwrap()),

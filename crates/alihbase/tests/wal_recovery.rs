@@ -6,7 +6,10 @@
 //! batch frame carries one CRC, so it replays all-or-nothing). This pins
 //! the durability contract `Store::put_batch` is built on.
 
+mod common;
+
 use bytes::Bytes;
+use common::sized_value;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use titant_alihbase::wal::{Wal, WalRecord};
@@ -16,7 +19,8 @@ use titant_alihbase::{CellKey, RowKey, Version};
 static CASE: AtomicU64 = AtomicU64::new(0);
 
 /// Deterministic cell content for frame `frame`, record `i`. Mixes value
-/// puts with tombstones so batches carry both record shapes.
+/// puts with tombstones so batches carry both record shapes, and values of
+/// 0–40 bytes.
 fn cell(frame: usize, i: usize) -> (CellKey, Version, Option<Bytes>) {
     let key = CellKey::new(
         RowKey::from_user((frame * 7 + i) as u64),
@@ -26,7 +30,7 @@ fn cell(frame: usize, i: usize) -> (CellKey, Version, Option<Bytes>) {
     let value = if i % 5 == 4 {
         None
     } else {
-        Some(Bytes::from(format!("v{frame}-{i}")))
+        Some(sized_value(&format!("v{frame}-{i}"), frame * 6 + i))
     };
     (key, 1 + frame as u64, value)
 }

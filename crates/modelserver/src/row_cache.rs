@@ -79,13 +79,28 @@ impl RowCacheStats {
     }
 }
 
+/// A cached decode. `None` caches a confirmed-absent user (a clean read of
+/// an empty row), distinct from "not cached".
+type Cached = Option<Arc<UserFeatures>>;
+
+/// One shard. Every insert takes the next sequence number, stored both
+/// with the entry and in `order`. Invalidating a user removes only its map
+/// entry, which leaves its `order` record stale: eviction skips a record
+/// whose sequence no longer matches the entry's, so it pops the oldest
+/// live entry, and an invalidation is O(1) instead of a scan of `order`.
 #[derive(Default)]
 struct Shard {
-    /// `None` caches a confirmed-absent user (a clean read of an empty
-    /// row), distinct from "not cached".
-    map: HashMap<u64, Option<Arc<UserFeatures>>>,
-    /// FIFO insertion order for eviction.
-    order: VecDeque<u64>,
+    /// User -> (sequence of the insert that cached it, its decode).
+    map: HashMap<u64, (u64, Cached)>,
+    /// FIFO insertion order for eviction, stale records included.
+    order: VecDeque<(u64, u64)>,
+    /// Sequence number of the next insert.
+    next_seq: u64,
+}
+
+/// Whether an `order` record still names a cached entry.
+fn is_live(map: &HashMap<u64, (u64, Cached)>, (user, seq): (u64, u64)) -> bool {
+    map.get(&user).is_some_and(|&(current, _)| current == seq)
 }
 
 /// The cache proper. Cheap to share behind the server's `Arc`.
@@ -121,10 +136,10 @@ impl RowCache {
 
     /// Look up one user. Outer `None` = miss; inner `Option` is the cached
     /// decode (`None` = user confirmed absent).
-    pub fn get(&self, user: u64) -> Option<Option<Arc<UserFeatures>>> {
+    pub fn get(&self, user: u64) -> Option<Cached> {
         let shard = self.shards[self.shard_of(user)].lock();
         match shard.map.get(&user) {
-            Some(cached) => {
+            Some((_, cached)) => {
                 self.stats.hits.add(1);
                 Some(cached.clone())
             }
@@ -138,7 +153,7 @@ impl RowCache {
     /// Insert a *clean* decode. First write wins: a concurrent duplicate
     /// insert is dropped, so cached contents never flap. Callers must not
     /// insert results of degraded (torn/faulted) reads.
-    pub fn insert(&self, user: u64, features: Option<Arc<UserFeatures>>) {
+    pub fn insert(&self, user: u64, features: Cached) {
         if self.per_shard_cap == 0 {
             return;
         }
@@ -148,15 +163,24 @@ impl RowCache {
         }
         while shard.map.len() >= self.per_shard_cap {
             match shard.order.pop_front() {
-                Some(oldest) => {
-                    shard.map.remove(&oldest);
+                Some(oldest) if is_live(&shard.map, oldest) => {
+                    shard.map.remove(&oldest.0);
                     self.stats.evicted.add(1);
                 }
+                Some(_stale) => {}
                 None => break,
             }
         }
-        shard.map.insert(user, features);
-        shard.order.push_back(user);
+        let seq = shard.next_seq;
+        shard.next_seq += 1;
+        shard.map.insert(user, (seq, features));
+        shard.order.push_back((user, seq));
+        // Stale records only come from invalidations, so dropping them
+        // once they outnumber the live ones costs O(1) per invalidation.
+        if shard.order.len() > 2 * self.per_shard_cap {
+            let Shard { map, order, .. } = &mut *shard;
+            order.retain(|&record| is_live(map, record));
+        }
         self.stats.inserted.add(1);
     }
 
@@ -165,17 +189,14 @@ impl RowCache {
     /// This is the streaming-update path: a
     /// [`crate::ModelServer::ingest_update`] patches one user's row, so
     /// only that user's decode can be stale — the rest of the cache stays
-    /// hot. Touches exactly one shard lock. Returns how many entries were
-    /// dropped (0 or 1).
+    /// hot. Touches exactly one shard lock and costs O(1): the user's
+    /// eviction-order record goes stale in place (see `Shard`). Returns
+    /// how many entries were dropped (0 or 1).
     pub fn invalidate_user(&self, user: u64) -> usize {
         let mut shard = self.shards[self.shard_of(user)].lock();
         if shard.map.remove(&user).is_none() {
             return 0;
         }
-        // Drop the user's key from the FIFO queue too: a ghost key left
-        // behind would later pop without a matching map entry and silently
-        // shrink the shard's effective capacity accounting.
-        shard.order.retain(|&u| u != user);
         self.stats.invalidations.add(1);
         1
     }
@@ -209,6 +230,7 @@ impl RowCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn feats(x: f32) -> Option<Arc<UserFeatures>> {
         Some(Arc::new(UserFeatures {
@@ -323,5 +345,148 @@ mod tests {
         assert!(cache.get(4).is_some());
         assert!(cache.get(5).is_some());
         assert_eq!(cache.stats().evicted, 1);
+    }
+
+    /// The cache as it was before invalidation became O(1): one FIFO
+    /// queue of live users per shard, which `invalidate_user` scans. The
+    /// model the O(1) cache must match.
+    struct RetainCache {
+        shards: Vec<(HashMap<u64, Cached>, VecDeque<u64>)>,
+        per_shard_cap: usize,
+        stats: RowCacheStats,
+    }
+
+    impl RetainCache {
+        fn new(config: RowCacheConfig) -> Self {
+            let shards = config.shards.max(1);
+            let per_shard_cap = if config.capacity == 0 {
+                0
+            } else {
+                config.capacity.div_ceil(shards)
+            };
+            Self {
+                shards: (0..shards).map(|_| Default::default()).collect(),
+                per_shard_cap,
+                stats: RowCacheStats::default(),
+            }
+        }
+
+        fn shard(&mut self, user: u64) -> &mut (HashMap<u64, Cached>, VecDeque<u64>) {
+            let n = self.shards.len() as u64;
+            &mut self.shards[(splitmix64(user) % n) as usize]
+        }
+
+        fn get(&mut self, user: u64) -> Option<Cached> {
+            let cached = self.shard(user).0.get(&user).cloned();
+            match cached {
+                Some(_) => self.stats.hits += 1,
+                None => self.stats.misses += 1,
+            }
+            cached
+        }
+
+        fn insert(&mut self, user: u64, features: Cached) {
+            let cap = self.per_shard_cap;
+            if cap == 0 || self.shard(user).0.contains_key(&user) {
+                return;
+            }
+            let (map, order) = self.shard(user);
+            let mut evicted = 0;
+            while map.len() >= cap {
+                match order.pop_front() {
+                    Some(oldest) => {
+                        map.remove(&oldest);
+                        evicted += 1;
+                    }
+                    None => break,
+                }
+            }
+            map.insert(user, features);
+            order.push_back(user);
+            self.stats.evicted += evicted;
+            self.stats.inserted += 1;
+        }
+
+        fn invalidate_user(&mut self, user: u64) -> usize {
+            let (map, order) = self.shard(user);
+            if map.remove(&user).is_none() {
+                return 0;
+            }
+            order.retain(|&u| u != user);
+            self.stats.invalidations += 1;
+            1
+        }
+
+        fn clear(&mut self) {
+            for (map, order) in &mut self.shards {
+                map.clear();
+                order.clear();
+            }
+            self.stats.invalidations += 1;
+        }
+    }
+
+    /// Each shard's live users in eviction order, with their decodes.
+    fn fifo_contents(cache: &RowCache) -> Vec<Vec<(u64, Cached)>> {
+        cache
+            .shards
+            .iter()
+            .map(|shard| {
+                let shard = shard.lock();
+                shard
+                    .order
+                    .iter()
+                    .filter(|&&record| is_live(&shard.map, record))
+                    .map(|&(user, _)| (user, shard.map[&user].1.clone()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn model_contents(model: &RetainCache) -> Vec<Vec<(u64, Cached)>> {
+        model
+            .shards
+            .iter()
+            .map(|(map, order)| order.iter().map(|u| (*u, map[u].clone())).collect())
+            .collect()
+    }
+
+    proptest! {
+        /// Random insert/get/invalidate/clear sequences on tiny caches give
+        /// the same answers, the same contents in the same eviction order,
+        /// and the same five counters as the scanning model.
+        #[test]
+        fn o1_invalidation_matches_the_scanning_cache(
+            capacity in 1usize..5,
+            shards in 1usize..3,
+            ops in prop::collection::vec((0u8..10, 0u64..8), 0..120),
+        ) {
+            let config = RowCacheConfig { capacity, shards };
+            let cache = RowCache::new(config.clone());
+            let mut model = RetainCache::new(config);
+            for (step, &(op, user)) in ops.iter().enumerate() {
+                match op {
+                    0..=3 => {
+                        let features = (op > 0).then(|| Arc::new(UserFeatures {
+                            payer_side: vec![step as f32],
+                            ..Default::default()
+                        }));
+                        cache.insert(user, features.clone());
+                        model.insert(user, features);
+                    }
+                    4..=6 => prop_assert_eq!(cache.get(user), model.get(user)),
+                    7 | 8 => prop_assert_eq!(cache.invalidate_user(user), model.invalidate_user(user)),
+                    _ => {
+                        cache.clear();
+                        model.clear();
+                    }
+                }
+                prop_assert_eq!(fifo_contents(&cache), model_contents(&model));
+                prop_assert_eq!(cache.stats(), model.stats);
+                for shard in &cache.shards {
+                    prop_assert!(shard.lock().order.len() <= 2 * cache.per_shard_cap);
+                }
+            }
+        }
     }
 }

@@ -3,6 +3,7 @@
 # Run from anywhere; exits non-zero on the first failure.
 #
 #   ./scripts/verify.sh           # build + tests + clippy + fmt + bench compile
+#                                 # + the vendored bytes crate's own tests
 #                                 # + benchmark/ package build, tests and clippy
 #                                 # + the surface.sh size table (never fails)
 #   ./scripts/verify.sh --quick   # also run the nine gates through the one
@@ -42,6 +43,13 @@ cargo build --release
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+# vendor/ is outside the workspace, so the test run above skips the
+# stand-in crates' own tests. The bytes stand-in is the one with a
+# representation of its own (small payloads inline) and tests pinning it
+# to the byte-slice semantics; its Cargo.lock is tracked.
+echo "==> vendored bytes: tests"
+cargo test --offline -q --manifest-path vendor/bytes/Cargo.toml --target-dir target
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
