@@ -31,6 +31,8 @@
 //!   A layer counts into its parent's set: the WAL into
 //!   [`WriteStatsSnapshot`], a store into [`StoreOpCounts`].
 
+#![forbid(unsafe_code)]
+
 pub mod bloom;
 mod counters;
 pub mod fault;

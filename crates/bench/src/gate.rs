@@ -247,9 +247,6 @@ impl Pipeline {
         let (world, slice) = tiny_world(world_seed);
         let artifacts = OfflinePipeline::new(PipelineConfig {
             serving_replicas,
-            // One thread: SGNS training is Hogwild, so at two the model and
-            // the embedding cells differ from process to process.
-            threads: 1,
             ..PipelineConfig::quick()
         })
         .run(&world, &slice)

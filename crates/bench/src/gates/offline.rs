@@ -4,10 +4,9 @@
 //! must fit a fixed wall-clock budget).
 //!
 //! The sweep's timings are informational. The gate's one assertion is
-//! cross-thread determinism: on the tiny world with embeddings disabled
-//! (Hogwild SGNS is thread-count-dependent by design) the model bytes and
-//! the uploaded feature-table contents must not differ between 1 and 2
-//! threads.
+//! cross-thread determinism: on the tiny world, embeddings included, the
+//! model bytes and the uploaded feature-table contents must not differ
+//! between 1, 2 and 4 threads.
 
 use crate::gate::{tiny_world, Checks, Outcome};
 use serde::Serialize;
@@ -62,16 +61,11 @@ struct Report {
 /// counts.
 type Fingerprint = (Vec<u8>, Vec<(String, Vec<u8>)>);
 
-fn run_pipeline(
-    world: &World,
-    slice: &DatasetSlice,
-    threads: usize,
-    embeddings: bool,
-) -> OfflineArtifacts {
+fn run_pipeline(world: &World, slice: &DatasetSlice, threads: usize) -> OfflineArtifacts {
     let config = PipelineConfig {
-        embedding_dim: if embeddings { 16 } else { 0 },
-        walks_per_node: if embeddings { 10 } else { 0 },
-        walk_length: if embeddings { 20 } else { 0 },
+        embedding_dim: 16,
+        walks_per_node: 10,
+        walk_length: 20,
         threads,
         use_batch_layer: true,
         ..PipelineConfig::default()
@@ -108,7 +102,7 @@ pub fn run() -> Outcome {
     let mut runs = Vec::new();
     let (mut train_rows, mut graph_nodes) = (0, 0);
     for threads in thread_counts {
-        let artifacts = run_pipeline(&world, &slice, threads, true);
+        let artifacts = run_pipeline(&world, &slice, threads);
         let stages = StageMs::from_timings(&artifacts.timings);
         eprintln!(
             "  {threads} thread(s): graph {:.0}ms  embed {:.0}ms  assemble {:.0}ms  fit {:.0}ms  upload {:.0}ms  total {:.0}ms",
@@ -131,13 +125,13 @@ pub fn run() -> Outcome {
     eprintln!("GBDT fit speedup, 4 threads vs 1: {fit_speedup_4_threads:.2}x");
 
     let (tiny, tiny_slice) = tiny_world(42);
-    let one = fingerprint(&run_pipeline(&tiny, &tiny_slice, 1, false));
-    let two = fingerprint(&run_pipeline(&tiny, &tiny_slice, 2, false));
+    let one = fingerprint(&run_pipeline(&tiny, &tiny_slice, 1));
+    let same = [2, 4]
+        .into_iter()
+        .all(|threads| fingerprint(&run_pipeline(&tiny, &tiny_slice, threads)) == one);
     let mut checks = Checks::default();
-    let deterministic_across_threads = checks.check(
-        "model or feature table differs across thread counts",
-        one == two,
-    );
+    let deterministic_across_threads =
+        checks.check("model or feature table differs across thread counts", same);
 
     Outcome::new(
         checks.pass(),

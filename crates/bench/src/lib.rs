@@ -22,6 +22,8 @@
 //! runner binary (`cargo run --release -p titant-bench --bin gates [--
 //! <name>...]`), which writes one `BENCH_<name>.json` per gate.
 
+#![forbid(unsafe_code)]
+
 pub mod gate;
 pub mod gates;
 pub mod harness;

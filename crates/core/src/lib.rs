@@ -34,6 +34,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod assemble;
 pub mod error;
 pub mod layout;

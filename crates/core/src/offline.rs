@@ -658,16 +658,15 @@ mod tests {
         );
     }
 
-    /// The feature store must not depend on the upload thread count: the
-    /// same users, cells, and bytes regardless of how the work is sharded.
-    /// `embedding_dim: 0` keeps every upstream stage bit-deterministic
-    /// (Hogwild SGNS is thread-count-dependent by design).
+    /// The feature store must not depend on the thread count: the same
+    /// users, cells, and bytes — embeddings included — regardless of how
+    /// walks, SGNS shards and the upload are spread over workers.
     #[test]
     fn upload_is_identical_across_thread_counts() {
         let (world, slice) = tiny_setup();
         let dump = |threads: usize| {
             let artifacts = OfflinePipeline::new(PipelineConfig {
-                embedding_dim: 0,
+                embedding_dim: 8,
                 threads,
                 use_batch_layer: false,
                 ..PipelineConfig::quick()

@@ -22,6 +22,8 @@
 //! computed point-in-time (aggregates only see the past), plus a ground
 //! truth fraud flag and a report day implementing the label delay.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod features;
 pub mod profile;

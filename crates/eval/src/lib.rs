@@ -7,6 +7,8 @@
 //! industrial protocol when the operating point must be fixed before the
 //! test day arrives (the paper's "T+1" regime).
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod table;
 

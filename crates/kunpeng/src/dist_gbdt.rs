@@ -136,27 +136,14 @@ pub fn train(data: &Dataset, config: &DistGbdtConfig, ps: &ParamServer) -> DistG
 
     let mut node_of_row = vec![0u32; n];
     let mut grad = vec![0f32; n];
-    let mut hess = vec![0f32; n];
 
     for _tree_idx in 0..config.n_trees {
-        // Gradients (squared error: g = pred - y, h = 1), computed in
-        // parallel on the shards.
-        std::thread::scope(|scope| {
-            for shard in &shards {
-                let shard = shard.clone();
-                let scores = &scores;
-                // SAFETY-free split: disjoint shard ranges via raw split.
-                let grad_ptr = SendPtr(grad.as_mut_ptr());
-                let hess_ptr = SendPtr(hess.as_mut_ptr());
-                scope.spawn(move || {
-                    for i in shard {
-                        let y = f64::from(data.label(i));
-                        unsafe {
-                            grad_ptr.write(i, (scores[i] - y) as f32);
-                            hess_ptr.write(i, 1.0);
-                        }
-                    }
-                });
+        // Gradients (squared error: g = pred - y), computed in parallel on
+        // the shards.
+        for_shards(&mut grad, chunk, |first, part| {
+            for (k, g) in part.iter_mut().enumerate() {
+                let i = first + k;
+                *g = (scores[i] - f64::from(data.label(i))) as f32;
             }
         });
 
@@ -174,16 +161,12 @@ pub fn train(data: &Dataset, config: &DistGbdtConfig, ps: &ParamServer) -> DistG
             // Clear the PS histogram region (overwrite with zeros).
             ps.push_average(0..region, &vec![0f32; region], 1.0);
 
-            // Map node id -> slot in the histogram region.
-            let slot_of = |node: u32| frontier.iter().position(|&x| x == node);
-
             // Workers build local histograms and push them.
             std::thread::scope(|scope| {
                 for shard in &shards {
                     let shard = shard.clone();
                     let node_of_row = &node_of_row;
                     let grad = &grad;
-                    let hess = &hess;
                     let matrix = &matrix;
                     let frontier = &frontier;
                     scope.spawn(move || {
@@ -196,12 +179,13 @@ pub fn train(data: &Dataset, config: &DistGbdtConfig, ps: &ParamServer) -> DistG
                             let base = slot * hist_stride;
                             for feat in 0..f {
                                 let code = matrix.code(i as u32, feat) as usize;
-                                let off = base
-                                    + (feat * matrix_bins(matrix, feat, config)
-                                        + code.min(config.bins - 1))
-                                        * STATS;
+                                // Every feature gets `bins` slots whatever its
+                                // occupancy, so one flat region serves all.
+                                let off =
+                                    base + (feat * config.bins + code.min(config.bins - 1)) * STATS;
                                 local[off] += grad[i];
-                                local[off + 1] += hess[i];
+                                // Squared error: the hessian is 1 per row.
+                                local[off + 1] += 1.0;
                                 local[off + 2] += 1.0;
                             }
                         }
@@ -277,45 +261,25 @@ pub fn train(data: &Dataset, config: &DistGbdtConfig, ps: &ParamServer) -> DistG
             }
 
             // Workers re-partition their shards.
-            std::thread::scope(|scope| {
-                for shard in &shards {
-                    let shard = shard.clone();
-                    let matrix = &matrix;
-                    let frontier = &frontier;
-                    let decisions = &decisions;
-                    let nor = SendPtr(node_of_row.as_mut_ptr());
-                    scope.spawn(move || {
-                        for i in shard {
-                            let node = unsafe { nor.read(i) };
-                            let Some(slot) = frontier.iter().position(|&x| x == node) else {
-                                continue;
-                            };
-                            if let Some((feat, s, left, right)) = decisions[slot] {
-                                let code = matrix.code(i as u32, feat) as usize;
-                                let child = if code < s { left } else { right };
-                                unsafe { nor.write(i, child) };
-                            }
-                        }
-                    });
+            for_shards(&mut node_of_row, chunk, |first, part| {
+                for (k, node) in part.iter_mut().enumerate() {
+                    let Some(slot) = frontier.iter().position(|&x| x == *node) else {
+                        continue;
+                    };
+                    if let Some((feat, s, left, right)) = decisions[slot] {
+                        let code = matrix.code((first + k) as u32, feat) as usize;
+                        *node = if code < s { left } else { right };
+                    }
                 }
             });
-            let _ = slot_of;
             frontier = next_frontier;
         }
 
         let tree = DistTree { nodes };
         // Parallel score update.
-        std::thread::scope(|scope| {
-            for shard in &shards {
-                let shard = shard.clone();
-                let tree = &tree;
-                let sp = SendPtr(scores.as_mut_ptr());
-                scope.spawn(move || {
-                    for i in shard {
-                        let delta = config.learning_rate * tree.predict_raw(data.row(i));
-                        unsafe { sp.add_assign(i, delta) };
-                    }
-                });
+        for_shards(&mut scores, chunk, |first, part| {
+            for (k, score) in part.iter_mut().enumerate() {
+                *score += config.learning_rate * tree.predict_raw(data.row(first + k));
             }
         });
         trees.push(tree);
@@ -328,12 +292,6 @@ pub fn train(data: &Dataset, config: &DistGbdtConfig, ps: &ParamServer) -> DistG
     }
 }
 
-// Bins are laid out with the configured stride regardless of a feature's
-// actual occupancy, so a single flat region serves every feature.
-fn matrix_bins(_matrix: &BinnedMatrix, _feat: usize, config: &DistGbdtConfig) -> usize {
-    config.bins
-}
-
 /// PS dimension required: one histogram region large enough for the widest
 /// tree level.
 pub fn ps_dim(n_features: usize, config: &DistGbdtConfig) -> usize {
@@ -341,41 +299,15 @@ pub fn ps_dim(n_features: usize, config: &DistGbdtConfig) -> usize {
     (max_nodes_level * 2) * n_features * config.bins * STATS
 }
 
-/// Pointer wrapper for disjoint-range parallel writes.
-///
-/// SAFETY: every use in this module writes index `i` only from the worker
-/// owning the shard that contains `i`; shard ranges are disjoint.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-impl<T> SendPtr<T> {
-    /// Accessing through a method (not the field) makes closures capture
-    /// the whole `SendPtr` — field-precise 2021 captures would otherwise
-    /// move the raw pointer itself, which is not `Send`.
-    #[inline]
-    unsafe fn write(self, i: usize, v: T) {
-        *self.0.add(i) = v;
-    }
-    #[inline]
-    unsafe fn read(self, i: usize) -> T
-    where
-        T: Copy,
-    {
-        *self.0.add(i)
-    }
-    #[inline]
-    unsafe fn add_assign(self, i: usize, v: T)
-    where
-        T: Copy + std::ops::AddAssign,
-    {
-        *self.0.add(i) += v;
-    }
+/// Run `f(first_row, part)` on one scoped thread per `chunk`-row part of
+/// `data`: each worker updates the per-row values of its own shard.
+fn for_shards<T: Send>(data: &mut [T], chunk: usize, f: impl Fn(usize, &mut [T]) + Sync) {
+    let f = &f;
+    std::thread::scope(|scope| {
+        for (k, part) in data.chunks_mut(chunk.max(1)).enumerate() {
+            scope.spawn(move || f(k * chunk, part));
+        }
+    });
 }
 
 #[cfg(test)]

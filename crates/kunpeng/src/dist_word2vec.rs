@@ -9,14 +9,15 @@
 //! by executing the model average operation."
 //!
 //! Concretely: per round every worker pulls the full embedding block,
-//! trains SGNS locally on its walk shard for one pass, and pushes its
-//! updated copy back with `push_average(…, 1/n_workers)`. The PS traffic
-//! counters record exactly the bytes Figure 10's cost model needs.
+//! runs one pass of `titant-nrl`'s SGNS kernel ([`Sgns`]) over its walk
+//! shard, and pushes its updated copy back. The server averages the
+//! pushes: the k-th of a round lands with `push_average(…, 1/(k+1))`, which
+//! leaves the exact mean of the workers' copies. The PS traffic counters
+//! record exactly the bytes Figure 10's cost model needs.
 
 use crate::ps::ParamServer;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use titant_nrl::EmbeddingMatrix;
+use std::ops::Range;
+use titant_nrl::{EmbeddingMatrix, Sgns};
 use titant_txgraph::walk::WalkCorpus;
 
 /// Distributed SGNS hyperparameters.
@@ -64,56 +65,30 @@ pub fn train(
         "PS must hold syn0 and syn1 ({} floats)",
         2 * n_nodes * d
     );
-
-    // Unigram^0.75 negative table from corpus frequencies.
-    let mut counts = vec![0u64; n_nodes];
-    for &t in &corpus.tokens {
-        counts[t as usize] += 1;
-    }
-    let neg_table = build_negative_table(&counts);
-
-    let n_walks = corpus.walk_count();
-    let workers = config.n_workers.max(1).min(n_walks.max(1));
-    let chunk = n_walks.div_ceil(workers);
-    let alpha = 1.0 / workers as f32;
+    let sgns = Sgns::new(corpus, n_nodes, d, config.window, config.negatives);
+    let shards = worker_shards(corpus.walk_count(), config.n_workers);
 
     for round in 0..config.rounds {
-        let mut locals: Vec<Vec<f32>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(n_walks);
-                    let neg_table = &neg_table;
+        let locals: Vec<Vec<f32>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = shards
+                .iter()
+                .enumerate()
+                .map(|(w, walks)| {
+                    let sgns = &sgns;
                     let seed = config
                         .seed
-                        .wrapping_add((round * workers + w) as u64 * 0x9e37);
-                    scope.spawn(move || {
-                        // Pull the full model (syn0 ++ syn1).
-                        let mut params = vec![0f32; 2 * n_nodes * d];
-                        ps.pull(0..2 * n_nodes * d, &mut params);
-                        train_local(
-                            corpus,
-                            lo,
-                            hi,
-                            &mut params,
-                            n_nodes,
-                            d,
-                            config,
-                            neg_table,
-                            seed,
-                        );
-                        params
-                    })
+                        .wrapping_add((round * shards.len() + w) as u64 * 0x9e37);
+                    scope.spawn(move || worker_pass(sgns, corpus, walks.clone(), config, ps, seed))
                 })
                 .collect();
-            for h in handles {
-                locals.push(h.join().expect("w2v worker panicked"));
-            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("w2v worker panicked"))
+                .collect()
         });
         // Model-average aggregation on the server side.
-        for local in &locals {
-            ps.push_average(0..2 * n_nodes * d, local, alpha);
+        for (k, local) in locals.iter().enumerate() {
+            ps.push_average(0..ps.dim(), local, 1.0 / (k + 1) as f32);
         }
     }
 
@@ -121,90 +96,29 @@ pub fn train(
     EmbeddingMatrix::from_raw(d, params[..n_nodes * d].to_vec())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn train_local(
+/// Contiguous walk shards, one per worker.
+fn worker_shards(n_walks: usize, n_workers: usize) -> Vec<Range<usize>> {
+    let workers = n_workers.max(1).min(n_walks.max(1));
+    let chunk = n_walks.div_ceil(workers);
+    (0..workers)
+        .map(|w| (w * chunk).min(n_walks)..((w + 1) * chunk).min(n_walks))
+        .collect()
+}
+
+/// One worker's round: pull the full model (`syn0 ++ syn1`), train one
+/// local pass over `walks`, return the updated copy.
+fn worker_pass(
+    sgns: &Sgns,
     corpus: &WalkCorpus,
-    lo: usize,
-    hi: usize,
-    params: &mut [f32],
-    n_nodes: usize,
-    d: usize,
+    walks: Range<usize>,
     config: &DistWord2VecConfig,
-    neg_table: &[u32],
+    ps: &ParamServer,
     seed: u64,
-) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (syn0, syn1) = params.split_at_mut(n_nodes * d);
-    let mut neu1e = vec![0f32; d];
-    let lr = config.learning_rate;
-    for wi in lo..hi {
-        let walk = corpus.walk(wi);
-        for (ci, &center) in walk.iter().enumerate() {
-            let b = rng.gen_range(0..config.window);
-            let start = ci.saturating_sub(config.window - b);
-            let end = (ci + config.window - b + 1).min(walk.len());
-            for (pos, &context) in walk.iter().enumerate().take(end).skip(start) {
-                if pos == ci {
-                    continue;
-                }
-                let input = &mut syn0[context as usize * d..(context as usize + 1) * d];
-                neu1e.iter_mut().for_each(|v| *v = 0.0);
-                for nidx in 0..=config.negatives {
-                    let (target, label) = if nidx == 0 {
-                        (center, 1.0f32)
-                    } else {
-                        (neg_table[rng.gen_range(0..neg_table.len())], 0.0)
-                    };
-                    let output = &mut syn1[target as usize * d..(target as usize + 1) * d];
-                    let mut f = 0.0f32;
-                    for k in 0..d {
-                        f += input[k] * output[k];
-                    }
-                    let g = (label - sigmoid(f)) * lr;
-                    for k in 0..d {
-                        neu1e[k] += g * output[k];
-                        output[k] += g * input[k];
-                    }
-                }
-                for k in 0..d {
-                    input[k] += neu1e[k];
-                }
-            }
-        }
-    }
-}
-
-#[inline]
-fn sigmoid(x: f32) -> f32 {
-    if x > 8.0 {
-        1.0
-    } else if x < -8.0 {
-        0.0
-    } else {
-        1.0 / (1.0 + (-x).exp())
-    }
-}
-
-fn build_negative_table(counts: &[u64]) -> Vec<u32> {
-    let table_size = (counts.len() * 64).clamp(1 << 10, 1 << 22);
-    let mut table = vec![0u32; table_size];
-    let total: f64 = counts.iter().map(|&c| (c as f64).powf(0.75)).sum();
-    if total == 0.0 {
-        for (i, slot) in table.iter_mut().enumerate() {
-            *slot = (i % counts.len()) as u32;
-        }
-        return table;
-    }
-    let mut node = 0usize;
-    let mut cum = (counts[0] as f64).powf(0.75) / total;
-    for (i, slot) in table.iter_mut().enumerate() {
-        *slot = node as u32;
-        if (i as f64 + 1.0) / table_size as f64 > cum && node + 1 < counts.len() {
-            node += 1;
-            cum += (counts[node] as f64).powf(0.75) / total;
-        }
-    }
-    table
+) -> Vec<f32> {
+    let mut params = vec![0f32; ps.dim()];
+    ps.pull(0..ps.dim(), &mut params);
+    sgns.pass(corpus, walks, &mut params, config.learning_rate, seed);
+    params
 }
 
 /// Random init for the PS backing a distributed word2vec model: syn0 in
@@ -280,18 +194,43 @@ mod tests {
     #[test]
     fn traffic_matches_round_structure() {
         let (corpus, n) = two_cluster_corpus();
-        let cfg = DistWord2VecConfig {
-            dim: 4,
-            rounds: 3,
-            n_workers: 2,
-            ..Default::default()
-        };
-        let model_bytes = (2 * n * cfg.dim * 4) as u64;
-        let ps = ParamServer::new(2 * n * cfg.dim, 2, ps_init(n, cfg.dim, 2));
-        train(&corpus, n, &cfg, &ps);
-        // Per round each worker pulls + pushes the full model once.
-        assert_eq!(ps.pulled_bytes(), 3 * 2 * model_bytes);
-        assert_eq!(ps.pushed_bytes(), 3 * 2 * model_bytes);
+        let model_bytes = (2 * n * 4 * 4) as u64;
+        let new_ps = || ParamServer::new(2 * n * 4, 2, ps_init(n, 4, 2));
+        for rounds in [1, 3] {
+            let cfg = DistWord2VecConfig {
+                dim: 4,
+                rounds,
+                n_workers: 2,
+                ..Default::default()
+            };
+            let ps = new_ps();
+            train(&corpus, n, &cfg, &ps);
+            // Per round each worker pulls + pushes the full model once.
+            assert_eq!(ps.pulled_bytes(), rounds as u64 * 2 * model_bytes);
+            assert_eq!(ps.pushed_bytes(), rounds as u64 * 2 * model_bytes);
+            if rounds > 1 {
+                continue;
+            }
+            // After one round the PS holds the mean of the two workers'
+            // copies, replayed here against an identical PS.
+            let sgns = Sgns::new(&corpus, n, cfg.dim, cfg.window, cfg.negatives);
+            let twin = new_ps();
+            let locals: Vec<Vec<f32>> = worker_shards(corpus.walk_count(), 2)
+                .into_iter()
+                .enumerate()
+                .map(|(w, walks)| {
+                    let seed = cfg.seed.wrapping_add(w as u64 * 0x9e37);
+                    worker_pass(&sgns, &corpus, walks, &cfg, &twin, seed)
+                })
+                .collect();
+            assert_ne!(locals[0], locals[1]);
+            let mean: Vec<f32> = locals[0]
+                .iter()
+                .zip(&locals[1])
+                .map(|(a, b)| (a + b) / 2.0)
+                .collect();
+            assert_eq!(ps.snapshot(), mean);
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! On top of the PS run the three distributed trainers the paper
 //! reimplements on KunPeng:
 //!
-//! * [`dist_word2vec`] — DeepWalk's skip-gram stage: workers train on walk
-//!   shards and servers "aggregate them by executing the model average
-//!   operation" (§4.3, verbatim);
+//! * [`dist_word2vec`] — DeepWalk's skip-gram stage: workers run
+//!   `titant-nrl`'s SGNS kernel on walk shards and servers "aggregate them
+//!   by executing the model average operation" (§4.3, verbatim);
 //! * [`dist_lr`] — synchronous mini-batch logistic regression;
 //! * [`dist_gbdt`] — data-parallel histogram GBDT: per tree node every
 //!   worker pushes its local gradient histogram, the server sums them, the
@@ -25,6 +25,8 @@
 //! communication volume into simulated wall-clock times for an M-machine
 //! cluster (half servers, half workers, as in §5.2) — the substitution that
 //! regenerates Figure 10 without a physical cluster (see DESIGN.md).
+
+#![forbid(unsafe_code)]
 
 pub mod cluster;
 pub mod dist_gbdt;

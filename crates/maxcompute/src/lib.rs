@@ -20,6 +20,8 @@
 //!   grouped states, bounded top-K), the coordinator merges — results are
 //!   bit-identical for any (segments × threads) combination.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod distsql;
 pub mod exact;

@@ -15,6 +15,8 @@
 //! and the pipeline can treat them uniformly. Models are `serde`-serialisable
 //! — the model server ships them as versioned model files.
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod discretize;
 pub mod gbdt;

@@ -26,6 +26,7 @@
 //! * [`error`] — the typed [`ServeError`] taxonomy; see DESIGN.md
 //!   ("Serving-path failure semantics") for the degradation contract.
 
+#![forbid(unsafe_code)]
 // The serving path must never panic on a request: forbid the easy outs in
 // shipped code (tests may still unwrap freely).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

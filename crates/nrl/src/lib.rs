@@ -18,6 +18,8 @@
 //! Both produce an [`EmbeddingMatrix`] whose row `i` corresponds to node
 //! `i` of the [`titant_txgraph::TxGraph`] that produced it.
 
+#![forbid(unsafe_code)]
+
 pub mod deepwalk;
 pub mod embedding;
 pub mod structure2vec;
@@ -26,4 +28,4 @@ pub mod word2vec;
 pub use deepwalk::{DeepWalk, DeepWalkConfig};
 pub use embedding::EmbeddingMatrix;
 pub use structure2vec::{Structure2Vec, Structure2VecConfig};
-pub use word2vec::{Word2VecConfig, Word2VecTrainer};
+pub use word2vec::{Sgns, Word2VecConfig, Word2VecTrainer};

@@ -2,18 +2,31 @@
 //!
 //! The core of the paper's distributed DeepWalk reimplementation (§4.3):
 //! "Skip-gram with negative sampling in word2vec is applied to generate
-//! user node embeddings". This is a faithful port of the reference word2vec
-//! trainer — unigram^0.75 negative table, window shrinking, linear
-//! learning-rate decay — with lock-free Hogwild parallelism across walk
-//! shards (the single-machine analogue of KunPeng's asynchronous workers;
-//! `titant-kunpeng` adds the parameter-server layer on top).
+//! user node embeddings". [`Sgns`] is a port of the reference word2vec
+//! kernel — unigram^0.75 negative table, window shrinking, table sigmoid —
+//! and the one SGNS kernel in the workspace: `titant-kunpeng`'s
+//! parameter-server trainer wraps the same pass.
+//!
+//! [`Word2VecTrainer`] runs it data-parallel and deterministically. Each
+//! epoch is [`ROUNDS_PER_EPOCH`] sync rounds; a round cuts its slice of the
+//! walks into [`SHARDS`] contiguous shards, each shard trains one local pass
+//! on a private copy of `syn0 ++ syn1`, and the round ends with
+//! `base + Σ_s (local_s − base)` summed in shard order. Shard RNGs are
+//! seeded from `(seed, round, shard)`, so the embeddings are a function of
+//! the corpus and the config: the thread count changes wall time only.
 
 use crate::embedding::EmbeddingMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
+use titant_parallel::{chunk_ranges, item_seed, Pool};
 use titant_txgraph::walk::WalkCorpus;
+
+/// Shards per sync round. A constant, not the thread count, so results do
+/// not depend on the machine; DESIGN.md §7 gives the measurements behind it.
+pub const SHARDS: usize = 2;
+/// Sync rounds per epoch; the learning rate steps down once per round.
+pub const ROUNDS_PER_EPOCH: usize = 64;
 
 /// SGNS hyperparameters. Paper defaults: `dim = 32`; word2vec defaults for
 /// the rest.
@@ -32,10 +45,9 @@ pub struct Word2VecConfig {
     pub initial_lr: f32,
     /// Floor for the decayed learning rate.
     pub min_lr: f32,
-    /// Worker threads (Hogwild); `0` = auto-detect via
-    /// [`std::thread::available_parallelism`]. More than one worker makes
-    /// training non-deterministic (the documented Hogwild trade-off); pin
-    /// `threads: 1` where bit-reproducible embeddings matter.
+    /// Worker threads that run a round's shards and merge; `0` =
+    /// auto-detect via [`std::thread::available_parallelism`]. Changes wall
+    /// time only: the embeddings are identical at any count.
     pub threads: usize,
     /// RNG seed.
     pub seed: u64,
@@ -53,42 +65,6 @@ impl Default for Word2VecConfig {
             threads: 0,
             seed: 0x576f_7264,
         }
-    }
-}
-
-/// Shared embedding buffer for Hogwild updates.
-///
-/// SAFETY: concurrent writers may race on individual `f32`s. This is the
-/// documented Hogwild trade-off (Recht et al. 2011; also how the reference
-/// word2vec operates): updates are sparse, losses from torn/lost updates
-/// are statistically negligible, and the final values are read only after
-/// all writers join. No references escape a single update step.
-struct SharedMatrix {
-    data: UnsafeCell<Vec<f32>>,
-    dim: usize,
-}
-
-unsafe impl Sync for SharedMatrix {}
-
-impl SharedMatrix {
-    fn new(data: Vec<f32>, dim: usize) -> Self {
-        Self {
-            data: UnsafeCell::new(data),
-            dim,
-        }
-    }
-
-    /// Raw mutable row access without synchronisation (Hogwild).
-    #[allow(clippy::mut_from_ref)]
-    #[inline]
-    unsafe fn row_mut(&self, i: usize) -> &mut [f32] {
-        let v = &mut *self.data.get();
-        let a = i * self.dim;
-        std::slice::from_raw_parts_mut(v.as_mut_ptr().add(a), self.dim)
-    }
-
-    fn into_inner(self) -> Vec<f32> {
-        self.data.into_inner()
     }
 }
 
@@ -118,6 +94,110 @@ fn fast_sigmoid(table: &[f32], x: f32) -> f32 {
     }
 }
 
+/// The SGNS kernel: one local pass over a range of walks, updating a flat
+/// `syn0 ++ syn1` parameter block (`2 · n_nodes · dim` floats) in place.
+pub struct Sgns {
+    dim: usize,
+    window: usize,
+    negatives: usize,
+    n_nodes: usize,
+    neg_table: Vec<u32>,
+    sigmoid_table: Vec<f32>,
+}
+
+impl Sgns {
+    /// A kernel over `n_nodes` node ids, negatives drawn from the
+    /// unigram^0.75 distribution of `corpus`.
+    pub fn new(
+        corpus: &WalkCorpus,
+        n_nodes: usize,
+        dim: usize,
+        window: usize,
+        negatives: usize,
+    ) -> Self {
+        assert!(n_nodes > 0, "empty vocabulary");
+        assert!(dim > 0, "dim must be positive");
+        assert!(window > 0, "window must be positive");
+        let mut counts = vec![0u64; n_nodes];
+        for &t in &corpus.tokens {
+            counts[t as usize] += 1;
+        }
+        Self {
+            dim,
+            window,
+            negatives,
+            n_nodes,
+            neg_table: build_negative_table(&counts),
+            sigmoid_table: build_sigmoid_table(),
+        }
+    }
+
+    /// Train one pass over walks `walks` of `corpus` at learning rate `lr`,
+    /// drawing window shrinks and negatives from an RNG seeded with `seed`.
+    pub fn pass(
+        &self,
+        corpus: &WalkCorpus,
+        walks: Range<usize>,
+        params: &mut [f32],
+        lr: f32,
+        seed: u64,
+    ) {
+        let dim = self.dim;
+        assert_eq!(
+            params.len(),
+            2 * self.n_nodes * dim,
+            "params are syn0 ++ syn1"
+        );
+        let (syn0, syn1) = params.split_at_mut(self.n_nodes * dim);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut neu1e = vec![0f32; dim];
+        for w in walks {
+            let walk = corpus.walk(w);
+            for (ci, &center) in walk.iter().enumerate() {
+                // Random window shrink, as in the reference implementation.
+                let b = rng.gen_range(0..self.window);
+                let start = ci.saturating_sub(self.window - b);
+                let end = (ci + self.window - b + 1).min(walk.len());
+                for (pos, &context) in walk.iter().enumerate().take(end).skip(start) {
+                    if pos == ci {
+                        continue;
+                    }
+                    let c = context as usize * dim;
+                    let input = &mut syn0[c..c + dim];
+                    neu1e.iter_mut().for_each(|v| *v = 0.0);
+                    // One positive target + `negatives` sampled targets.
+                    for n in 0..=self.negatives {
+                        let (target, label) = if n == 0 {
+                            (center, 1.0f32)
+                        } else {
+                            let table = &self.neg_table;
+                            let mut neg = table[rng.gen_range(0..table.len())];
+                            if neg == center {
+                                neg = table[rng.gen_range(0..table.len())];
+                            }
+                            (neg, 0.0)
+                        };
+                        let t = target as usize * dim;
+                        let output = &mut syn1[t..t + dim];
+                        let mut f = 0.0f32;
+                        for d in 0..dim {
+                            f += input[d] * output[d];
+                        }
+                        let g = (label - fast_sigmoid(&self.sigmoid_table, f)) * lr;
+                        for d in 0..dim {
+                            neu1e[d] += g * output[d];
+                            output[d] += g * input[d];
+                        }
+                    }
+                    for d in 0..dim {
+                        input[d] += neu1e[d];
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Trains SGNS embeddings from a walk corpus.
 pub struct Word2VecTrainer {
     config: Word2VecConfig,
@@ -135,151 +215,50 @@ impl Word2VecTrainer {
     /// Train embeddings for a vocabulary of `n_nodes` node ids over the
     /// corpus. Returns the input-side (`syn0`) embedding matrix.
     pub fn train(&self, corpus: &WalkCorpus, n_nodes: usize) -> EmbeddingMatrix {
-        assert!(n_nodes > 0, "empty vocabulary");
         let cfg = &self.config;
         let dim = cfg.dim;
-
-        // Unigram^0.75 negative-sampling table over corpus frequencies.
-        let mut counts = vec![0u64; n_nodes];
-        for &t in &corpus.tokens {
-            counts[t as usize] += 1;
-        }
-        let neg_table = build_negative_table(&counts);
+        let sgns = Sgns::new(corpus, n_nodes, dim, cfg.window, cfg.negatives);
+        let block = 2 * n_nodes * dim;
 
         // syn0 random in (-0.5/dim, 0.5/dim); syn1 zeros — word2vec init.
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let syn0_init: Vec<f32> = (0..n_nodes * dim)
+        let mut base: Vec<f32> = (0..n_nodes * dim)
             .map(|_| (rng.gen::<f32>() - 0.5) / dim as f32)
             .collect();
-        let syn0 = SharedMatrix::new(syn0_init, dim);
-        let syn1 = SharedMatrix::new(vec![0.0; n_nodes * dim], dim);
-        let sigmoid_table = build_sigmoid_table();
+        base.resize(block, 0.0);
 
-        let total_tokens = (corpus.token_count() as u64).max(1) * cfg.epochs as u64;
-        let processed = AtomicU64::new(0);
-
-        let n_walks = corpus.walk_count();
-        let threads = titant_parallel::resolve_threads(cfg.threads).min(n_walks.max(1));
-        let chunk = n_walks.div_ceil(threads);
-
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n_walks);
-                let syn0 = &syn0;
-                let syn1 = &syn1;
-                let neg_table = &neg_table;
-                let sigmoid_table = &sigmoid_table;
-                let processed = &processed;
-                let seed = cfg
-                    .seed
-                    .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1));
-                scope.spawn(move || {
-                    train_shard(ShardArgs {
-                        corpus,
-                        lo,
-                        hi,
-                        syn0,
-                        syn1,
-                        neg_table,
-                        sigmoid_table,
-                        processed,
-                        total_tokens,
-                        cfg,
-                        seed,
-                    });
-                });
-            }
-        });
-
-        EmbeddingMatrix::from_raw(dim, syn0.into_inner())
-    }
-}
-
-struct ShardArgs<'a> {
-    corpus: &'a WalkCorpus,
-    lo: usize,
-    hi: usize,
-    syn0: &'a SharedMatrix,
-    syn1: &'a SharedMatrix,
-    neg_table: &'a [u32],
-    sigmoid_table: &'a [f32],
-    processed: &'a AtomicU64,
-    total_tokens: u64,
-    cfg: &'a Word2VecConfig,
-    seed: u64,
-}
-
-fn train_shard(args: ShardArgs<'_>) {
-    let ShardArgs {
-        corpus,
-        lo,
-        hi,
-        syn0,
-        syn1,
-        neg_table,
-        sigmoid_table,
-        processed,
-        total_tokens,
-        cfg,
-        seed,
-    } = args;
-    let dim = cfg.dim;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut neu1e = vec![0f32; dim];
-    let mut lr = cfg.initial_lr;
-    let mut local_tokens = 0u64;
-
-    for _epoch in 0..cfg.epochs {
-        for w in lo..hi {
-            let walk = corpus.walk(w);
-            for (ci, &center) in walk.iter().enumerate() {
-                local_tokens += 1;
-                if local_tokens.is_multiple_of(10_000) {
-                    let done = processed.fetch_add(10_000, Ordering::Relaxed) + 10_000;
-                    let frac = done as f32 / total_tokens as f32;
-                    lr = (cfg.initial_lr * (1.0 - frac)).max(cfg.min_lr);
+        let pool = Pool::new(cfg.threads);
+        let mut locals = vec![0f32; SHARDS * block];
+        let rounds = chunk_ranges(corpus.walk_count(), ROUNDS_PER_EPOCH);
+        let steps = cfg.epochs * rounds.len();
+        for step in 0..steps {
+            let lr = (cfg.initial_lr * (1.0 - step as f32 / steps as f32)).max(cfg.min_lr);
+            let round = &rounds[step % rounds.len()];
+            let shards = chunk_ranges(round.len(), SHARDS);
+            let locals = &mut locals[..shards.len() * block];
+            pool.for_chunks_mut(locals, block, |first, chunk| {
+                for (s, local) in (first..).zip(chunk.chunks_mut(block)) {
+                    local.copy_from_slice(&base);
+                    let walks = round.start + shards[s].start..round.start + shards[s].end;
+                    let seed = item_seed(cfg.seed, (step * SHARDS + s) as u64);
+                    sgns.pass(corpus, walks, local, lr, seed);
                 }
-                // Random window shrink, as in the reference implementation.
-                let b = rng.gen_range(0..cfg.window);
-                let start = ci.saturating_sub(cfg.window - b);
-                let end = (ci + cfg.window - b + 1).min(walk.len());
-                for (pos, &context) in walk.iter().enumerate().take(end).skip(start) {
-                    if pos == ci {
-                        continue;
-                    }
-                    // SAFETY: Hogwild — see SharedMatrix.
-                    let input = unsafe { syn0.row_mut(context as usize) };
-                    neu1e.iter_mut().for_each(|v| *v = 0.0);
-                    // One positive target + `negatives` sampled targets.
-                    for n in 0..=cfg.negatives {
-                        let (target, label) = if n == 0 {
-                            (center, 1.0f32)
-                        } else {
-                            let mut neg = neg_table[rng.gen_range(0..neg_table.len())];
-                            if neg == center {
-                                neg = neg_table[rng.gen_range(0..neg_table.len())];
-                            }
-                            (neg, 0.0)
-                        };
-                        // SAFETY: Hogwild — see SharedMatrix.
-                        let output = unsafe { syn1.row_mut(target as usize) };
-                        let mut f = 0.0f32;
-                        for d in 0..dim {
-                            f += input[d] * output[d];
-                        }
-                        let g = (label - fast_sigmoid(sigmoid_table, f)) * lr;
-                        for d in 0..dim {
-                            neu1e[d] += g * output[d];
-                            output[d] += g * input[d];
-                        }
-                    }
-                    for d in 0..dim {
-                        input[d] += neu1e[d];
+            });
+            // base + Σ_s (local_s − base), summed in shard order.
+            let locals = &*locals;
+            pool.for_chunks_mut(&mut base, dim, |first_row, chunk| {
+                let offset = first_row * dim;
+                for (i, b) in chunk.iter_mut().enumerate() {
+                    let b0 = *b;
+                    for local in locals.chunks(block) {
+                        *b += local[offset + i] - b0;
                     }
                 }
-            }
+            });
         }
+
+        base.truncate(n_nodes * dim);
+        EmbeddingMatrix::from_raw(dim, base)
     }
 }
 
@@ -376,32 +355,19 @@ mod tests {
     #[test]
     fn single_thread_training_is_deterministic() {
         let (corpus, n) = two_cluster_corpus(4);
-        let cfg = Word2VecConfig {
-            dim: 4,
-            epochs: 1,
-            threads: 1,
-            ..Default::default()
+        let train = |threads: usize| {
+            Word2VecTrainer::new(Word2VecConfig {
+                dim: 4,
+                epochs: 1,
+                threads,
+                ..Default::default()
+            })
+            .train(&corpus, n)
         };
-        let e1 = Word2VecTrainer::new(cfg.clone()).train(&corpus, n);
-        let e2 = Word2VecTrainer::new(cfg).train(&corpus, n);
-        assert_eq!(e1.as_slice(), e2.as_slice());
-    }
-
-    #[test]
-    fn multi_thread_training_still_separates_clusters() {
-        let (corpus, n) = two_cluster_corpus(8);
-        let emb = Word2VecTrainer::new(Word2VecConfig {
-            dim: 8,
-            epochs: 4,
-            threads: 4,
-            initial_lr: 0.05,
-            ..Default::default()
-        })
-        .train(&corpus, n);
-        use titant_txgraph::NodeId;
-        let intra = emb.cosine(NodeId(1), NodeId(2));
-        let inter = emb.cosine(NodeId(1), NodeId(8));
-        assert!(intra > inter, "intra {intra} vs inter {inter}");
+        let e1 = train(1);
+        assert_eq!(e1.as_slice(), train(1).as_slice());
+        assert_eq!(e1.as_slice(), train(2).as_slice());
+        assert_eq!(e1.as_slice(), train(4).as_slice());
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! gets bit-identical results for *any* thread count — the property the
 //! GBDT trainer's cross-thread determinism test asserts.
 
+#![forbid(unsafe_code)]
+
 use std::num::NonZeroUsize;
 use std::ops::Range;
 
@@ -45,6 +47,17 @@ pub fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
         .map(|i| (i * n / parts)..((i + 1) * n / parts))
         .filter(|r| !r.is_empty())
         .collect()
+}
+
+/// The seed of item `index` in a run seeded with `seed`: a SplitMix64
+/// finaliser over the pair. Work that seeds its RNG per item (a walk's
+/// start node, an SGNS shard) draws the same stream whichever chunk or
+/// thread runs it, so its output does not depend on the thread count.
+pub fn item_seed(seed: u64, index: u64) -> u64 {
+    let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// A fixed-width scoped-thread pool.
@@ -209,6 +222,14 @@ mod tests {
                 assert_eq!(covered, n, "n={n} parts={parts}");
             }
         }
+    }
+
+    #[test]
+    fn item_seeds_differ_per_item_and_per_run() {
+        let seeds: std::collections::HashSet<u64> = (0..1000).map(|i| item_seed(7, i)).collect();
+        assert_eq!(seeds.len(), 1000);
+        assert_ne!(item_seed(7, 3), item_seed(8, 3));
+        assert_eq!(item_seed(7, 3), item_seed(7, 3));
     }
 
     #[test]

@@ -41,6 +41,7 @@
 //! unchanged. The serving layout carries the slots via
 //! `serving_layout_with_velocity`.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod window;

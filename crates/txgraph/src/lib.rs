@@ -30,6 +30,8 @@
 //! assert_eq!(graph.edge_count(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod alias;
 pub mod analysis;
 pub mod builder;

@@ -12,6 +12,8 @@ use crate::csr::TxGraph;
 use crate::ids::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
+use titant_parallel::{item_seed, Pool};
 
 /// Neighbour-selection strategy at each walk step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,13 +34,12 @@ pub struct WalkConfig {
     pub walks_per_node: usize,
     /// Neighbour selection strategy.
     pub strategy: WalkStrategy,
-    /// RNG seed; walks are fully deterministic for a given seed and
-    /// resolved thread count (shards are seeded per worker, so different
-    /// worker counts yield different — equally valid — corpora).
+    /// RNG seed. Each start node's walks draw from an RNG seeded with
+    /// `(seed, start)`, so the corpus is a function of the graph and this
+    /// config alone.
     pub seed: u64,
     /// Worker threads for walk generation; `0` = auto-detect via
-    /// [`std::thread::available_parallelism`]. Pin an explicit count when
-    /// the corpus must be reproducible across machines.
+    /// [`std::thread::available_parallelism`]. Changes wall time only.
     pub threads: usize,
 }
 
@@ -142,49 +143,29 @@ impl<'g> WalkEngine<'g> {
     }
 
     /// Generate the full corpus: `walks_per_node` walks from every node,
-    /// split across `config.threads` workers by start-node shard.
+    /// in start-node order, split across `config.threads` workers.
     pub fn generate(&self) -> WalkCorpus {
-        let n = self.graph.node_count();
-        let threads = titant_parallel::resolve_threads(self.config.threads).min(n.max(1));
-        if threads <= 1 {
-            return self.generate_shard(0, n, self.config.seed);
-        }
-        let chunk = n.div_ceil(threads);
-        let mut shards: Vec<WalkCorpus> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(n);
-                    let seed = self
-                        .config
-                        .seed
-                        .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1));
-                    scope.spawn(move || self.generate_shard(lo, hi, seed))
-                })
-                .collect();
-            for h in handles {
-                shards.push(h.join().expect("walk worker panicked"));
-            }
-        });
-        let mut corpus = WalkCorpus::default();
-        for s in shards {
-            corpus.merge(s);
-        }
-        corpus
+        Pool::new(self.config.threads)
+            .map_ranges(self.graph.node_count(), |_, starts| {
+                self.generate_shard(starts)
+            })
+            .into_iter()
+            .reduce(|mut corpus, shard| {
+                corpus.merge(shard);
+                corpus
+            })
+            .unwrap_or_default()
     }
 
-    /// Generate walks for start nodes in `lo..hi` with the given seed.
-    fn generate_shard(&self, lo: usize, hi: usize, seed: u64) -> WalkCorpus {
-        let mut rng = StdRng::seed_from_u64(seed);
+    /// Generate the walks that start at nodes `starts`.
+    fn generate_shard(&self, starts: Range<usize>) -> WalkCorpus {
         let mut corpus = WalkCorpus::default();
-        let expect = (hi - lo) * self.config.walks_per_node * self.config.walk_length;
-        corpus.tokens.reserve(expect);
-        corpus
-            .offsets
-            .reserve((hi - lo) * self.config.walks_per_node + 1);
+        let walks = starts.len() * self.config.walks_per_node;
+        corpus.tokens.reserve(walks * self.config.walk_length);
+        corpus.offsets.reserve(walks + 1);
         let mut buf = Vec::with_capacity(self.config.walk_length);
-        for start in lo..hi {
+        for start in starts {
+            let mut rng = StdRng::seed_from_u64(item_seed(self.config.seed, start as u64));
             for _ in 0..self.config.walks_per_node {
                 self.walk_from(NodeId(start as u32), &mut rng, &mut buf);
                 if buf.len() >= 2 {
@@ -291,19 +272,28 @@ mod tests {
     #[test]
     fn parallel_generation_covers_all_nodes() {
         let g = line_graph(20);
-        let cfg = WalkConfig {
-            walk_length: 4,
-            walks_per_node: 2,
-            threads: 4,
-            ..Default::default()
+        let generate = |threads: usize| {
+            let cfg = WalkConfig {
+                walk_length: 4,
+                walks_per_node: 2,
+                threads,
+                ..Default::default()
+            };
+            WalkEngine::new(&g, cfg).generate()
         };
-        let corpus = WalkEngine::new(&g, cfg).generate();
+        let corpus = generate(4);
         assert_eq!(corpus.walk_count(), 20 * 2);
         let mut starts = [0usize; 20];
         for w in corpus.iter() {
             starts[w[0] as usize] += 1;
         }
         assert!(starts.iter().all(|&c| c == 2));
+        // The same corpus at any thread count.
+        for threads in [1, 2] {
+            let other = generate(threads);
+            assert_eq!(corpus.tokens, other.tokens, "{threads} threads");
+            assert_eq!(corpus.offsets, other.offsets, "{threads} threads");
+        }
     }
 
     #[test]
