@@ -321,22 +321,29 @@ mod tests {
 
     #[test]
     fn clusters_separate_in_embedding_space() {
-        let (corpus, n) = two_cluster_corpus(8);
-        let emb = Word2VecTrainer::new(Word2VecConfig {
-            dim: 8,
-            epochs: 4,
-            initial_lr: 0.05,
-            ..Default::default()
-        })
-        .train(&corpus, n);
-
         use titant_txgraph::NodeId;
-        let intra = emb.cosine(NodeId(1), NodeId(2));
-        let inter = emb.cosine(NodeId(1), NodeId(8));
-        assert!(
-            intra > inter + 0.1,
-            "intra-cluster cosine {intra} should exceed inter-cluster {inter}"
-        );
+        let (corpus, n) = two_cluster_corpus(8);
+        let train = |threads: usize| {
+            Word2VecTrainer::new(Word2VecConfig {
+                dim: 8,
+                epochs: 4,
+                initial_lr: 0.05,
+                threads,
+                ..Default::default()
+            })
+            .train(&corpus, n)
+        };
+        let e1 = train(1);
+        let e4 = train(4);
+        for (threads, emb) in [(1, &e1), (4, &e4)] {
+            let intra = emb.cosine(NodeId(1), NodeId(2));
+            let inter = emb.cosine(NodeId(1), NodeId(8));
+            assert!(
+                intra > inter + 0.1,
+                "{threads} threads: intra-cluster cosine {intra} should exceed inter-cluster {inter}"
+            );
+        }
+        assert_eq!(e1.as_slice(), e4.as_slice());
     }
 
     #[test]
