@@ -67,7 +67,6 @@ fn run_pipeline(world: &World, slice: &DatasetSlice, threads: usize) -> OfflineA
         walks_per_node: 10,
         walk_length: 20,
         threads,
-        use_batch_layer: true,
         ..PipelineConfig::default()
     };
     OfflinePipeline::new(config)

@@ -179,9 +179,7 @@ pub fn run() -> Outcome {
     eprintln!("predict latency: {N_USERS} users, {N_REQUESTS} requests, {N_TREES} trees");
     let fx = Serving::new(2, 2, 1, 2, N_TREES, 3);
     let model_file = fx.model();
-    let ServableModel::Gbdt(model) = &model_file.model else {
-        unreachable!("the fixture trains a GBDT");
-    };
+    let ServableModel::Gbdt(model) = &model_file.model;
     let stream = requests();
     let nan_rows = stream.iter().filter(|r| r.context[0].is_nan()).count();
     let context_only_rows = stream.iter().filter(|r| r.transferee >= N_USERS).count();

@@ -48,9 +48,6 @@ pub struct PipelineConfig {
     /// Fraction of the training window (oldest rows) used to tune the alert
     /// operating point.
     pub val_fraction: f64,
-    /// Route log ingestion and edge aggregation through the MaxCompute
-    /// batch layer (slower, full-fidelity) or build the graph directly.
-    pub use_batch_layer: bool,
     /// Read replicas per serving region in the uploaded feature table
     /// (1 = no replication). Replicas enable the online path's failover
     /// and hedged reads.
@@ -66,7 +63,6 @@ impl Default for PipelineConfig {
             threads: 0,
             gbdt: GbdtConfig::default(),
             val_fraction: 0.25,
-            use_batch_layer: true,
             serving_replicas: 1,
         }
     }
@@ -95,7 +91,7 @@ impl PipelineConfig {
 /// per thread count; production would export them as training-job metrics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
-    /// Network construction (MaxCompute MR or direct build).
+    /// Network construction (MaxCompute SQL aggregation of the logs).
     pub graph: Duration,
     /// DeepWalk walks + SGNS training.
     pub embed: Duration,
@@ -166,13 +162,10 @@ impl OfflinePipeline {
         let pool = Pool::new(threads);
         let mut timings = StageTimings::default();
 
-        // 1. Network construction: through MaxCompute MR or directly.
+        // 1. Network construction: log ingestion and edge aggregation
+        // through the MaxCompute batch layer.
         let t0 = Instant::now();
-        let graph = if self.config.use_batch_layer {
-            self.build_graph_via_maxcompute(world, slice, threads)?
-        } else {
-            world.build_graph(slice.graph_days.clone())
-        };
+        let graph = self.build_graph_via_maxcompute(world, slice, threads)?;
         timings.graph = t0.elapsed();
 
         // 2. User node embeddings.
@@ -534,10 +527,7 @@ mod tests {
     #[test]
     fn batch_layer_and_direct_graphs_agree() {
         let (world, slice) = tiny_setup();
-        let via_mc = OfflinePipeline::new(PipelineConfig {
-            use_batch_layer: true,
-            ..PipelineConfig::quick()
-        });
+        let via_mc = OfflinePipeline::new(PipelineConfig::quick());
         let direct = world.build_graph(slice.graph_days.clone());
         let mc_graph = via_mc
             .build_graph_via_maxcompute(&world, &slice, 2)
@@ -668,7 +658,6 @@ mod tests {
             let artifacts = OfflinePipeline::new(PipelineConfig {
                 embedding_dim: 8,
                 threads,
-                use_batch_layer: false,
                 ..PipelineConfig::quick()
             })
             .run(&world, &slice)

@@ -8,10 +8,16 @@
 //! Per-round traffic therefore grows with the worker count — the reason
 //! the paper's GBDT time "does not obviously halve" from 20 to 40 machines
 //! while compute keeps shrinking.
+//!
+//! The trainer is `titant-models`' GBDT grown level by level: the
+//! coordinator picks each split with the same [`pick_split`] that
+//! `GbdtConfig::fit` uses and grows the same [`RegTree`]s, so what KunPeng
+//! trains is a [`Gbdt`] the model server can load.
 
 use crate::ps::ParamServer;
 use titant_models::gbdt::binned::BinnedMatrix;
-use titant_models::Dataset;
+use titant_models::gbdt::tree::{pick_split, HistBin, RegTree, TreeParams};
+use titant_models::{Dataset, Gbdt, GbdtObjective};
 
 /// Distributed GBDT hyperparameters (paper §5.1: 400 trees, depth 3).
 #[derive(Debug, Clone)]
@@ -39,81 +45,20 @@ impl Default for DistGbdtConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    Split {
-        feature: u32,
-        threshold: f32,
-        left: u32,
-        right: u32,
-    },
-    Leaf {
-        value: f32,
-    },
-}
-
-/// One tree of the distributed ensemble.
-#[derive(Debug, Clone)]
-pub struct DistTree {
-    nodes: Vec<Node>,
-}
-
-impl DistTree {
-    fn predict_raw(&self, row: &[f32]) -> f64 {
-        let mut i = 0usize;
-        loop {
-            match &self.nodes[i] {
-                Node::Leaf { value } => return f64::from(*value),
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                    ..
-                } => {
-                    let v = row[*feature as usize];
-                    i = if v.is_nan() || v < *threshold {
-                        *left as usize
-                    } else {
-                        *right as usize
-                    };
-                }
-            }
-        }
-    }
-}
-
-/// A trained distributed GBDT model.
-#[derive(Debug, Clone)]
-pub struct DistGbdt {
-    trees: Vec<DistTree>,
-    base_score: f64,
-    n_features: usize,
-}
-
-impl DistGbdt {
-    /// Score one row (squared-error objective, clamped to `[0, 1]`).
-    pub fn predict_proba(&self, features: &[f32]) -> f32 {
-        debug_assert_eq!(features.len(), self.n_features);
-        let mut s = self.base_score;
-        for t in &self.trees {
-            s += t.predict_raw(features);
-        }
-        s.clamp(0.0, 1.0) as f32
-    }
-
-    /// Tree count.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
-}
-
 const STATS: usize = 3; // (sum_g, sum_h, count) per bin
 
 /// Train with synchronous per-level histogram aggregation through `ps`.
 /// The PS must be sized by [`ps_dim`].
-pub fn train(data: &Dataset, config: &DistGbdtConfig, ps: &ParamServer) -> DistGbdt {
+///
+/// The model is the same kind `titant_models::GbdtConfig::fit` returns:
+/// with sampling off it picks the same splits, and its scores differ only
+/// by the f32 rounding of the histograms the PS sums.
+pub fn train(data: &Dataset, config: &DistGbdtConfig, ps: &ParamServer) -> Gbdt {
     assert!(data.is_labeled(), "distributed GBDT needs labels");
+    assert!(
+        config.max_depth > 0,
+        "distributed GBDT needs max_depth >= 1"
+    );
     let n = data.n_rows();
     let f = data.n_cols();
     assert_eq!(
@@ -122,6 +67,11 @@ pub fn train(data: &Dataset, config: &DistGbdtConfig, ps: &ParamServer) -> DistG
         "PS sized for the histogram region"
     );
     let matrix = BinnedMatrix::build(data, config.bins);
+    let params = TreeParams {
+        max_depth: config.max_depth,
+        reg_lambda: config.reg_lambda,
+        min_samples_leaf: config.min_samples_leaf,
+    };
     let workers = config.n_workers.max(1).min(n.max(1));
     let chunk = n.div_ceil(workers);
     let shards: Vec<std::ops::Range<usize>> = (0..workers)
@@ -130,8 +80,7 @@ pub fn train(data: &Dataset, config: &DistGbdtConfig, ps: &ParamServer) -> DistG
 
     let base_score = data.labels().iter().map(|&y| y as f64).sum::<f64>() / n as f64;
     let mut scores = vec![base_score; n];
-    let mut trees: Vec<DistTree> = Vec::with_capacity(config.n_trees);
-    let max_nodes_level = 1usize << (config.max_depth.saturating_sub(1).min(16));
+    let mut trees: Vec<RegTree> = Vec::with_capacity(config.n_trees);
     let hist_stride = f * config.bins * STATS;
 
     let mut node_of_row = vec![0u32; n];
@@ -147,116 +96,101 @@ pub fn train(data: &Dataset, config: &DistGbdtConfig, ps: &ParamServer) -> DistG
             }
         });
 
-        node_of_row.iter_mut().for_each(|v| *v = 0);
-        let mut nodes: Vec<Node> = vec![Node::Leaf { value: 0.0 }];
-        // Active frontier: (node index, depth).
+        node_of_row.fill(0);
+        // Built from the root's histogram on the first level.
+        let mut tree: Option<RegTree> = None;
+        // The leaves still to split.
         let mut frontier: Vec<u32> = vec![0];
 
         for _depth in 0..config.max_depth {
             if frontier.is_empty() {
                 break;
             }
-            let n_active = frontier.len().min(max_nodes_level * 2);
-            let region = n_active * hist_stride;
+            let region = frontier.len() * hist_stride;
             // Clear the PS histogram region (overwrite with zeros).
             ps.push_average(0..region, &vec![0f32; region], 1.0);
 
-            // Workers build local histograms and push them.
-            std::thread::scope(|scope| {
-                for shard in &shards {
-                    let shard = shard.clone();
-                    let node_of_row = &node_of_row;
-                    let grad = &grad;
-                    let matrix = &matrix;
-                    let frontier = &frontier;
-                    scope.spawn(move || {
-                        let mut local = vec![0f32; region];
-                        for i in shard {
-                            let node = node_of_row[i];
-                            let Some(slot) = frontier.iter().position(|&x| x == node) else {
-                                continue;
-                            };
-                            let base = slot * hist_stride;
-                            for feat in 0..f {
-                                let code = matrix.code(i as u32, feat) as usize;
-                                // Every feature gets `bins` slots whatever its
-                                // occupancy, so one flat region serves all.
-                                let off =
-                                    base + (feat * config.bins + code.min(config.bins - 1)) * STATS;
-                                local[off] += grad[i];
-                                // Squared error: the hessian is 1 per row.
-                                local[off + 1] += 1.0;
-                                local[off + 2] += 1.0;
+            // Workers build local histograms; the coordinator pushes them
+            // in worker order, so the f32 sums on the PS never depend on
+            // which thread finishes first.
+            let locals: Vec<Vec<f32>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = shards
+                    .iter()
+                    .map(|shard| {
+                        let (shard, node_of_row, grad) = (shard.clone(), &node_of_row, &grad);
+                        let (matrix, frontier) = (&matrix, &frontier);
+                        scope.spawn(move || {
+                            let mut local = vec![0f32; region];
+                            for i in shard {
+                                let node = node_of_row[i];
+                                let Some(slot) = frontier.iter().position(|&x| x == node) else {
+                                    continue;
+                                };
+                                let base = slot * hist_stride;
+                                for feat in 0..f {
+                                    // Every feature gets `bins` slots whatever
+                                    // its occupancy, so one flat region serves all.
+                                    let code = matrix.code(i as u32, feat) as usize;
+                                    let off = base + (feat * config.bins + code) * STATS;
+                                    local[off] += grad[i];
+                                    // Squared error: the hessian is 1 per row.
+                                    local[off + 1] += 1.0;
+                                    local[off + 2] += 1.0;
+                                }
                             }
-                        }
-                        ps.push_add(0..region, &local);
-                    });
-                }
+                            local
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("GBDT worker panicked"))
+                    .collect()
             });
+            for local in &locals {
+                ps.push_add(0..region, local);
+            }
 
-            // Coordinator pulls merged histograms and decides splits.
+            // Coordinator pulls merged histograms and picks splits with
+            // the single-machine trainer's picker.
             let mut merged = vec![0f32; region];
             ps.pull(0..region, &mut merged);
+            let bins: Vec<HistBin> = merged
+                .chunks_exact(STATS)
+                .map(|b| HistBin {
+                    g: f64::from(b[0]),
+                    h: f64::from(b[1]),
+                    n: b[2] as u32,
+                })
+                .collect();
 
             let mut next_frontier: Vec<u32> = Vec::new();
             let mut decisions: Vec<Option<(usize, usize, u32, u32)>> = vec![None; frontier.len()];
             for (slot, &node) in frontier.iter().enumerate() {
-                let base = slot * hist_stride;
+                let node_bins = &bins[slot * f * config.bins..(slot + 1) * f * config.bins];
+                let feature_bins = |feat: usize| {
+                    &node_bins[feat * config.bins..feat * config.bins + matrix.n_bins(feat)]
+                };
                 // Node totals from feature 0's bins.
-                let (mut tg, mut th, mut tn) = (0f64, 0f64, 0f64);
-                for b in 0..config.bins {
-                    let off = base + b * STATS;
-                    tg += f64::from(merged[off]);
-                    th += f64::from(merged[off + 1]);
-                    tn += f64::from(merged[off + 2]);
-                }
-                let leaf_value = (-tg / (th + config.reg_lambda)) as f32;
-                nodes[node as usize] = Node::Leaf { value: leaf_value };
-                if tn < 2.0 * config.min_samples_leaf as f64 {
+                let total = feature_bins(0)
+                    .iter()
+                    .fold(HistBin::default(), |t, b| HistBin {
+                        g: t.g + b.g,
+                        h: t.h + b.h,
+                        n: t.n + b.n,
+                    });
+                let tree = tree.get_or_insert_with(|| RegTree::root(&total, &params));
+                if (total.n as usize) < 2 * config.min_samples_leaf {
                     continue;
                 }
-                let parent_obj = tg * tg / (th + config.reg_lambda);
-                let mut best: Option<(usize, usize, f64)> = None;
+                let mut best = None;
                 for feat in 0..f {
-                    let k = matrix.n_bins(feat).min(config.bins);
-                    if k < 2 {
-                        continue;
-                    }
-                    let fbase = base + feat * config.bins * STATS;
-                    let (mut lg, mut lh, mut ln) = (0f64, 0f64, 0f64);
-                    for s in 1..k {
-                        let off = fbase + (s - 1) * STATS;
-                        lg += f64::from(merged[off]);
-                        lh += f64::from(merged[off + 1]);
-                        ln += f64::from(merged[off + 2]);
-                        let (rg, rh, rn) = (tg - lg, th - lh, tn - ln);
-                        if ln < config.min_samples_leaf as f64
-                            || rn < config.min_samples_leaf as f64
-                        {
-                            continue;
-                        }
-                        let gain = lg * lg / (lh + config.reg_lambda)
-                            + rg * rg / (rh + config.reg_lambda)
-                            - parent_obj;
-                        if gain > 1e-12 && best.is_none_or(|b| gain > b.2) {
-                            best = Some((feat, s, gain));
-                        }
-                    }
+                    pick_split(&mut best, feat, feature_bins(feat), &total, &params);
                 }
-                if let Some((feat, s, _)) = best {
-                    let left = nodes.len() as u32;
-                    nodes.push(Node::Leaf { value: 0.0 });
-                    let right = nodes.len() as u32;
-                    nodes.push(Node::Leaf { value: 0.0 });
-                    nodes[node as usize] = Node::Split {
-                        feature: feat as u32,
-                        threshold: matrix.threshold(feat, s),
-                        left,
-                        right,
-                    };
-                    decisions[slot] = Some((feat, s, left, right));
-                    next_frontier.push(left);
-                    next_frontier.push(right);
+                if let Some(best) = best {
+                    let (left, right) = tree.split_leaf(node, &total, &best, &matrix, &params);
+                    decisions[slot] = Some((best.feature, best.bin_split, left, right));
+                    next_frontier.extend([left, right]);
                 }
             }
 
@@ -275,21 +209,19 @@ pub fn train(data: &Dataset, config: &DistGbdtConfig, ps: &ParamServer) -> DistG
             frontier = next_frontier;
         }
 
-        let tree = DistTree { nodes };
-        // Parallel score update.
+        let mut tree = tree.expect("the first level grows the root");
+        // Parallel score update with the shrunken tree output, then store
+        // the tree shrunk, as `GbdtConfig::fit` does.
         for_shards(&mut scores, chunk, |first, part| {
             for (k, score) in part.iter_mut().enumerate() {
-                *score += config.learning_rate * tree.predict_raw(data.row(first + k));
+                *score += config.learning_rate * tree.predict_binned(&matrix, (first + k) as u32);
             }
         });
+        tree.scale_leaves(config.learning_rate);
         trees.push(tree);
     }
 
-    DistGbdt {
-        trees,
-        base_score,
-        n_features: f,
-    }
+    Gbdt::from_trees(trees, base_score, GbdtObjective::SquaredError, f)
 }
 
 /// PS dimension required: one histogram region large enough for the widest
@@ -313,6 +245,7 @@ fn for_shards<T: Send>(data: &mut [T], chunk: usize, f: impl Fn(usize, &mut [T])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use titant_models::{Classifier, GbdtConfig};
 
     fn xor_data(n: usize) -> Dataset {
         let mut d = Dataset::new(2);
@@ -336,17 +269,36 @@ mod tests {
         }
     }
 
+    fn train_on(data: &Dataset, cfg: &DistGbdtConfig) -> Gbdt {
+        let ps = ParamServer::new(ps_dim(data.n_cols(), cfg), 2, |_| 0.0);
+        train(data, cfg, &ps)
+    }
+
+    /// Every tree's shape: `(feature, bin_split)` per split, in preorder.
+    fn shapes(model: &Gbdt) -> Vec<Vec<Option<(u32, u8)>>> {
+        model.trees().iter().map(|t| t.splits()).collect()
+    }
+
+    /// The largest score gap between two models over `data`'s rows.
+    fn max_gap(a: &Gbdt, b: &Gbdt, data: &Dataset) -> f64 {
+        (0..data.n_rows())
+            .map(|i| (a.raw_score(data.row(i)) - b.raw_score(data.row(i))).abs())
+            .fold(0.0, f64::max)
+    }
+
     #[test]
     fn learns_xor_distributed() {
         let data = xor_data(1200);
-        let cfg = quick_cfg();
-        let ps = ParamServer::new(ps_dim(2, &cfg), 2, |_| 0.0);
-        let model = train(&data, &cfg, &ps);
+        let model = train_on(&data, &quick_cfg());
         assert!(model.predict_proba(&[0.9, 0.1]) > 0.7);
         assert!(model.predict_proba(&[0.9, 0.9]) < 0.3);
         assert_eq!(model.n_trees(), 40);
     }
 
+    /// The PS sums f32 partial histograms, so leaf bits may move with the
+    /// worker count; the splits may not, and the scores only by rounding.
+    /// Two runs at one worker count are bit-identical: workers' histograms
+    /// reach the PS in worker order, not in thread-arrival order.
     #[test]
     fn worker_count_does_not_change_predictions() {
         let data = xor_data(400);
@@ -356,17 +308,58 @@ mod tests {
                 n_trees: 10,
                 ..quick_cfg()
             };
-            let ps = ParamServer::new(ps_dim(2, &cfg), 2, |_| 0.0);
-            train(&data, &cfg, &ps)
+            train_on(&data, &cfg)
         };
         let m1 = run(1);
-        let m4 = run(4);
-        for probe in [[0.2f32, 0.3], [0.8, 0.2], [0.5, 0.9]] {
-            let (a, b) = (m1.predict_proba(&probe), m4.predict_proba(&probe));
-            assert!(
-                (a - b).abs() < 1e-4,
-                "workers changed result: {a} vs {b} at {probe:?}"
-            );
+        for workers in [2, 3, 4] {
+            let m = run(workers);
+            assert_eq!(shapes(&m), shapes(&m1), "{workers} workers changed a split");
+            let gap = max_gap(&m, &m1, &data);
+            assert!(gap < 1e-6, "{workers} workers moved a score by {gap}");
+        }
+        let (a, b) = (run(4), run(4));
+        assert_eq!(format!("{:?}", a.trees()), format!("{:?}", b.trees()));
+    }
+
+    /// With sampling off, KunPeng's trainer grows the single-machine
+    /// trainer's trees: the same splits in every tree, and scores equal up
+    /// to the f32 rounding of the PS histograms.
+    #[test]
+    fn agrees_with_single_machine_fit() {
+        for n in [400, 4_000, 20_000] {
+            let data = xor_data(n);
+            let cfg = DistGbdtConfig {
+                n_trees: 30,
+                ..quick_cfg()
+            };
+            let fit = GbdtConfig {
+                n_trees: cfg.n_trees,
+                max_depth: cfg.max_depth,
+                learning_rate: cfg.learning_rate,
+                subsample: 1.0,
+                colsample: 1.0,
+                reg_lambda: cfg.reg_lambda,
+                min_samples_leaf: cfg.min_samples_leaf,
+                bins: cfg.bins,
+                threads: 1,
+                ..Default::default()
+            }
+            .fit(&data);
+            for workers in [1, 2, 3, 4] {
+                let dist = train_on(
+                    &data,
+                    &DistGbdtConfig {
+                        n_workers: workers,
+                        ..cfg.clone()
+                    },
+                );
+                assert_eq!(shapes(&dist), shapes(&fit), "n {n}, {workers} workers");
+                let gap = max_gap(&dist, &fit, &data);
+                assert!(
+                    gap < 1e-6,
+                    "n {n}, {workers} workers: scores differ by {gap}"
+                );
+            }
         }
     }
 

@@ -9,17 +9,18 @@
 //! previous status" — is implemented with [`ps::Checkpoint`]s and exercised
 //! in tests.
 //!
-//! On top of the PS run the three distributed trainers the paper
-//! reimplements on KunPeng:
+//! On top of the PS run the two distributed trainers Figure 10 measures,
+//! each a PS wrapper around the single-machine kernel in its own crate:
 //!
 //! * [`dist_word2vec`] — DeepWalk's skip-gram stage: workers run
 //!   `titant-nrl`'s SGNS kernel on walk shards and servers "aggregate them
 //!   by executing the model average operation" (§4.3, verbatim);
-//! * [`dist_lr`] — synchronous mini-batch logistic regression;
-//! * [`dist_gbdt`] — data-parallel histogram GBDT: per tree node every
-//!   worker pushes its local gradient histogram, the server sums them, the
-//!   coordinator picks the split — the communication pattern whose cost
-//!   ceases to amortise past ~20 machines in the paper's Figure 10.
+//! * [`dist_gbdt`] — data-parallel histogram GBDT: per tree level every
+//!   worker pushes its local gradient histograms, the server sums them, and
+//!   the coordinator picks each split with `titant-models`' split picker and
+//!   grows its trees, returning a `titant_models::Gbdt` — the communication
+//!   pattern whose cost ceases to amortise past ~20 machines in the paper's
+//!   Figure 10.
 //!
 //! [`cluster`] turns measured single-machine throughput plus the recorded
 //! communication volume into simulated wall-clock times for an M-machine
@@ -30,7 +31,6 @@
 
 pub mod cluster;
 pub mod dist_gbdt;
-pub mod dist_lr;
 pub mod dist_word2vec;
 pub mod ps;
 

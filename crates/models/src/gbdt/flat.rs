@@ -20,7 +20,7 @@
 //! * `roots: Vec<i32>` — one reference per tree (a single-leaf tree's root
 //!   is itself a leaf reference).
 //!
-//! Trees are lowered in preorder and concatenated, so an ensemble walk
+//! Trees are lowered in node order and concatenated, so an ensemble walk
 //! streams forward through one arena instead of hopping between per-tree
 //! heap `Vec`s.
 //!
@@ -97,8 +97,8 @@ pub struct FlatForest {
 }
 
 impl FlatForest {
-    /// Lower a fitted ensemble. Each tree's nodes are already in preorder;
-    /// internal nodes map onto the shared arena in that order and leaves
+    /// Lower a fitted ensemble. Each tree's children already follow their
+    /// parent; internal nodes map onto the shared arena in that order and leaves
     /// into the leaf-value array, so the compiled descent touches nodes in
     /// the exact sequence the reference walk would.
     pub(crate) fn compile(trees: &[RegTree], base_score: f64, n_features: usize) -> Self {

@@ -234,33 +234,50 @@ impl GbdtConfig {
             let mut feats: Vec<u32> = feat_pool[..n_feats_sampled].to_vec();
             feats.sort_unstable();
 
-            let tree = RegTree::fit(&matrix, rows, &feats, &grad, &hess, &params, &pool);
+            let mut tree = RegTree::fit(&matrix, rows, &feats, &grad, &hess, &params, &pool);
             // Update scores of *all* rows with the shrunken tree output.
             elementwise_pool.for_chunks_mut(&mut scores, 1, |off, chunk| {
                 for (k, s) in chunk.iter_mut().enumerate() {
                     *s += self.learning_rate * tree.predict_binned(&matrix, (off + k) as u32);
                 }
             });
+            tree.scale_leaves(self.learning_rate);
             trees.push(tree);
         }
 
-        let model = Gbdt {
-            trees,
-            base_score,
-            objective: self.objective,
-            n_features: n_feats,
-            threads: self.threads,
-            flat: OnceLock::new(),
-            pool: OnceLock::new(),
-        };
-        // Compile the serving form while the trainer still owns the model,
-        // so the first request never pays the lowering cost.
-        model.flat();
-        model
+        Gbdt::from_trees(trees, base_score, self.objective, n_feats).with_threads(self.threads)
     }
 }
 
 impl Gbdt {
+    /// The ensemble `base_score + Σ trees`, each tree already shrunk by the
+    /// learning rate, scoring `n_features`-wide rows. Compiles the serving
+    /// form while the trainer still owns the model, so the first request
+    /// never pays the lowering cost.
+    pub fn from_trees(
+        trees: Vec<RegTree>,
+        base_score: f64,
+        objective: GbdtObjective,
+        n_features: usize,
+    ) -> Self {
+        let model = Gbdt {
+            trees,
+            base_score,
+            objective,
+            n_features,
+            threads: 0,
+            flat: OnceLock::new(),
+            pool: OnceLock::new(),
+        };
+        model.flat();
+        model
+    }
+
+    /// The trees, in boosting order.
+    pub fn trees(&self) -> &[RegTree] {
+        &self.trees
+    }
+
     /// Number of trees in the ensemble.
     pub fn n_trees(&self) -> usize {
         self.trees.len()
@@ -610,6 +627,39 @@ mod tests {
         }
         .fit(&d);
         assert!((m.raw_score(&[0.0]) - 0.2).abs() < 1e-9);
+    }
+
+    /// Regression: the stored leaves were the unshrunk Newton steps, so
+    /// every score ignored `learning_rate` (one tree scored the same at
+    /// 0.1 and 1.0). One tree's step off the base score now scales with it.
+    #[test]
+    fn predictions_scale_with_learning_rate() {
+        let mut d = Dataset::new(1);
+        for i in 0..100 {
+            let x = i as f32 / 100.0;
+            d.push_row(&[x], (x > 0.5) as u8 as f32);
+        }
+        let one_tree = |learning_rate: f64| {
+            GbdtConfig {
+                n_trees: 1,
+                max_depth: 1,
+                learning_rate,
+                subsample: 1.0,
+                colsample: 1.0,
+                ..Default::default()
+            }
+            .fit(&d)
+        };
+        let (slow, full) = (one_tree(0.1), one_tree(1.0));
+        for x in [0.1f32, 0.9] {
+            let step = |m: &Gbdt| m.raw_score(&[x]) - m.base_score;
+            let (a, b) = (step(&slow), step(&full));
+            assert!(b.abs() > 0.1, "x {x}: the tree should move the score");
+            assert!(
+                (a - 0.1 * b).abs() <= 1e-6 * b.abs(),
+                "x {x}: step {a} at lr 0.1 vs {b} at lr 1.0"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,11 @@
 //! Each node accumulates per-bin `(Σg, Σh, count)` histograms over its rows
 //! for the sampled features, then scans bins once to find the best split by
 //! the second-order gain formula `G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)`.
-//! Leaves output `−G/(H+λ)` (the Newton step).
+//! Leaves output `−G/(H+λ)` (the Newton step). The bin scan is one
+//! function, [`pick_split`], shared with KunPeng's distributed trainer,
+//! which fills the same [`HistBin`]s from histograms merged on its
+//! parameter server and grows the same [`RegTree`] level by level through
+//! [`RegTree::root`] and [`RegTree::split_leaf`].
 //!
 //! Split finding is **feature-parallel**: the sampled features are chunked
 //! across the pool's workers, each worker accumulates histograms for its
@@ -57,17 +61,83 @@ pub struct RegTree {
     nodes: Vec<RegNode>,
 }
 
-#[derive(Clone, Copy, Default)]
-struct HistBin {
-    g: f64,
-    h: f64,
-    n: u32,
+/// Gradient statistics of one histogram bin, or of a whole node: `Σg`,
+/// `Σh` and the row count.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HistBin {
+    pub g: f64,
+    pub h: f64,
+    pub n: u32,
 }
 
-struct BestSplit {
+impl HistBin {
+    /// The node's Newton step `−G/(H+λ)`, the value it holds as a leaf.
+    fn leaf_value(&self, reg_lambda: f64) -> f32 {
+        (-self.g / (self.h + reg_lambda)) as f32
+    }
+
+    /// The sums of the rows in `self` but not in `part`.
+    fn minus(&self, part: &HistBin) -> HistBin {
+        HistBin {
+            g: self.g - part.g,
+            h: self.h - part.h,
+            n: self.n - part.n,
+        }
+    }
+}
+
+/// The best split found so far for one node: `code < bin_split` of
+/// `feature` goes left, and `left` holds the left child's sums.
+#[derive(Debug, Clone, Copy)]
+pub struct BestSplit {
+    pub feature: usize,
+    pub bin_split: usize,
+    pub gain: f64,
+    pub left: HistBin,
+}
+
+/// The split picker every GBDT trainer shares. Prefix-scans `hist`, one
+/// feature's filled histogram over a node whose sums are `total` (bin `b`
+/// holds the rows with code `b`), for the split "code < s" with the
+/// largest second-order gain `G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)`,
+/// and stores it in `best` if its gain is above `1e-12` and strictly
+/// above `best`'s. Both sides must keep `min_samples_leaf` rows. A
+/// caller scanning features in ascending order therefore keeps the lowest
+/// feature, then the lowest bin, among equal gains.
+pub fn pick_split(
+    best: &mut Option<BestSplit>,
     feature: usize,
-    bin_split: usize,
-    gain: f64,
+    hist: &[HistBin],
+    total: &HistBin,
+    params: &TreeParams,
+) {
+    let parent_obj = total.g * total.g / (total.h + params.reg_lambda);
+    let mut left = HistBin::default();
+    for s in 1..hist.len() {
+        let prev = &hist[s - 1];
+        left.g += prev.g;
+        left.h += prev.h;
+        left.n += prev.n;
+        let right_n = total.n - left.n;
+        if (left.n as usize) < params.min_samples_leaf
+            || (right_n as usize) < params.min_samples_leaf
+        {
+            continue;
+        }
+        let right_g = total.g - left.g;
+        let right_h = total.h - left.h;
+        let gain = left.g * left.g / (left.h + params.reg_lambda)
+            + right_g * right_g / (right_h + params.reg_lambda)
+            - parent_obj;
+        if gain > 1e-12 && best.as_ref().is_none_or(|b| gain > b.gain) {
+            *best = Some(BestSplit {
+                feature,
+                bin_split: s,
+                gain,
+                left,
+            });
+        }
+    }
 }
 
 impl RegTree {
@@ -97,6 +167,79 @@ impl RegTree {
             pool,
         );
         Self { nodes }
+    }
+
+    /// A one-leaf tree holding the Newton step of `total`: the root a
+    /// level-wise grower (KunPeng's distributed trainer) starts from.
+    pub fn root(total: &HistBin, params: &TreeParams) -> Self {
+        Self {
+            nodes: vec![RegNode::Leaf {
+                value: total.leaf_value(params.reg_lambda),
+            }],
+        }
+    }
+
+    /// Split leaf `node`, whose rows sum to `total`, as `best` says. The
+    /// two new leaves hold the Newton steps of `best.left` and of
+    /// `total − best.left`, so a level-wise grower needs no further pass
+    /// over the rows to value them. Returns their indices (left, right).
+    pub fn split_leaf(
+        &mut self,
+        node: u32,
+        total: &HistBin,
+        best: &BestSplit,
+        matrix: &BinnedMatrix,
+        params: &TreeParams,
+    ) -> (u32, u32) {
+        let left = self.nodes.len() as u32;
+        for side in [best.left, total.minus(&best.left)] {
+            self.nodes.push(RegNode::Leaf {
+                value: side.leaf_value(params.reg_lambda),
+            });
+        }
+        self.nodes[node as usize] = RegNode::Split {
+            feature: best.feature as u32,
+            threshold: matrix.threshold(best.feature, best.bin_split),
+            bin_split: best.bin_split as u8,
+            left,
+            right: left + 1,
+            gain: best.gain as f32,
+        };
+        (left, left + 1)
+    }
+
+    /// Multiply every leaf by `factor`: the trainers store each tree
+    /// shrunk by the learning rate, the step its score update took.
+    pub fn scale_leaves(&mut self, factor: f64) {
+        for node in &mut self.nodes {
+            if let RegNode::Leaf { value } = node {
+                *value = (f64::from(*value) * factor) as f32;
+            }
+        }
+    }
+
+    /// The tree's shape whatever its node order: a preorder walk, with
+    /// `Some((feature, bin_split))` for a split and `None` for a leaf.
+    pub fn splits(&self) -> Vec<Option<(u32, u8)>> {
+        let mut out = Vec::with_capacity(self.nodes.len());
+        let mut stack = vec![0u32];
+        while let Some(i) = stack.pop() {
+            match self.nodes[i as usize] {
+                RegNode::Split {
+                    feature,
+                    bin_split,
+                    left,
+                    right,
+                    ..
+                } => {
+                    out.push(Some((feature, bin_split)));
+                    stack.push(right);
+                    stack.push(left);
+                }
+                RegNode::Leaf { .. } => out.push(None),
+            }
+        }
+        out
     }
 
     /// Evaluate on a raw feature row (serving path).
@@ -165,24 +308,47 @@ impl RegTree {
 
     /// The raw node storage, exposed to the crate so the compiled
     /// [`super::flat::FlatForest`] can lower the tree without re-walking it
-    /// through the enum match. Nodes are in preorder (root first, each left
-    /// subtree before its right sibling) — the order `grow` emits.
+    /// through the enum match. Every child comes after its parent: `grow`
+    /// emits preorder, [`RegTree::split_leaf`] appends level by level.
     pub(crate) fn nodes(&self) -> &[RegNode] {
         &self.nodes
     }
 
-    /// [`crate::check_tree`] over this tree's nodes.
+    /// Why a deserialized tree cannot be served, or `Ok` when it can: the
+    /// tree must have a node, and each split must send both children to
+    /// later nodes of the tree — the trainers emit children after their
+    /// parent, so every walk moves forward and ends — and read a feature
+    /// below `n_features`.
     pub(crate) fn check(&self, n_features: usize) -> Result<(), String> {
-        let nodes = self.nodes.iter().map(|node| match *node {
-            RegNode::Split {
+        let len = self.nodes.len();
+        if len == 0 {
+            return Err("a tree has no nodes".into());
+        }
+        for (i, node) in self.nodes.iter().enumerate() {
+            let RegNode::Split {
                 feature,
                 left,
                 right,
                 ..
-            } => Some((feature, left, right)),
-            RegNode::Leaf { .. } => None,
-        });
-        crate::check_tree(nodes, n_features)
+            } = *node
+            else {
+                continue;
+            };
+            for child in [left, right] {
+                let child = child as usize;
+                if child <= i || child >= len {
+                    return Err(format!(
+                        "node {i} of {len} has child {child}: not a later node of the tree"
+                    ));
+                }
+            }
+            if feature as usize >= n_features {
+                return Err(format!(
+                    "node {i} splits on feature {feature}, past the {n_features}-wide row"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -197,7 +363,6 @@ fn best_split_for(
     hess: &[f32],
     params: &TreeParams,
     total: &HistBin,
-    parent_obj: f64,
     hist: &mut [HistBin],
 ) -> Option<BestSplit> {
     let mut best: Option<BestSplit> = None;
@@ -218,32 +383,7 @@ fn best_split_for(
             b.h += f64::from(hess[r as usize]);
             b.n += 1;
         }
-        // Prefix scan over bins: split "code < s".
-        let mut left = HistBin::default();
-        for s in 1..k {
-            let prev = &hist[s - 1];
-            left.g += prev.g;
-            left.h += prev.h;
-            left.n += prev.n;
-            let right_n = total.n - left.n;
-            if (left.n as usize) < params.min_samples_leaf
-                || (right_n as usize) < params.min_samples_leaf
-            {
-                continue;
-            }
-            let right_g = total.g - left.g;
-            let right_h = total.h - left.h;
-            let gain = left.g * left.g / (left.h + params.reg_lambda)
-                + right_g * right_g / (right_h + params.reg_lambda)
-                - parent_obj;
-            if gain > 1e-12 && best.as_ref().is_none_or(|b| gain > b.gain) {
-                best = Some(BestSplit {
-                    feature: f,
-                    bin_split: s,
-                    gain,
-                });
-            }
-        }
+        pick_split(&mut best, f, &hist[..k], total, params);
     }
     best
 }
@@ -270,14 +410,13 @@ fn grow(
         total.h += f64::from(hess[r as usize]);
         total.n += 1;
     }
-    let leaf_value = (-total.g / (total.h + params.reg_lambda)) as f32;
+    let leaf_value = total.leaf_value(params.reg_lambda);
 
     if depth >= params.max_depth || rows.len() < 2 * params.min_samples_leaf {
         nodes.push(RegNode::Leaf { value: leaf_value });
         return idx;
     }
 
-    let parent_obj = total.g * total.g / (total.h + params.reg_lambda);
     let best = if pool.threads() > 1 && rows.len() * features.len() >= PAR_HIST_MIN_CELLS {
         // Feature-parallel: each worker owns a contiguous chunk of the
         // sorted feature sample and a private histogram buffer; the
@@ -293,7 +432,6 @@ fn grow(
                 hess,
                 params,
                 &total,
-                parent_obj,
                 &mut scratch,
             )
         })
@@ -304,9 +442,7 @@ fn grow(
             _ => Some(cand),
         })
     } else {
-        best_split_for(
-            matrix, &rows, features, grad, hess, params, &total, parent_obj, hist,
-        )
+        best_split_for(matrix, &rows, features, grad, hess, params, &total, hist)
     };
 
     let Some(best) = best else {

@@ -84,28 +84,6 @@ impl ITree {
     }
 }
 
-impl IsolationForest {
-    /// Whether every tree can score an `n_features`-wide row: each has a
-    /// node, every split's children are later nodes of its tree, and every
-    /// split feature is below `n_features`. A deserialized forest that
-    /// fails this would panic or loop forever in `predict_proba`.
-    pub fn check(&self, n_features: usize) -> Result<(), String> {
-        for (t, tree) in self.trees.iter().enumerate() {
-            let nodes = tree.nodes.iter().map(|node| match *node {
-                ITreeNode::Split {
-                    feature,
-                    left,
-                    right,
-                    ..
-                } => Some((feature, left, right)),
-                ITreeNode::Leaf { .. } => None,
-            });
-            crate::check_tree(nodes, n_features).map_err(|e| format!("isolation tree {t}: {e}"))?;
-        }
-        Ok(())
-    }
-}
-
 /// Expected path length of an unsuccessful search in a BST of `n` nodes —
 /// the normalisation constant `c(n)` from the iForest paper.
 pub fn c_factor(n: usize) -> f64 {

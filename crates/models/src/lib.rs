@@ -33,37 +33,3 @@ pub use iforest::{IsolationForest, IsolationForestConfig};
 pub use linear::{LogisticRegression, LogisticRegressionConfig};
 pub use traits::Classifier;
 pub use tree::{C50Config, DecisionTree, Id3Config};
-
-/// Why a deserialized tree cannot be served, or `Ok` when it can: the tree
-/// must have a node, and each split (`nodes` yields `Some((feature, left,
-/// right))` for a split, `None` for a leaf) must send both children to
-/// later nodes of the tree — both trainers emit preorder, so every walk
-/// moves forward and ends — and read a feature below `n_features`.
-pub(crate) fn check_tree(
-    nodes: impl ExactSizeIterator<Item = Option<(u32, u32, u32)>>,
-    n_features: usize,
-) -> Result<(), String> {
-    let len = nodes.len();
-    if len == 0 {
-        return Err("a tree has no nodes".into());
-    }
-    for (i, split) in nodes.enumerate() {
-        let Some((feature, left, right)) = split else {
-            continue;
-        };
-        for child in [left, right] {
-            let child = child as usize;
-            if child <= i || child >= len {
-                return Err(format!(
-                    "node {i} of {len} has child {child}: not a later node of the tree"
-                ));
-            }
-        }
-        if feature as usize >= n_features {
-            return Err(format!(
-                "node {i} splits on feature {feature}, past the {n_features}-wide row"
-            ));
-        }
-    }
-    Ok(())
-}

@@ -1,53 +1,31 @@
 //! Versioned model files — the artefact the offline stage ships to the MS.
 
 use serde::{Deserialize, Serialize};
-use titant_models::{Classifier, Gbdt, IsolationForest, LogisticRegression};
+use titant_models::{Classifier, Gbdt};
 
-/// Any model the MS can serve. Wraps the concrete types so model files are
-/// self-describing.
+/// The model the MS serves: the GBDT both trainers (`GbdtConfig::fit` and
+/// KunPeng's `dist_gbdt`) return. The variant name keeps model files
+/// self-describing; a file naming any other kind is an error at load.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum ServableModel {
     Gbdt(Gbdt),
-    LogisticRegression(LogisticRegression),
-    IsolationForest(IsolationForest),
-}
-
-impl ServableModel {
-    /// Build any engine-specific compiled form eagerly. The GBDT lowers its
-    /// trees into the [`titant_models::FlatForest`] here, so the work
-    /// happens at load time rather than on the first scored request.
-    pub fn precompile(&self) {
-        if let ServableModel::Gbdt(m) = self {
-            m.flat();
-        }
-    }
 }
 
 impl Classifier for ServableModel {
     fn predict_proba(&self, features: &[f32]) -> f32 {
-        match self {
-            ServableModel::Gbdt(m) => m.predict_proba(features),
-            ServableModel::LogisticRegression(m) => m.predict_proba(features),
-            ServableModel::IsolationForest(m) => m.predict_proba(features),
-        }
+        let ServableModel::Gbdt(m) = self;
+        m.predict_proba(features)
     }
 
-    // Forward explicitly so variants with a specialised batch predictor
-    // (the GBDT's chunked one) are used instead of the trait default.
+    // Forward explicitly so the GBDT's chunked batch predictor is used
+    // instead of the trait default.
     fn predict_batch(&self, data: &titant_models::Dataset) -> Vec<f32> {
-        match self {
-            ServableModel::Gbdt(m) => m.predict_batch(data),
-            ServableModel::LogisticRegression(m) => m.predict_batch(data),
-            ServableModel::IsolationForest(m) => m.predict_batch(data),
-        }
+        let ServableModel::Gbdt(m) = self;
+        m.predict_batch(data)
     }
 
     fn name(&self) -> &'static str {
-        match self {
-            ServableModel::Gbdt(_) => "GBDT",
-            ServableModel::LogisticRegression(_) => "LR",
-            ServableModel::IsolationForest(_) => "IF",
-        }
+        "GBDT"
     }
 }
 
@@ -81,22 +59,16 @@ impl ModelFile {
     /// file's.
     pub fn from_bytes(data: &[u8]) -> Result<Self, serde_json::Error> {
         let mf: Self = serde_json::from_slice(data)?;
-        let invalid = |message: String| serde_json::Error::from(serde::Error::custom(message));
-        match &mf.model {
-            // Deserializing checked each tree against the GBDT's own width.
-            ServableModel::Gbdt(m) => {
-                let width = m.flat().n_features();
-                if width != mf.n_features {
-                    return Err(invalid(format!(
-                        "GBDT reads {width} features, the file declares {}",
-                        mf.n_features
-                    )));
-                }
-            }
-            ServableModel::IsolationForest(m) => m.check(mf.n_features).map_err(invalid)?,
-            ServableModel::LogisticRegression(_) => {}
+        // Deserializing checked each tree against the GBDT's own width;
+        // `flat` lowers the serving form here, at load, and reports it.
+        let ServableModel::Gbdt(m) = &mf.model;
+        let width = m.flat().n_features();
+        if width != mf.n_features {
+            return Err(serde_json::Error::from(serde::Error::custom(format!(
+                "GBDT reads {width} features, the file declares {}",
+                mf.n_features
+            ))));
         }
-        mf.model.precompile();
         Ok(mf)
     }
 }
@@ -149,9 +121,7 @@ mod tests {
         let mf = toy_model();
         let bytes = mf.to_bytes().unwrap();
         let loaded = ModelFile::from_bytes(&bytes).unwrap();
-        let ServableModel::Gbdt(loaded_gbdt) = &loaded.model else {
-            panic!("round trip changed the model variant");
-        };
+        let ServableModel::Gbdt(loaded_gbdt) = &loaded.model;
         assert!(
             loaded_gbdt.is_compiled(),
             "from_bytes must precompile the flat forest"
@@ -196,107 +166,92 @@ mod tests {
     }
 
     /// A GBDT file (declaring `width` features, its model `own_width`)
-    /// and an isolation-forest file (declaring `width`) whose one tree is
-    /// `nodes`: `Some((feature, left, right))` a split, `None` a leaf.
-    fn model_files(
-        nodes: &[Option<(u32, u32, u32)>],
-        width: usize,
-        own_width: usize,
-    ) -> [String; 2] {
-        let tree = |split: &dyn Fn(u32, u32, u32) -> String, leaf: &str| {
-            let nodes: Vec<String> = nodes
-                .iter()
-                .map(|node| match *node {
-                    Some((f, l, r)) => split(f, l, r),
-                    None => leaf.to_string(),
-                })
-                .collect();
-            format!("{{\"nodes\":[{}]}}", nodes.join(","))
-        };
-        let gbdt = tree(
-            &|f, l, r| {
-                format!(
+    /// whose one tree is `nodes`: `Some((feature, left, right))` a split,
+    /// `None` a leaf.
+    fn model_file(nodes: &[Option<(u32, u32, u32)>], width: usize, own_width: usize) -> String {
+        let nodes: Vec<String> = nodes
+            .iter()
+            .map(|node| match *node {
+                Some((f, l, r)) => format!(
                     "{{\"Split\":{{\"feature\":{f},\"threshold\":0.5,\"bin_split\":1,\
                      \"left\":{l},\"right\":{r},\"gain\":1.0}}}}"
-                )
-            },
-            "{\"Leaf\":{\"value\":0.25}}",
-        );
-        let forest = tree(
-            &|f, l, r| {
-                format!(
-                    "{{\"Split\":{{\"feature\":{f},\"threshold\":0.5,\"left\":{l},\"right\":{r}}}}}"
-                )
-            },
-            "{\"Leaf\":{\"n\":1}}",
-        );
-        let file = |model: String| {
-            format!(
-                "{{\"version\":1,\"alert_threshold\":0.5,\"n_features\":{width},\"model\":{model}}}"
-            )
-        };
-        [
-            file(format!(
-                "{{\"Gbdt\":{{\"trees\":[{gbdt}],\"base_score\":0.5,\
-                 \"objective\":\"SquaredError\",\"n_features\":{own_width},\"threads\":1}}}}"
-            )),
-            file(format!(
-                "{{\"IsolationForest\":{{\"trees\":[{forest}],\"c_psi\":1.5}}}}"
-            )),
-        ]
+                ),
+                None => "{\"Leaf\":{\"value\":0.25}}".to_string(),
+            })
+            .collect();
+        format!(
+            "{{\"version\":1,\"alert_threshold\":0.5,\"n_features\":{width},\"model\":\
+             {{\"Gbdt\":{{\"trees\":[{{\"nodes\":[{}]}}],\"base_score\":0.5,\
+             \"objective\":\"SquaredError\",\"n_features\":{own_width},\"threads\":1}}}}}}",
+            nodes.join(",")
+        )
     }
 
-    /// `from_bytes` on both model kinds: an error, or a model that scores.
-    fn loads(nodes: &[Option<(u32, u32, u32)>], width: usize, own_width: usize) -> [bool; 2] {
-        model_files(nodes, width, own_width).map(|json| {
-            let loaded = ModelFile::from_bytes(json.as_bytes());
-            if let Ok(mf) = &loaded {
-                mf.model.predict_proba(&vec![0.75; mf.n_features]);
-            }
-            loaded.is_ok()
-        })
+    /// `from_bytes` on a GBDT file: an error, or a model that scores.
+    fn loads(nodes: &[Option<(u32, u32, u32)>], width: usize, own_width: usize) -> bool {
+        let loaded = ModelFile::from_bytes(model_file(nodes, width, own_width).as_bytes());
+        if let Ok(mf) = &loaded {
+            mf.model.predict_proba(&vec![0.75; mf.n_features]);
+        }
+        loaded.is_ok()
+    }
+
+    /// Only the GBDT is served: a file naming another model kind, such as
+    /// an isolation forest or a logistic regression, is an error, not a
+    /// panic.
+    #[test]
+    fn other_model_kinds_are_an_error() {
+        for model in [
+            "{\"IsolationForest\":{\"trees\":[{\"nodes\":[{\"Leaf\":{\"n\":1}}]}],\"c_psi\":1.5}}",
+            "{\"LogisticRegression\":{\"weights\":[0.5,0.5],\"bias\":0.0}}",
+        ] {
+            let json = format!(
+                "{{\"version\":1,\"alert_threshold\":0.5,\"n_features\":2,\"model\":{model}}}"
+            );
+            assert!(ModelFile::from_bytes(json.as_bytes()).is_err(), "{model}");
+        }
     }
 
     const SPLIT_THEN_LEAVES: [Option<(u32, u32, u32)>; 3] = [Some((1, 1, 2)), None, None];
 
     #[test]
     fn well_formed_hand_written_trees_load_and_score() {
-        assert_eq!(loads(&SPLIT_THEN_LEAVES, 2, 2), [true, true]);
-        assert_eq!(loads(&[None], 2, 2), [true, true]);
+        assert!(loads(&SPLIT_THEN_LEAVES, 2, 2));
+        assert!(loads(&[None], 2, 2));
     }
 
     #[test]
     fn a_tree_with_no_nodes_is_an_error() {
-        assert_eq!(loads(&[], 2, 2), [false, false]);
+        assert!(!loads(&[], 2, 2));
     }
 
     /// Regression: the GBDT panicked inside `from_bytes` ("index out of
-    /// bounds" lowering its flat forest); the forest on its first score.
+    /// bounds" lowering its flat forest).
     #[test]
     fn a_child_past_the_tree_is_an_error() {
-        assert_eq!(loads(&[Some((0, 1, 3)), None, None], 2, 2), [false, false]);
+        assert!(!loads(&[Some((0, 1, 3)), None, None], 2, 2));
     }
 
-    /// A child at or before its split made both walks loop forever.
+    /// A child at or before its split made the walk loop forever.
     #[test]
     fn a_child_that_points_back_is_an_error() {
         let to_itself = [Some((0, 0, 1)), None];
         let to_the_root = [Some((0, 1, 2)), Some((0, 0, 3)), None, None];
-        assert_eq!(loads(&to_itself, 2, 2), [false, false]);
-        assert_eq!(loads(&to_the_root, 2, 2), [false, false]);
+        assert!(!loads(&to_itself, 2, 2));
+        assert!(!loads(&to_the_root, 2, 2));
     }
 
     /// Regression: a split feature past the row passed `from_bytes` and
     /// `deploy`, then panicked on the first `predict_proba`.
     #[test]
     fn a_split_feature_past_the_row_is_an_error() {
-        assert_eq!(loads(&[Some((2, 1, 2)), None, None], 2, 2), [false, false]);
+        assert!(!loads(&[Some((2, 1, 2)), None, None], 2, 2));
     }
 
     #[test]
     fn a_gbdt_wider_or_narrower_than_its_file_is_an_error() {
-        assert!(!loads(&SPLIT_THEN_LEAVES, 2, 3)[0]);
-        assert!(!loads(&SPLIT_THEN_LEAVES, 3, 2)[0]);
+        assert!(!loads(&SPLIT_THEN_LEAVES, 2, 3));
+        assert!(!loads(&SPLIT_THEN_LEAVES, 3, 2));
     }
 
     #[test]

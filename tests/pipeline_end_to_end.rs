@@ -4,7 +4,11 @@
 use titant::prelude::*;
 
 fn tiny_world(seed: u64) -> (World, DatasetSlice) {
-    let world = World::generate(WorldConfig::tiny(seed));
+    world_and_slice(WorldConfig::tiny(seed))
+}
+
+fn world_and_slice(config: WorldConfig) -> (World, DatasetSlice) {
+    let world = World::generate(config);
     let start = world.config().feature_start_day;
     let slice = DatasetSlice {
         index: 0,
@@ -17,7 +21,15 @@ fn tiny_world(seed: u64) -> (World, DatasetSlice) {
 
 #[test]
 fn offline_online_cycle_catches_fraud_in_real_time() {
-    let (world, slice) = tiny_world(2024);
+    // Twice `tiny`'s 600 users. The served threshold is the validation
+    // rows' best-F1 score (it flags 0.7-2.8 % of them), and test-day
+    // scores run lower: a 600-user day (~400 transfers) raised 0-3 alerts
+    // on 6 of 8 world seeds and caught no fraud on 2. At 1,200 users every
+    // one of those seeds caught fraud.
+    let (world, slice) = world_and_slice(WorldConfig {
+        n_users: 1_200,
+        ..WorldConfig::tiny(2024)
+    });
     let artifacts = OfflinePipeline::new(PipelineConfig::quick())
         .run(&world, &slice)
         .unwrap();
