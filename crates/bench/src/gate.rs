@@ -54,6 +54,15 @@ impl Checks {
     }
 }
 
+/// FNV-1a offset basis and prime: every gate digest folds with these.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// One FNV-1a step: fold the word `x` into the digest `acc`.
+pub fn fnv1a(acc: u64, x: u64) -> u64 {
+    (acc ^ x).wrapping_mul(FNV_PRIME)
+}
+
 /// SplitMix64 — the gates' one seeded generator.
 pub struct SplitMix64(pub u64);
 

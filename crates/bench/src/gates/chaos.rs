@@ -17,7 +17,11 @@
 //!   the seed and request coordinates.
 //!
 //! A final burst phase drives a non-blocking flood through a small queue
-//! and asserts conservation: accepted + shed == sent.
+//! and asserts conservation (scored + errored == sent) and that the pool
+//! sheds rather than stalls.
+//!
+//! The report holds counters and booleans only: per-stage latency belongs
+//! to the benchmark (`benchmark/`), where it is measured under load.
 
 use crate::gate::{Checks, Outcome, Pipeline};
 use serde::Serialize;
@@ -25,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use titant_core::prelude::*;
-use titant_modelserver::{ModelServer, ScoreRequest, ServeError, Stage, StageSnapshot};
+use titant_modelserver::{ModelServer, ScoreRequest, ServeError};
 
 const REPLICAS: usize = 2;
 /// Pool sizes every level is replayed at, after a second synchronous run.
@@ -125,22 +129,6 @@ struct Counters {
 }
 
 #[derive(Serialize)]
-struct StageQuantilesMs {
-    p50: f64,
-    p99: f64,
-    p999: f64,
-}
-
-fn quantiles(s: &StageSnapshot) -> StageQuantilesMs {
-    let ms = |q: f64| s.quantile(q).unwrap_or_default().as_secs_f64() * 1e3;
-    StageQuantilesMs {
-        p50: ms(0.5),
-        p99: ms(0.99),
-        p999: ms(0.999),
-    }
-}
-
-#[derive(Serialize)]
 struct LevelReport {
     level: String,
     seed: u64,
@@ -150,23 +138,20 @@ struct LevelReport {
     torn_cell_rate: f64,
     outage: bool,
     counters: Counters,
-    fetch: StageQuantilesMs,
-    assemble: StageQuantilesMs,
-    predict: StageQuantilesMs,
-    total: StageQuantilesMs,
     reproducible: bool,
     zero_lost: bool,
     zero_panics: bool,
     workers_checked: Vec<usize>,
 }
 
+/// The burst's split between scored, errored and shed depends on how the
+/// workers are scheduled against the flood, so only its invariants are
+/// reported.
 #[derive(Serialize)]
 struct BurstReport {
     sent: usize,
-    scored: u64,
-    errored: u64,
-    shed: u64,
     conserved: bool,
+    sheds: bool,
     zero_panics: bool,
 }
 
@@ -259,7 +244,6 @@ pub fn run() -> Outcome {
         // Reference run: synchronous, one fresh server.
         let reference = fx.server(&fx.table, slo(level.seed));
         let (counters, _) = run_stream(&reference, &stream, 0);
-        let latency = reference.latency().snapshot();
 
         // Replays: a second synchronous run, then one per worker count —
         // every one must reproduce the reference counters exactly.
@@ -301,10 +285,6 @@ pub fn run() -> Outcome {
             torn_cell_rate: level.torn_cell_rate,
             outage: level.outage,
             counters,
-            fetch: quantiles(latency.stage(Stage::Fetch)),
-            assemble: quantiles(latency.stage(Stage::Assemble)),
-            predict: quantiles(latency.stage(Stage::Predict)),
-            total: quantiles(latency.stage(Stage::Total)),
             reproducible,
             zero_lost,
             zero_panics,
@@ -345,21 +325,20 @@ pub fn run() -> Outcome {
         scored.load(Ordering::Relaxed),
         errored.load(Ordering::Relaxed),
     );
+    let shed = server.resilience().shed;
     let burst = BurstReport {
         sent: burst_stream.len(),
-        scored,
-        errored,
-        shed: server.resilience().shed,
         conserved: scored + errored == burst_stream.len() as u64,
+        sheds: shed > 0,
         zero_panics: burst_panic_free,
     };
     checks.check(
-        "burst: scored + errored == sent, no panics",
-        burst.conserved && burst.zero_panics,
+        "burst: scored + errored == sent, some shed, no panics",
+        burst.conserved && burst.sheds && burst.zero_panics,
     );
     eprintln!(
-        "  burst: sent={} scored={} errored={} shed={} conserved={} panics0={}",
-        burst.sent, burst.scored, burst.errored, burst.shed, burst.conserved, burst.zero_panics
+        "  burst: sent={} scored={scored} errored={errored} shed={shed} conserved={} panics0={}",
+        burst.sent, burst.conserved, burst.zero_panics
     );
 
     Outcome::new(

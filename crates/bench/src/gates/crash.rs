@@ -29,7 +29,9 @@
 //! write-fault counter stays zero: the fault machinery is default-off and
 //! invisible to the other gates.
 
-use crate::gate::{memory_table, score_map, Checks, Outcome, Pipeline, SplitMix64};
+use crate::gate::{
+    memory_table, score_map, Checks, Outcome, Pipeline, SplitMix64, FNV_OFFSET, FNV_PRIME,
+};
 use bytes::Bytes;
 use serde::Serialize;
 use std::sync::Arc;
@@ -45,9 +47,6 @@ use titant_modelserver::{
 const VERSION_BASE: u64 = 30_000_000;
 const N_BATCHES: u64 = 126;
 const POOL_WORKERS: usize = 3;
-/// FNV-1a offset basis and prime: the probe checksum folds with these.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 struct Level {
     name: &'static str,
@@ -188,7 +187,9 @@ fn deltas_for(batch: u64, seed: u64, users: &[u64], lay: &FeatureLayout) -> Vec<
 }
 
 /// Score a probe window on both servers; returns (checksum, degraded,
-/// matched) where the checksum folds every probability's exact bits.
+/// matched) where the checksum folds every probability's exact bits. The
+/// fold multiplies then adds (FNV-1 order, not [`crate::gate::fnv1a`]);
+/// it stays so that `score_checksum` keeps its recorded values.
 fn probe(
     server: &ModelServer,
     reference: &ModelServer,

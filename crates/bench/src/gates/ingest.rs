@@ -17,7 +17,6 @@
 use crate::gate::{Checks, Outcome, Serving, VERSION};
 use serde::Serialize;
 use std::path::Path;
-use std::time::Instant;
 use titant_alihbase::{RegionedTable, RowKey, StoreConfig, SyncPolicy};
 
 const USERS: usize = 1_536;
@@ -47,7 +46,6 @@ struct UploadReport {
     wal_records: u64,
     wal_bytes: u64,
     bytes_per_row: f64,
-    wall_ms: f64,
 }
 
 #[derive(Serialize)]
@@ -82,7 +80,6 @@ pub fn run() -> Outcome {
 
     // ---- one put_rows (one lock, one WAL frame) per row ----
     let table = build_table(&scratch.join("batched"), SyncPolicy::default());
-    let start = Instant::now();
     for user in 0..USERS as u64 {
         table.put_rows(row(user)).expect("put_rows");
         // Eight runs against the default `max_runs` of six: a backlog only
@@ -92,7 +89,6 @@ pub fn run() -> Outcome {
         }
     }
     table.flush().expect("flush");
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let s = table.write_stats();
     let per_row = |n: u64| n as f64 / USERS as f64;
     let batched = UploadReport {
@@ -103,7 +99,6 @@ pub fn run() -> Outcome {
         wal_records: s.wal_records,
         wal_bytes: s.wal_bytes,
         bytes_per_row: per_row(s.wal_bytes),
-        wall_ms,
     };
     eprintln!(
         "  {} locks, {} WAL frames, {} records, {} bytes",

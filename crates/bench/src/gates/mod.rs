@@ -1,6 +1,10 @@
 //! The nine gates — the repo's correctness evidence. Each module is one
 //! `run() -> Outcome` at one fixed size; a gate's name is the stem of the
 //! `BENCH_<name>.json` report the `gates` runner writes for it.
+//!
+//! A report holds counters and booleans only: no wall clock and nothing
+//! that depends on thread scheduling, so a correct tree rewrites it byte
+//! for byte on any machine. Timing belongs to `benchmark/`.
 
 use crate::gate::Outcome;
 

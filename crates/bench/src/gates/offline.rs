@@ -1,59 +1,29 @@
-//! **Offline throughput** — wall-clock per offline stage (graph build,
-//! walks+SGNS, assembly, GBDT fit, upload) across 1/2/4/8 threads, tracking
-//! how the T+1 training path scales with cores (§5.1: the daily retrain
-//! must fit a fixed wall-clock budget).
-//!
-//! The sweep's timings are informational. The gate's one assertion is
-//! cross-thread determinism: on the tiny world, embeddings included, the
+//! **Offline determinism** — the T+1 training path must ship the same
+//! artifacts on any machine: on the tiny world, embeddings included, the
 //! model bytes and the uploaded feature-table contents must not differ
 //! between 1, 2 and 4 threads.
+//!
+//! The report records an FNV-1a digest of what it compares, so a change
+//! that moves the shipped model or the served table shows up as a diff of
+//! `BENCH_offline.json`. Offline stage timing is the benchmark's, not this
+//! gate's.
 
-use crate::gate::{tiny_world, Checks, Outcome};
+use crate::gate::{fnv1a, tiny_world, Checks, Outcome, FNV_OFFSET};
 use serde::Serialize;
 use titant_alihbase::RowKey;
-use titant_core::offline::StageTimings;
 use titant_core::prelude::*;
 
-#[derive(Serialize)]
-struct StageMs {
-    graph_ms: f64,
-    embed_ms: f64,
-    assemble_ms: f64,
-    fit_ms: f64,
-    upload_ms: f64,
-    total_ms: f64,
-}
-
-impl StageMs {
-    fn from_timings(t: &StageTimings) -> Self {
-        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-        Self {
-            graph_ms: ms(t.graph),
-            embed_ms: ms(t.embed),
-            assemble_ms: ms(t.assemble),
-            fit_ms: ms(t.fit),
-            upload_ms: ms(t.upload),
-            total_ms: ms(t.total()),
-        }
-    }
-}
-
-#[derive(Serialize)]
-struct ThreadRun {
-    threads: usize,
-    stages: StageMs,
-}
+const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 #[derive(Serialize)]
 struct Report {
     bench: String,
-    detected_cores: usize,
+    threads_checked: Vec<usize>,
     train_rows: usize,
     graph_nodes: usize,
-    runs: Vec<ThreadRun>,
-    /// GBDT fit wall-clock at 1 thread over 4 threads (>= 2.0 is the bar
-    /// on a >= 4-core machine; informational).
-    fit_speedup_4_threads: f64,
+    /// FNV-1a over the model bytes, then every scanned `(key, value)` of
+    /// the feature table, at one thread.
+    fingerprint_digest: String,
     deterministic_across_threads: bool,
 }
 
@@ -85,62 +55,41 @@ fn fingerprint(artifacts: &OfflineArtifacts) -> Fingerprint {
     (model, table)
 }
 
+fn digest((model, table): &Fingerprint) -> u64 {
+    let fold = |acc: u64, bytes: &[u8]| bytes.iter().fold(acc, |a, &b| fnv1a(a, b.into()));
+    table
+        .iter()
+        .fold(fold(FNV_OFFSET, model), |acc, (key, value)| {
+            fold(fold(acc, key.as_bytes()), value)
+        })
+}
+
 pub fn run() -> Outcome {
-    let detected_cores = titant_parallel::resolve_threads(0);
-    let thread_counts = [1usize, 2, 4, 8];
-    eprintln!(
-        "offline throughput ({detected_cores} cores detected): sweeping {thread_counts:?} threads"
-    );
-    let world = World::generate(WorldConfig {
-        n_users: 5_000,
-        seed: 0x00ff_11ee,
-        ..Default::default()
-    });
-    let slice = DatasetSlice::paper(0);
-
-    let mut runs = Vec::new();
-    let (mut train_rows, mut graph_nodes) = (0, 0);
-    for threads in thread_counts {
-        let artifacts = run_pipeline(&world, &slice, threads);
-        let stages = StageMs::from_timings(&artifacts.timings);
-        eprintln!(
-            "  {threads} thread(s): graph {:.0}ms  embed {:.0}ms  assemble {:.0}ms  fit {:.0}ms  upload {:.0}ms  total {:.0}ms",
-            stages.graph_ms,
-            stages.embed_ms,
-            stages.assemble_ms,
-            stages.fit_ms,
-            stages.upload_ms,
-            stages.total_ms,
-        );
-        (train_rows, graph_nodes) = (artifacts.train_rows, artifacts.graph.node_count());
-        runs.push(ThreadRun { threads, stages });
-    }
-    let fit_at = |t: usize| {
-        runs.iter()
-            .find(|r| r.threads == t)
-            .map_or(f64::NAN, |r| r.stages.fit_ms)
-    };
-    let fit_speedup_4_threads = fit_at(1) / fit_at(4);
-    eprintln!("GBDT fit speedup, 4 threads vs 1: {fit_speedup_4_threads:.2}x");
-
-    let (tiny, tiny_slice) = tiny_world(42);
-    let one = fingerprint(&run_pipeline(&tiny, &tiny_slice, 1));
-    let same = [2, 4]
-        .into_iter()
-        .all(|threads| fingerprint(&run_pipeline(&tiny, &tiny_slice, threads)) == one);
+    eprintln!("offline determinism: tiny world at {THREAD_COUNTS:?} threads");
+    let (world, slice) = tiny_world(42);
+    let first = run_pipeline(&world, &slice, THREAD_COUNTS[0]);
+    let reference = fingerprint(&first);
+    let same = THREAD_COUNTS[1..]
+        .iter()
+        .all(|&threads| fingerprint(&run_pipeline(&world, &slice, threads)) == reference);
     let mut checks = Checks::default();
     let deterministic_across_threads =
         checks.check("model or feature table differs across thread counts", same);
+    let fingerprint_digest = format!("{:016x}", digest(&reference));
+    eprintln!(
+        "  train_rows={} graph_nodes={} digest={fingerprint_digest} identical={same}",
+        first.train_rows,
+        first.graph.node_count()
+    );
 
     Outcome::new(
         checks.pass(),
         &Report {
             bench: "offline".into(),
-            detected_cores,
-            train_rows,
-            graph_nodes,
-            runs,
-            fit_speedup_4_threads,
+            threads_checked: THREAD_COUNTS.to_vec(),
+            train_rows: first.train_rows,
+            graph_nodes: first.graph.node_count(),
+            fingerprint_digest,
             deterministic_across_threads,
         },
     )

@@ -1,4 +1,4 @@
-//! **Predict latency** — the compiled flat-ensemble inference engine vs the
+//! **Flat inference** — the compiled flat-ensemble inference engine vs the
 //! retained `RegNode` reference walk.
 //!
 //! Drives one deterministic Zipf traffic panel ([`TrafficGen`]) through a
@@ -19,15 +19,14 @@
 //!   switched tree, the cache-line-equivalent cost the container's single
 //!   core cannot show as wall time.
 //!
-//! The wall-clock predict-stage mean is reported alongside, informational
-//! only — the pass/fail gate rests on bit-identity and the counted
-//! traversal model.
+//! Predict-stage latency is the benchmark's (`models.predict_p50_ns` in
+//! `benchmark/`); this gate reports counters and booleans only.
 
 use crate::gate::{memory_table, score_map, Checks, Outcome, Serving};
 use serde::Serialize;
 use titant_datagen::{TrafficConfig, TrafficGen};
 use titant_models::{Classifier, Dataset, FlatForest, TraversalCounts};
-use titant_modelserver::{ScoreRequest, ServableModel, Stage};
+use titant_modelserver::{ScoreRequest, ServableModel};
 
 const N_USERS: u64 = 512;
 const N_REQUESTS: u64 = 4_096;
@@ -128,7 +127,6 @@ struct Report {
     context_only_rows: usize,
     rerun_identical: bool,
     workers_identical: bool,
-    predict_stage_flat_us: f64,
     counted: CountedReport,
     pass: bool,
 }
@@ -176,7 +174,7 @@ fn counted_gate(flat: &FlatForest, panel: &Dataset, checks: &mut Checks) -> Coun
 }
 
 pub fn run() -> Outcome {
-    eprintln!("predict latency: {N_USERS} users, {N_REQUESTS} requests, {N_TREES} trees");
+    eprintln!("predict: {N_USERS} users, {N_REQUESTS} requests, {N_TREES} trees");
     let fx = Serving::new(2, 2, 1, 2, N_TREES, 3);
     let model_file = fx.model();
     let ServableModel::Gbdt(model) = &model_file.model;
@@ -191,12 +189,6 @@ pub fn run() -> Outcome {
     // row the server scored, and the served bits are those rows' scores.
     let server = fx.server(&table, &model_file, None);
     let served = score_map(&server, &stream, 0);
-    let predict_stage_flat_us = server
-        .latency()
-        .snapshot()
-        .stage(Stage::Predict)
-        .mean()
-        .map_or(0.0, |d| d.as_secs_f64() * 1e6);
     let panel = assembled_panel(&fx, &stream);
     let flat_vs_reference_identical = checks.check(
         "flat engine equals the reference walk on every served row",
@@ -209,7 +201,6 @@ pub fn run() -> Outcome {
     eprintln!(
         "  flat vs reference: identical={flat_vs_reference_identical} ({nan_rows} NaN rows, {context_only_rows} context-only rows)"
     );
-    eprintln!("  predict-stage mean: {predict_stage_flat_us:.2}us (informational on 1 core)");
 
     // Gate (b): replay and worker-count invariance of the flat engine.
     let rerun_identical = checks.check(
@@ -245,7 +236,6 @@ pub fn run() -> Outcome {
             context_only_rows,
             rerun_identical,
             workers_identical,
-            predict_stage_flat_us,
             counted,
             pass: checks.pass(),
         },

@@ -33,7 +33,6 @@
 use crate::gate::{score_map, Checks, Outcome, Serving};
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::Instant;
 use titant_alihbase::{RegionedTable, SplitConfig, StoreConfig};
 use titant_datagen::{FlashEvent, TrafficConfig, TrafficGen};
 use titant_modelserver::{FeatureDelta, ModelFile, ModelServer, ScoreRequest};
@@ -109,8 +108,6 @@ struct Workload {
     kept_rounds: u64,
     p99_runs_scanned: u64,
     mean_runs_scanned: f64,
-    upload_ms: f64,
-    traffic_ms: f64,
     table: Arc<RegionedTable>,
     server: ModelServer,
 }
@@ -135,7 +132,6 @@ fn run_workload(
 
     // Bulk upload: every user once, batched so each put_rows call costs one
     // lock acquisition per owning region, then settle with a flush + tick.
-    let start = Instant::now();
     for first in (0..N_USERS).step_by(UPLOAD_BATCH as usize) {
         let batch = (first..N_USERS.min(first + UPLOAD_BATCH))
             .flat_map(|user| c.encode_user(user, &fx.features_of(user), UPLOAD_VERSION))
@@ -144,7 +140,6 @@ fn run_workload(
     }
     table.flush().expect("flush upload");
     let settle = table.tick().expect("settle tick");
-    let upload_ms = start.elapsed().as_secs_f64() * 1e3;
     let mut splits = settle.region_splits;
     let mut merges = settle.region_merges;
 
@@ -153,7 +148,6 @@ fn run_workload(
     let mut scan_samples: Vec<u64> = Vec::with_capacity((MEASURE_ROUNDS * k) as usize);
     let mut kept_rounds = 0u64;
     let mut share_sum = 0.0f64;
-    let start = Instant::now();
     for round in 0..ROUNDS {
         let measuring = round >= WARMUP_ROUNDS;
         // Scoring phase: reads accumulate per-region pressure (no ticks).
@@ -202,8 +196,6 @@ fn run_workload(
             }
         }
     }
-    let traffic_ms = start.elapsed().as_secs_f64() * 1e3;
-
     scan_samples.sort_unstable();
     let p99_runs_scanned =
         scan_samples[(scan_samples.len() * 99 / 100).min(scan_samples.len() - 1)];
@@ -223,8 +215,6 @@ fn run_workload(
         kept_rounds,
         p99_runs_scanned,
         mean_runs_scanned,
-        upload_ms,
-        traffic_ms,
         table,
         server,
     }
@@ -240,8 +230,6 @@ struct TableReport {
     kept_measure_rounds: u64,
     p99_runs_scanned: u64,
     mean_runs_scanned: f64,
-    upload_ms: f64,
-    traffic_ms: f64,
 }
 
 impl TableReport {
@@ -259,8 +247,6 @@ impl TableReport {
             kept_measure_rounds: w.kept_rounds,
             p99_runs_scanned: w.p99_runs_scanned,
             mean_runs_scanned: w.mean_runs_scanned,
-            upload_ms: w.upload_ms,
-            traffic_ms: w.traffic_ms,
         }
     }
 }

@@ -22,7 +22,6 @@
 use crate::gate::{score_map, Checks, Outcome, Scores, Serving, SplitMix64};
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::Instant;
 use titant_alihbase::{RegionedTable, StoreConfig};
 use titant_modelserver::{ModelServer, RowCacheConfig, ScoreRequest};
 
@@ -69,28 +68,23 @@ fn requests() -> Vec<ScoreRequest> {
         .collect()
 }
 
-/// Scores of one synchronous pass plus its run-level read-counter deltas
-/// and wall time.
+/// Scores of one synchronous pass plus its run-level read-counter deltas.
 struct SweepRun {
     scores: Scores,
     runs_scanned: u64,
     runs_skipped: u64,
     bloom_false_positives: u64,
-    wall_ms: f64,
 }
 
 fn drive(server: &ModelServer, table: &RegionedTable, stream: &[ScoreRequest]) -> SweepRun {
     let before = table.op_counts();
-    let start = Instant::now();
     let scores = score_map(server, stream, 0);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let delta = table.op_counts().since(&before);
     SweepRun {
         scores,
         runs_scanned: delta.runs_scanned,
         runs_skipped: delta.runs_skipped,
         bloom_false_positives: delta.bloom_false_positives,
-        wall_ms,
     }
 }
 
@@ -104,8 +98,6 @@ struct RunLevelReport {
     runs_skipped: u64,
     baseline_runs_skipped: u64,
     bloom_false_positives: u64,
-    wall_ms: f64,
-    baseline_wall_ms: f64,
     scores_identical: bool,
 }
 
@@ -115,7 +107,6 @@ struct CacheLevelReport {
     hit_ratio: f64,
     hits: u64,
     misses: u64,
-    wall_ms: f64,
     scores_identical: bool,
 }
 
@@ -176,8 +167,6 @@ pub fn run() -> Outcome {
             runs_skipped: filtered.runs_skipped,
             baseline_runs_skipped: baseline.runs_skipped,
             bloom_false_positives: filtered.bloom_false_positives,
-            wall_ms: filtered.wall_ms,
-            baseline_wall_ms: baseline.wall_ms,
             scores_identical,
         };
         eprintln!(
@@ -225,7 +214,6 @@ pub fn run() -> Outcome {
             hit_ratio: stats.hit_ratio(),
             hits: stats.hits,
             misses: stats.misses,
-            wall_ms: warm.wall_ms,
             scores_identical,
         };
         eprintln!(

@@ -29,7 +29,9 @@
 //!   synchronously, on a 1-worker pool, and on a 3-worker pool returns
 //!   identical probability bit patterns and alerts.
 
-use crate::gate::{memory_table, score_map, Checks, Outcome, SplitMix64, VERSION};
+use crate::gate::{
+    fnv1a, memory_table, score_map, Checks, Outcome, SplitMix64, FNV_OFFSET, VERSION,
+};
 use serde::Serialize;
 use std::sync::Arc;
 use titant_alihbase::RegionedTable;
@@ -193,7 +195,7 @@ fn run_day(
     let mut r = DayResult {
         probe_bits: Vec::with_capacity(TICKS as usize),
         baseline_bits: Vec::with_capacity(TICKS as usize),
-        delta_digest: 0xcbf2_9ce4_8422_2325,
+        delta_digest: FNV_OFFSET,
         detection_tick: None,
         pre_burst_alerts: 0,
         baseline_alerts: 0,
@@ -201,8 +203,6 @@ fn run_day(
         observed: 0,
         slots_emitted: 0,
     };
-    let fnv = |acc: u64, x: u64| (acc ^ x).wrapping_mul(0x0000_0100_0000_01B3);
-
     for tick in 0..TICKS {
         for event in tick * EVENTS_PER_TICK..(tick + 1) * EVENTS_PER_TICK {
             let e = event_at(gen, event);
@@ -219,7 +219,7 @@ fn run_day(
         // Flush through the real ingest path, then probe both stacks.
         let deltas_before = agg.stats().slots_emitted;
         agg.advance_and_ingest(&streaming, VERSION).expect("ingest");
-        r.delta_digest = fnv(r.delta_digest, agg.stats().slots_emitted - deltas_before);
+        r.delta_digest = fnv1a(r.delta_digest, agg.stats().slots_emitted - deltas_before);
         let sp = streaming.score(&probe_req(tick, probe)).expect("probe");
         let bp = baseline.score(&probe_req(tick, probe)).expect("probe");
         r.probe_bits.push(sp.probability.to_bits());
@@ -239,7 +239,7 @@ fn run_day(
     // so content drift (not just delta-count drift) fails the replay gate.
     for &u in check_users {
         for v in agg.emitted_of(u) {
-            r.delta_digest = fnv(r.delta_digest, u64::from(v.to_bits()));
+            r.delta_digest = fnv1a(r.delta_digest, u64::from(v.to_bits()));
         }
     }
     let stats = agg.stats();

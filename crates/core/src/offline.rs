@@ -19,7 +19,6 @@ use crate::error::TitAntError;
 use crate::layout;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use titant_alihbase::{RegionedTable, StoreConfig};
 use titant_datagen::{DatasetSlice, World};
 use titant_eval as eval;
@@ -29,6 +28,11 @@ use titant_modelserver::{FeatureCodec, ModelFile, ServableModel, UserFeatures};
 use titant_nrl::{DeepWalk, DeepWalkConfig, EmbeddingMatrix, Word2VecConfig};
 use titant_parallel::Pool;
 use titant_txgraph::{TxGraph, TxGraphBuilder, UserId, WalkConfig};
+
+/// Regions of the uploaded serving table. A constant, not the thread count,
+/// so the served layout (and every counter read from it) is the same on any
+/// machine.
+const SERVING_REGIONS: usize = 2;
 
 /// Offline-pipeline configuration.
 #[derive(Debug, Clone)]
@@ -86,30 +90,6 @@ impl PipelineConfig {
     }
 }
 
-/// Wall-clock time spent in each offline stage, recorded by every
-/// [`OfflinePipeline::run`]. The offline-throughput bench reports these
-/// per thread count; production would export them as training-job metrics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageTimings {
-    /// Network construction (MaxCompute SQL aggregation of the logs).
-    pub graph: Duration,
-    /// DeepWalk walks + SGNS training.
-    pub embed: Duration,
-    /// Dataset assembly (basic ⊕ embedding columns, fit/val split).
-    pub assemble: Duration,
-    /// GBDT fit, including validation scoring and threshold tuning.
-    pub fit: Duration,
-    /// Per-user feature upload to Ali-HBase.
-    pub upload: Duration,
-}
-
-impl StageTimings {
-    /// Sum of all stage durations.
-    pub fn total(&self) -> Duration {
-        self.graph + self.embed + self.assemble + self.fit + self.upload
-    }
-}
-
 /// Everything one offline run produces.
 pub struct OfflineArtifacts {
     /// The transaction network of the 90-day window.
@@ -124,8 +104,6 @@ pub struct OfflineArtifacts {
     pub version: u64,
     /// Training-time diagnostics.
     pub train_rows: usize,
-    /// Per-stage wall-clock timings for this run.
-    pub timings: StageTimings,
 }
 
 /// The offline pipeline driver.
@@ -160,16 +138,12 @@ impl OfflinePipeline {
         // One resolved thread count + one pool drives every stage.
         let threads = titant_parallel::resolve_threads(self.config.threads);
         let pool = Pool::new(threads);
-        let mut timings = StageTimings::default();
 
         // 1. Network construction: log ingestion and edge aggregation
         // through the MaxCompute batch layer.
-        let t0 = Instant::now();
         let graph = self.build_graph_via_maxcompute(world, slice, threads)?;
-        timings.graph = t0.elapsed();
 
         // 2. User node embeddings.
-        let t0 = Instant::now();
         let embeddings = if self.config.embedding_dim == 0 {
             EmbeddingMatrix::zeros(graph.node_count(), 1)
         } else {
@@ -189,10 +163,8 @@ impl OfflinePipeline {
             })
             .embed(&graph)
         };
-        timings.embed = t0.elapsed();
 
         // 3. Train the classifier and tune the alert operating point.
-        let t0 = Instant::now();
         let emb_pairs: Vec<(&str, &EmbeddingMatrix)> = if self.config.embedding_dim > 0 {
             vec![("dw", &embeddings)]
         } else {
@@ -201,9 +173,7 @@ impl OfflinePipeline {
         let (train, _test) =
             assemble::slice_datasets_with_pool(world, slice, &graph, &emb_pairs, &pool);
         let (fit, val) = fit_val_split(&train, self.config.val_fraction);
-        timings.assemble = t0.elapsed();
 
-        let t0 = Instant::now();
         let mut gbdt_config = self.config.gbdt.clone();
         if gbdt_config.threads == 0 {
             gbdt_config.threads = threads;
@@ -214,14 +184,11 @@ impl OfflinePipeline {
         let val_scores = model.predict_batch(&val);
         let (rate, _f1) = eval::best_f1_rate(&val_scores, val.labels());
         let alert_threshold = score_at_rate(&val_scores, rate);
-        timings.fit = t0.elapsed();
 
         // 4. Upload per-user serving features + the model file.
-        let t0 = Instant::now();
         let version = slice.test_day as u64;
         let feature_table =
             Arc::new(self.upload_features(world, slice, &graph, &embeddings, version, &pool)?);
-        timings.upload = t0.elapsed();
 
         let model_file = ModelFile {
             version,
@@ -237,7 +204,6 @@ impl OfflinePipeline {
             feature_table,
             version,
             train_rows: train.n_rows(),
-            timings,
         })
     }
 
@@ -300,11 +266,11 @@ impl OfflinePipeline {
     /// window (production T+1 serves yesterday's snapshot), plus the node
     /// embedding for users inside the network window.
     ///
-    /// The upload is sharded across the pool's workers: the table is
-    /// pre-split at the same quantile boundaries the worker shards use, so
-    /// each worker streams its contiguous id range into its own region
-    /// without contending on region locks. Table contents are independent
-    /// of the thread count — only the physical sharding varies.
+    /// The table is pre-split into [`SERVING_REGIONS`] regions at user-id
+    /// quantiles, and the upload is sharded by region: each region's
+    /// contiguous id range is written by one worker, so no two writers share
+    /// a region's lock. Neither the contents nor the region layout depend on
+    /// the thread count.
     fn upload_features(
         &self,
         world: &World,
@@ -355,11 +321,10 @@ impl OfflinePipeline {
             replicas: self.config.serving_replicas.max(1),
             ..Default::default()
         };
-        let table = if pool.threads() > 1 && !users.is_empty() {
-            RegionedTable::with_user_splits(&users, pool.threads(), store_config)?
-        } else {
-            RegionedTable::single(store_config)?
-        };
+        let table = RegionedTable::with_user_splits(&users, SERVING_REGIONS, store_config)?;
+        // `with_user_splits` cuts at the `chunk_ranges` boundaries, so shard
+        // == region.
+        let shards = titant_parallel::chunk_ranges(users.len(), SERVING_REGIONS);
 
         // Whole rows are encoded and landed through `put_rows` in multi-user
         // batches: one region-lock acquisition and one all-or-nothing WAL
@@ -386,13 +351,15 @@ impl OfflinePipeline {
             };
             codec.encode_user(user, &features, version)
         };
-        pool.map_ranges(users.len(), |_, range| -> std::io::Result<()> {
-            for chunk in users[range].chunks(USERS_PER_BATCH) {
-                let mut cells = Vec::new();
-                for &user in chunk {
-                    cells.extend(encode_user(user));
+        pool.map_ranges(shards.len(), |_, owned| -> std::io::Result<()> {
+            for shard in &shards[owned] {
+                for chunk in users[shard.clone()].chunks(USERS_PER_BATCH) {
+                    let mut cells = Vec::new();
+                    for &user in chunk {
+                        cells.extend(encode_user(user));
+                    }
+                    table.put_rows(cells)?;
                 }
-                table.put_rows(cells)?;
             }
             Ok(())
         })
@@ -502,7 +469,6 @@ mod tests {
             .run(&world, &slice)
             .unwrap();
         assert!(artifacts.graph.node_count() > 50);
-        assert!(artifacts.timings.total() > Duration::ZERO);
         assert_eq!(artifacts.embeddings.dim(), 8);
         assert_eq!(
             artifacts.model_file.n_features,
@@ -649,8 +615,9 @@ mod tests {
     }
 
     /// The feature store must not depend on the thread count: the same
-    /// users, cells, and bytes — embeddings included — regardless of how
-    /// walks, SGNS shards and the upload are spread over workers.
+    /// region layout, users, cells, and bytes — embeddings included —
+    /// regardless of how walks, SGNS shards and the upload are spread over
+    /// workers.
     #[test]
     fn upload_is_identical_across_thread_counts() {
         let (world, slice) = tiny_setup();
@@ -667,9 +634,10 @@ mod tests {
                 &titant_alihbase::RowKey::from_str("\u{10FFFF}"),
             );
             assert!(!rows.is_empty());
-            rows
+            (artifacts.feature_table.region_count(), rows)
         };
         let serial = dump(1);
+        assert_eq!(serial.0, SERVING_REGIONS);
         assert_eq!(serial, dump(2));
         assert_eq!(serial, dump(4));
     }

@@ -2,14 +2,16 @@
 # Tier-1 verification recipe: build, the full test suite, lints, formatting.
 # Run from anywhere; exits non-zero on the first failure.
 #
-#   ./scripts/verify.sh           # build + tests + clippy + fmt + bench compile
+#   ./scripts/verify.sh           # build + tests + clippy + fmt
 #                                 # + the vendored bytes crate's own tests
 #                                 # + benchmark/ package build, tests and clippy
 #                                 # + the surface.sh size table (never fails)
 #   ./scripts/verify.sh --quick   # also run the nine gates through the one
 #                                 # `gates` runner, each writing its
-#                                 # BENCH_<name>.json at the repo root, then
-#                                 # a four-workload benchmark smoke (below):
+#                                 # BENCH_<name>.json at the repo root, and
+#                                 # fail if any report differs from the one
+#                                 # in the git index; then a four-workload
+#                                 # benchmark smoke (below):
 #     offline          cross-thread determinism of the offline fit
 #     chaos            seeded read faults vs the serving SLOs
 #     serving_scale    blooms, row cache, batch == single scores
@@ -19,6 +21,9 @@
 #     crash            write faults and crash-restart recovery
 #     stream           windowed velocity features closing the T+1 gap
 #     predict          flat inference bit-identity, counted traversal
+#
+# Gate reports hold counters and booleans only, so a run on a correct tree
+# rewrites them byte for byte; timing belongs to benchmark/.
 #
 # The clippy gate runs with -D warnings across every target (libs, tests,
 # benches, examples); crates/modelserver additionally denies unwrap/expect
@@ -57,9 +62,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
-echo "==> cargo bench --no-run"
-cargo bench --no-run
-
 # benchmark/ is a package of its own (not a workspace member) that names
 # every crate item it uses in benchmark/src/api.rs; building it here makes
 # a rename of a pinned item fail verify instead of the benchmark run. Its
@@ -74,6 +76,12 @@ cargo clippy --release --offline --locked --manifest-path benchmark/Cargo.toml -
 if [[ $QUICK -eq 1 ]]; then
     echo "==> the nine gates"
     cargo run --release -q -p titant-bench --bin gates
+
+    # The reports are a checked contract: a gate whose counters moved, or
+    # a report nobody refreshed, fails here. The diff is against the index,
+    # so a staged refresh passes.
+    echo "==> gate reports match the index"
+    git diff --exit-code -- 'BENCH_*.json'
 
     # Both read entries (score, score_batch) and the write workload,
     # untraced then traced: any FAULT line (oracle mismatch, lost delta,
