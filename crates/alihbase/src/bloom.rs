@@ -94,29 +94,15 @@ impl RowBloom {
     }
 
     /// True when the key *may* be present (false positives possible);
-    /// false means the key is definitely absent.
-    pub fn may_contain(&self, key: &[u8]) -> bool {
-        self.may_contain_probe(&RowProbe::new(key))
-    }
-
-    /// [`Self::may_contain`] for a key already hashed: a row read hashes
-    /// its row once and probes every run's filter with the result.
+    /// false means the key is definitely absent. Takes the key already
+    /// hashed: a row read hashes its row once and probes every run's filter
+    /// with the result.
     pub(crate) fn may_contain_probe(&self, probe: &RowProbe) -> bool {
         let RowProbe { h1, h2 } = *probe;
         (0..self.k).all(|i| {
             let bit = h1.wrapping_add((i as u64).wrapping_mul(h2)) % self.n_bits;
             self.words[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0
         })
-    }
-
-    /// Number of probe bits per lookup.
-    pub fn probes_per_key(&self) -> u32 {
-        self.k
-    }
-
-    /// Size of the bit array.
-    pub fn n_bits(&self) -> u64 {
-        self.n_bits
     }
 }
 
@@ -138,7 +124,10 @@ mod tests {
         )
         .unwrap();
         for k in &ks {
-            assert!(bloom.may_contain(k), "inserted key reported absent");
+            assert!(
+                bloom.may_contain_probe(&RowProbe::new(k)),
+                "inserted key reported absent"
+            );
         }
     }
 
@@ -152,7 +141,7 @@ mod tests {
         )
         .unwrap();
         let fps = (1_000..21_000)
-            .filter(|i| bloom.may_contain(format!("u{i:012}").as_bytes()))
+            .filter(|i| bloom.may_contain_probe(&RowProbe::new(format!("u{i:012}").as_bytes())))
             .count();
         // ~1% expected at 10 bits/key; allow a generous deterministic band.
         assert!(fps < 1_000, "false positives: {fps}/20000");

@@ -6,9 +6,9 @@
 //! server independent shards (and the serving bench a realistic routing
 //! step).
 //!
-//! Each region can carry **read replicas** ([`StoreConfig::replicas`] or
-//! [`RegionedTable::with_replicas`]): writes fan out to every replica,
-//! plain reads serve from the primary (replica 0), and
+//! Each region can carry **read replicas** ([`StoreConfig::replicas`]):
+//! writes fan out to every replica, plain reads serve from the primary
+//! (replica 0), and
 //! [`RegionedTable::try_get_row`] lets the caller pick a replica — the
 //! failover/hedge substrate the Model Server uses when a fault hook
 //! ([`RegionedTable::set_fault_hook`]) declares the primary unavailable or
@@ -289,14 +289,10 @@ enum Rebalance {
 /// A table split into `splits.len() + 1` regions.
 pub struct RegionedTable {
     map: RwLock<RegionMap>,
-    /// Config the regions were built with (replica growth and split
-    /// children reuse it).
+    /// Config the regions were built with (split children reuse it).
     config: StoreConfig,
     /// Online rebalancing policy; default = frozen layout.
     split_config: SplitConfig,
-    /// Quantile boundaries [`Self::with_user_splits`] dropped because they
-    /// collided (clamping or duplicate ids).
-    collapsed_splits: usize,
     /// Fault hook consulted by [`Self::try_get_row`] and
     /// [`Self::try_put_rows`]; `None` = clean operations.
     fault: RwLock<Option<Arc<dyn FaultHook>>>,
@@ -390,7 +386,6 @@ impl RegionedTable {
             }),
             config,
             split_config: SplitConfig::default(),
-            collapsed_splits: 0,
             fault: RwLock::new(None),
             ops: LiveOpCounts::default(),
             writes: LiveWriteStats::default(),
@@ -570,7 +565,6 @@ impl RegionedTable {
             map: RwLock::new(map),
             config,
             split_config: SplitConfig::default(),
-            collapsed_splits: 0,
             fault: RwLock::new(None),
             ops: LiveOpCounts::default(),
             writes: LiveWriteStats::default(),
@@ -630,12 +624,11 @@ impl RegionedTable {
     ///
     /// Boundaries that collide — because `n_regions` exceeds the id count,
     /// or because duplicate/clustered ids put two quantiles on the same
-    /// key — are dropped rather than constructed twice, and the drop is
-    /// *surfaced*: [`Self::collapsed_split_count`] reports how many
-    /// requested regions were lost, and callers that shard uploads with
+    /// key — are dropped rather than constructed twice, so the table can
+    /// have fewer regions than requested. Callers that shard uploads with
     /// `titant_parallel::chunk_ranges` must chunk by [`Self::region_count`]
-    /// (not by the requested `n_regions`) whenever that count is non-zero,
-    /// or two shards will contend on one region's lock.
+    /// (not by the requested `n_regions`), or two shards will contend on
+    /// one region's lock.
     ///
     /// # Panics
     /// Panics if `sorted_user_ids` is not sorted (non-decreasing).
@@ -657,22 +650,7 @@ impl RegionedTable {
             .map(|i| RowKey::from_user(sorted_user_ids[i * n / parts]))
             .collect();
         splits.dedup();
-        // Count every boundary the caller asked for but did not get: lost
-        // to the `parts` clamp (more regions than ids) or to `dedup`
-        // (duplicate ids made two quantiles coincide).
-        let collapsed = (n_regions.max(1) - 1).saturating_sub(splits.len());
-        let mut table = Self::new(splits, config)?;
-        table.collapsed_splits = collapsed;
-        Ok(table)
-    }
-
-    /// How many of the regions requested from [`Self::with_user_splits`]
-    /// collapsed because their quantile boundaries coincided (duplicate or
-    /// clustered ids) or exceeded the id count. Zero for tables built any
-    /// other way. When non-zero, shard uploads by [`Self::region_count`]
-    /// rather than the requested region count.
-    pub fn collapsed_split_count(&self) -> usize {
-        self.collapsed_splits
+        Self::new(splits, config)
     }
 
     /// Number of regions.
@@ -699,52 +677,6 @@ impl RegionedTable {
     /// byte-identical whether or not a hook is installed.
     pub fn set_fault_hook(&self, hook: Option<Arc<dyn FaultHook>>) {
         *self.fault.write() = hook;
-    }
-
-    /// Grow every region to `n` read replicas, seeding new replicas with a
-    /// full copy of the primary's cells applied through one
-    /// [`Store::put_batch`] — one lock acquisition and one WAL frame per
-    /// new replica, however many cells the primary holds. Never shrinks.
-    pub fn with_replicas(self, n: usize) -> std::io::Result<Self> {
-        let n = n.max(1);
-        let mut map = self.map.into_inner();
-        for replicas in map.regions.iter_mut() {
-            if replicas.len() >= n {
-                continue;
-            }
-            let cells = replicas[0].export_cells();
-            let primary_dir = replicas[0].dir().map(std::path::Path::to_path_buf);
-            for k in replicas.len()..n {
-                let mut cfg = self.config.clone();
-                cfg.dir = primary_dir.as_ref().map(|d| {
-                    let name = d
-                        .file_name()
-                        .map(|f| f.to_string_lossy().into_owned())
-                        .unwrap_or_default();
-                    d.with_file_name(replica_dir_name(&name, k))
-                });
-                let store = Store::open(cfg)?;
-                store.put_batch(cells.clone())?;
-                if store.dir().is_some() {
-                    // Seed cells must be in durable runs, not a WAL tail,
-                    // before the manifest below records the replica.
-                    store.flush()?;
-                }
-                replicas.push(store);
-            }
-        }
-        let table = Self {
-            map: RwLock::new(map),
-            ..self
-        };
-        table.persist_layout(&table.map.read())?;
-        Ok(table)
-    }
-
-    /// Which region owns a row key. A snapshot: under an active
-    /// [`SplitConfig`] the answer may change at the next [`Self::tick`].
-    pub fn region_of(&self, row: &RowKey) -> usize {
-        self.map.read().region_of(row)
     }
 
     /// Batched write path: group the cells (values **and** tombstones, any
@@ -1231,6 +1163,10 @@ mod tests {
         t.put_rows(vec![(key, version, None)]).unwrap();
     }
 
+    fn region_of(t: &RegionedTable, row: &RowKey) -> usize {
+        t.map.read().region_of(row)
+    }
+
     /// One cell of a row read: the latest value at or below `as_of`.
     fn get(t: &RegionedTable, key: &CellKey, as_of: Version) -> Option<Bytes> {
         let row = t.get_row(&key.row, as_of);
@@ -1241,10 +1177,10 @@ mod tests {
     fn routing_respects_split_points() {
         let t = table();
         assert_eq!(t.region_count(), 3);
-        assert_eq!(t.region_of(&RowKey::from_str("a")), 0);
-        assert_eq!(t.region_of(&RowKey::from_str("m")), 1);
-        assert_eq!(t.region_of(&RowKey::from_str("s")), 1);
-        assert_eq!(t.region_of(&RowKey::from_str("z")), 2);
+        assert_eq!(region_of(&t, &RowKey::from_str("a")), 0);
+        assert_eq!(region_of(&t, &RowKey::from_str("m")), 1);
+        assert_eq!(region_of(&t, &RowKey::from_str("s")), 1);
+        assert_eq!(region_of(&t, &RowKey::from_str("z")), 2);
     }
 
     #[test]
@@ -1266,15 +1202,16 @@ mod tests {
         let users: Vec<u64> = (0..100).map(|i| i * 7 + 3).collect();
         let t = RegionedTable::with_user_splits(&users, 4, StoreConfig::default()).unwrap();
         assert_eq!(t.region_count(), 4);
-        assert_eq!(t.collapsed_split_count(), 0);
         // Quantile chunks of the sorted id list land in distinct regions,
         // one region per chunk, in order.
         for (chunk, expect_region) in users.chunks(25).zip(0..) {
             for &u in chunk {
-                assert_eq!(t.region_of(&RowKey::from_user(u)), expect_region, "u{u}");
+                assert_eq!(region_of(&t, &RowKey::from_user(u)), expect_region, "u{u}");
             }
         }
         // Concurrent shard writes produce the same contents as serial puts.
+        // The subject is concurrent writers, one per region.
+        #[allow(clippy::disallowed_methods)]
         std::thread::scope(|scope| {
             for chunk in users.chunks(25) {
                 let t = &t;
@@ -1307,13 +1244,9 @@ mod tests {
     #[test]
     fn more_regions_than_users_collapses_gracefully() {
         let t = RegionedTable::with_user_splits(&[5, 9], 8, StoreConfig::default()).unwrap();
-        assert!(t.region_count() <= 2);
-        // The collapse is no longer silent: 8 regions requested, the rest
-        // are accounted for.
-        assert_eq!(t.collapsed_split_count(), 8 - t.region_count());
+        assert_eq!(t.region_count(), 2);
         let empty = RegionedTable::with_user_splits(&[], 4, StoreConfig::default()).unwrap();
         assert_eq!(empty.region_count(), 1);
-        assert_eq!(empty.collapsed_split_count(), 3);
     }
 
     #[test]
@@ -1325,18 +1258,12 @@ mod tests {
         let ids = [1, 1, 1, 1, 2, 2, 2, 3];
         let t = RegionedTable::with_user_splits(&ids, 4, StoreConfig::default()).unwrap();
         // Boundaries at indices 2, 4, 6 -> ids 1, 2, 2 -> splits [u1, u2].
-        assert_eq!(t.region_count(), 3);
-        assert_eq!(t.collapsed_split_count(), 1);
-        assert_eq!(
-            t.region_count() + t.collapsed_split_count(),
-            4,
-            "every requested region is either real or accounted collapsed"
-        );
+        assert_eq!(t.region_count(), 3, "one of 4 requested regions collapsed");
         // Routing still behaves: region_of is monotone over the id space.
-        assert_eq!(t.region_of(&RowKey::from_user(0)), 0);
-        assert_eq!(t.region_of(&RowKey::from_user(1)), 1);
-        assert_eq!(t.region_of(&RowKey::from_user(2)), 2);
-        assert_eq!(t.region_of(&RowKey::from_user(3)), 2);
+        assert_eq!(region_of(&t, &RowKey::from_user(0)), 0);
+        assert_eq!(region_of(&t, &RowKey::from_user(1)), 1);
+        assert_eq!(region_of(&t, &RowKey::from_user(2)), 2);
+        assert_eq!(region_of(&t, &RowKey::from_user(3)), 2);
     }
 
     #[test]
@@ -1580,82 +1507,6 @@ mod tests {
     }
 
     #[test]
-    fn with_replicas_seeds_new_replicas_from_the_primary() {
-        let t = table();
-        for row in ["alpha", "mike", "zulu"] {
-            put(&t, key(row), 1, Bytes::from(row.as_bytes().to_vec()));
-        }
-        // Flush half the data into runs so the copy covers both tiers.
-        t.flush().unwrap();
-        put(&t, key("alpha"), 2, Bytes::from_static(b"newer"));
-        let t = t.with_replicas(2).unwrap();
-        assert_eq!(t.replica_count(), 2);
-        for row in ["alpha", "mike", "zulu"] {
-            let read = t
-                .try_get_row(
-                    &RowKey::from_str(row),
-                    u64::MAX,
-                    crate::fault::ReadOptions {
-                        replica: 1,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-            assert_eq!(read.cells, t.get_row(&RowKey::from_str(row), u64::MAX));
-        }
-        // Writes after growth keep fanning out.
-        put(&t, key("mike"), 3, Bytes::from_static(b"post"));
-        let read = t
-            .try_get_row(
-                &RowKey::from_str("mike"),
-                u64::MAX,
-                crate::fault::ReadOptions {
-                    replica: 1,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(read.cells[0].1.as_ref(), b"post");
-    }
-
-    #[test]
-    fn with_replicas_seeds_each_replica_in_one_batch() {
-        let t = RegionedTable::single(StoreConfig::default()).unwrap();
-        let n_cells = 40u64;
-        for i in 0..n_cells {
-            put(
-                &t,
-                CellKey::new(format!("u{i:03}"), "basic", "v"),
-                1,
-                Bytes::from_static(b"x"),
-            );
-        }
-        let before = t.write_stats().lock_acquisitions;
-        assert_eq!(before, n_cells, "single-cell batches cost one lock each");
-        let t = t.with_replicas(3).unwrap();
-        let seeded = t.write_stats().lock_acquisitions - before;
-        // Seeding 40 cells into each of 2 new replicas must be one
-        // put_batch per replica — pre-fix this was one lock and one WAL
-        // frame *per cell* (80 here), the exact pathology the batched
-        // upload path was built to avoid.
-        assert_eq!(seeded, 2, "one lock acquisition per new replica");
-        // And the copies are complete.
-        for i in 0..n_cells {
-            let read = t
-                .try_get_row(
-                    &RowKey::from_str(&format!("u{i:03}")),
-                    u64::MAX,
-                    crate::fault::ReadOptions {
-                        replica: 2,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-            assert_eq!(read.cells.len(), 1);
-        }
-    }
-
-    #[test]
     fn out_of_range_replica_is_a_typed_fault_not_a_wrap() {
         let t = RegionedTable::single(StoreConfig::default()).unwrap();
         put(&t, key("sam"), 1, Bytes::from_static(b"v"));
@@ -1804,8 +1655,8 @@ mod tests {
         let splits = t.split_points();
         assert_eq!(splits, vec![RowKey::from_user(8)], "split at the median");
         // Routing honours the new boundary…
-        assert_eq!(t.region_of(&RowKey::from_user(7)), 0);
-        assert_eq!(t.region_of(&RowKey::from_user(8)), 1);
+        assert_eq!(region_of(&t, &RowKey::from_user(7)), 0);
+        assert_eq!(region_of(&t, &RowKey::from_user(8)), 1);
         // …and every read is byte-identical across the split.
         assert_eq!(t.scan_rows(&lo, &hi), before_scan);
         for u in 0..16 {
@@ -2112,8 +1963,6 @@ mod tests {
         let splits;
         {
             let t = RegionedTable::single(cfg.clone())
-                .unwrap()
-                .with_replicas(2)
                 .unwrap()
                 .with_rebalancing(rebalancing(8, 0));
             seed_users(&t, 12);

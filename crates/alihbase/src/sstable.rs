@@ -77,26 +77,13 @@ impl SsTable {
         self.bloom = RowBloom::build(rows.iter().copied(), rows.len(), bits_per_key);
     }
 
-    /// True when the run carries a bloom filter.
-    pub fn has_bloom(&self) -> bool {
-        self.bloom.is_some()
-    }
-
     /// Cheap index verdict for `row`: min/max row-key bounds first, then the
     /// bloom filter if present. Never a false negative — `OutOfBounds` and
-    /// `BloomMiss` both guarantee the row is not in this run.
-    pub fn row_presence(&self, row: &RowKey) -> RowPresence {
-        self.row_presence_probed(row, &OnceCell::new())
-    }
-
-    /// [`Self::row_presence`] with the row's bloom probe shared across
-    /// runs: `probe` hashes the row the first time a filter needs it, so a
-    /// read over many runs hashes once (and a read no filter sees, never).
-    pub(crate) fn row_presence_probed(
-        &self,
-        row: &RowKey,
-        probe: &OnceCell<RowProbe>,
-    ) -> RowPresence {
+    /// `BloomMiss` both guarantee the row is not in this run. The row's
+    /// bloom probe is shared across runs: `probe` hashes the row the first
+    /// time a filter needs it, so a read over many runs hashes once (and a
+    /// read no filter sees, never).
+    pub(crate) fn row_presence(&self, row: &RowKey, probe: &OnceCell<RowProbe>) -> RowPresence {
         let (Some((first, _)), Some((last, _))) = (self.entries.first(), self.entries.last())
         else {
             return RowPresence::OutOfBounds;
@@ -511,24 +498,24 @@ mod tests {
         ]);
         // Without a filter: bounds only.
         assert_eq!(
-            t.row_presence(&RowKey::from("u1")),
+            t.row_presence(&RowKey::from("u1"), &OnceCell::new()),
             RowPresence::OutOfBounds
         );
         assert_eq!(
-            t.row_presence(&RowKey::from("u9")),
+            t.row_presence(&RowKey::from("u9"), &OnceCell::new()),
             RowPresence::OutOfBounds
         );
         assert_eq!(
-            t.row_presence(&RowKey::from("u5")),
+            t.row_presence(&RowKey::from("u5"), &OnceCell::new()),
             RowPresence::Possible {
                 bloom_checked: false
             }
         );
         t.rebuild_index(10);
-        assert!(t.has_bloom());
+        assert!(t.bloom.is_some());
         for present in ["u3", "u5", "u7"] {
             assert_eq!(
-                t.row_presence(&RowKey::from(present)),
+                t.row_presence(&RowKey::from(present), &OnceCell::new()),
                 RowPresence::Possible {
                     bloom_checked: true
                 },
@@ -536,11 +523,11 @@ mod tests {
             );
         }
         // In-bounds but absent: either a BloomMiss or a (counted) fp.
-        let verdict = t.row_presence(&RowKey::from("u4"));
+        let verdict = t.row_presence(&RowKey::from("u4"), &OnceCell::new());
         assert_ne!(verdict, RowPresence::OutOfBounds);
         // Disabling restores the unfiltered verdict.
         t.rebuild_index(0);
-        assert!(!t.has_bloom());
+        assert!(t.bloom.is_none());
     }
 
     #[test]
@@ -556,7 +543,10 @@ mod tests {
         b.rebuild_index(10);
         for probe in 0..1000u32 {
             let row = RowKey::from(format!("p{probe}"));
-            assert_eq!(a.row_presence(&row), b.row_presence(&row));
+            assert_eq!(
+                a.row_presence(&row, &OnceCell::new()),
+                b.row_presence(&row, &OnceCell::new())
+            );
         }
     }
 

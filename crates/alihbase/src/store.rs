@@ -436,7 +436,7 @@ impl Store {
         let mut first = None;
         let mut more = Vec::new();
         for run in &inner.runs {
-            let bloom_checked = match run.row_presence_probed(row, &probe) {
+            let bloom_checked = match run.row_presence(row, &probe) {
                 RowPresence::OutOfBounds | RowPresence::BloomMiss => {
                     skipped += 1;
                     continue;

@@ -262,11 +262,6 @@ impl Wal {
         ))
     }
 
-    /// The active sync policy.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.sync
-    }
-
     /// Snapshot the physical-work counters (the `wal_*` fields of a
     /// [`WriteStatsSnapshot`]; the rest stay zero).
     pub fn stats(&self) -> WriteStatsSnapshot {
@@ -626,7 +621,7 @@ mod tests {
             let _ = std::fs::remove_file(&path);
             {
                 let (mut wal, _) = Wal::open_with(&path, policy).unwrap();
-                assert_eq!(wal.sync_policy(), policy);
+                assert_eq!(wal.sync, policy);
                 append(&mut wal, &record("u1", 1, Some(b"a"))).unwrap();
                 // Truncate (memtable flushed) then append the next write:
                 // recovery must see only the post-truncate record — under

@@ -15,7 +15,9 @@
 //! * **merge scaling** — the coordinator folds exactly one partial per
 //!   submitted subtask;
 //! * **bounded top-K** — workers ship ≤ LIMIT·subtasks rows into the final
-//!   merge, strictly fewer than the full-sort row count.
+//!   merge, strictly fewer than the full-sort row count;
+//! * **slots released** — every Fuxi slot is free again when a distributed
+//!   query returns.
 //!
 //! Each executor pool's Fuxi slot allocations and waits are snapshotted
 //! into the report. Peak and free slots and slot-wait time are left out:
@@ -128,7 +130,7 @@ pub fn run() -> Outcome {
     let mut references: Vec<Option<Vec<u8>>> = vec![None; queries.len()];
 
     for executors in EXECUTOR_SWEEP {
-        let mc = MaxCompute::new(1, executors, 3);
+        let mc = MaxCompute::new(executors);
         mc.create_account(&Account::new("bench", "offline-sql"));
         let session = mc.login("bench", "offline-sql").unwrap();
         session.create_table("tx", tx.clone());
@@ -143,8 +145,18 @@ pub fn run() -> Outcome {
             let reference = references[qi].as_ref().unwrap();
 
             for segments in SEGMENT_SWEEP {
-                let (out, r) = session.sql_distributed_with_stats(query, segments).unwrap();
+                let (out, r) = session.sql_distributed(query, segments).unwrap();
                 let at = format!("query {qi} executors={executors} segments={segments}");
+                // A returned query holds no slot: the next one never waits
+                // on slots of a finished job.
+                let fuxi = mc.fuxi_stats();
+                checks.check(
+                    &format!(
+                        "{at}: {} of {} slots free after the query returned",
+                        fuxi.free_slots, fuxi.total_slots
+                    ),
+                    fuxi.free_slots == fuxi.total_slots,
+                );
                 let identical = checks.check(
                     &format!("{at}: diverged from the reference"),
                     out.canonical_bytes() == *reference,

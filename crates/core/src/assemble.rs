@@ -26,21 +26,11 @@ pub enum EmbeddingChoice {
 /// Unlabelled dataset of embedding columns (`2 * dim` wide: transferor then
 /// transferee) for the given records. Users outside the network window get
 /// zero vectors — the production cold-start.
-pub fn embedding_columns(
-    world: &World,
-    record_idx: &[usize],
-    graph: &TxGraph,
-    emb: &EmbeddingMatrix,
-    tag: &str,
-) -> Dataset {
-    embedding_columns_with_pool(world, record_idx, graph, emb, tag, &Pool::serial())
-}
-
-/// [`embedding_columns`] with row materialization sharded across the pool's
-/// workers. Each worker fills a disjoint row-aligned span of one
-/// preallocated value buffer, so the output is byte-identical to the serial
-/// path for any thread count.
-pub fn embedding_columns_with_pool(
+///
+/// Row materialization is sharded across the pool's workers. Each worker
+/// fills a disjoint row-aligned span of one preallocated value buffer, so
+/// the output is byte-identical to the serial path for any thread count.
+fn embedding_columns(
     world: &World,
     record_idx: &[usize],
     graph: &TxGraph,
@@ -95,18 +85,9 @@ fn fill(out: &mut [f32], graph: &TxGraph, emb: &EmbeddingMatrix, user: UserId) {
 ///   "+DW+S2V" configuration passes both).
 /// * Train labels use reports received by the slice's label cutoff; test
 ///   labels are evaluation-time.
+/// * Embedding rows are materialized across the pool's workers (same
+///   output for any thread count).
 pub fn slice_datasets(
-    world: &World,
-    slice: &DatasetSlice,
-    graph: &TxGraph,
-    embeddings: &[(&str, &EmbeddingMatrix)],
-) -> (Dataset, Dataset) {
-    slice_datasets_with_pool(world, slice, graph, embeddings, &Pool::serial())
-}
-
-/// [`slice_datasets`] with embedding-row materialization sharded across the
-/// pool's workers (same output for any thread count).
-pub fn slice_datasets_with_pool(
     world: &World,
     slice: &DatasetSlice,
     graph: &TxGraph,
@@ -117,12 +98,8 @@ pub fn slice_datasets_with_pool(
         world.basic_dataset(slice.train_days.clone(), slice.label_cutoff());
     let (mut test, test_idx) = world.basic_dataset(slice.test_day..slice.test_day + 1, i64::MAX);
     for (tag, emb) in embeddings {
-        train = train.hconcat(&embedding_columns_with_pool(
-            world, &train_idx, graph, emb, tag, pool,
-        ));
-        test = test.hconcat(&embedding_columns_with_pool(
-            world, &test_idx, graph, emb, tag, pool,
-        ));
+        train = train.hconcat(&embedding_columns(world, &train_idx, graph, emb, tag, pool));
+        test = test.hconcat(&embedding_columns(world, &test_idx, graph, emb, tag, pool));
     }
     (train, test)
 }
@@ -178,7 +155,8 @@ mod tests {
             },
         })
         .embed(&graph);
-        let (train, test) = slice_datasets(&world, &slice, &graph, &[("dw", &emb)]);
+        let (train, test) =
+            slice_datasets(&world, &slice, &graph, &[("dw", &emb)], &Pool::serial());
         assert_eq!(train.n_cols(), titant_datagen::N_BASIC_FEATURES + 8);
         assert_eq!(test.n_cols(), train.n_cols());
         assert!(train.n_rows() > test.n_rows());
@@ -190,7 +168,7 @@ mod tests {
         let world = tiny_world();
         let slice = tiny_slice(&world);
         let graph = world.build_graph(slice.graph_days.clone());
-        let (train, _) = slice_datasets(&world, &slice, &graph, &[]);
+        let (train, _) = slice_datasets(&world, &slice, &graph, &[], &Pool::serial());
         let (fit, val) = fit_val_split(&train, 0.25);
         assert_eq!(fit.n_rows() + val.n_rows(), train.n_rows());
         // Oldest rows go to validation.
@@ -226,10 +204,9 @@ mod tests {
             .take(super::PAR_ASSEMBLE_MIN_ROWS + 77)
             .copied()
             .collect();
-        let serial = embedding_columns(&world, &idx, &graph, &emb, "dw");
+        let serial = embedding_columns(&world, &idx, &graph, &emb, "dw", &Pool::serial());
         for threads in [2usize, 3, 8] {
-            let pooled =
-                embedding_columns_with_pool(&world, &idx, &graph, &emb, "dw", &Pool::new(threads));
+            let pooled = embedding_columns(&world, &idx, &graph, &emb, "dw", &Pool::new(threads));
             assert_eq!(pooled.n_rows(), serial.n_rows());
             for i in 0..serial.n_rows() {
                 assert_eq!(pooled.row(i), serial.row(i), "row {i}, threads {threads}");
@@ -246,7 +223,7 @@ mod tests {
         let emb = titant_nrl::EmbeddingMatrix::zeros(0, 4);
         let (_train, test_idx) = world.basic_dataset(slice.test_day..slice.test_day + 1, i64::MAX);
         let _ = _train;
-        let cols = embedding_columns(&world, &test_idx, &graph, &emb, "dw");
+        let cols = embedding_columns(&world, &test_idx, &graph, &emb, "dw", &Pool::serial());
         for i in 0..cols.n_rows() {
             assert!(cols.row(i).iter().all(|&v| v == 0.0));
         }

@@ -11,8 +11,8 @@
 //!   basic features ⊕ DeepWalk/Structure2Vec node embeddings for both
 //!   transfer parties, labels as-of the T+1 cutoff.
 //! * [`offline`] — the offline pipeline: transaction logs into MaxCompute,
-//!   network construction by MapReduce, NRL + classifier training, model
-//!   file + per-user feature upload.
+//!   network construction by a SQL `GROUP BY`, NRL + classifier training,
+//!   model file + per-user feature upload.
 //! * [`online`] — deployment: a Model Server over the uploaded features,
 //!   fronted by the simulated Alipay server, replaying live traffic.
 //! * [`tplus1`] — the "T+1" driver: train on day T, serve day T+1, roll.

@@ -2,8 +2,9 @@
 //!
 //! One run reproduces what TitAnt does every day:
 //!
-//! 1. transaction logs land in **MaxCompute**; a MapReduce job aggregates
-//!    them into weighted transfer edges (the paper's network construction);
+//! 1. transaction logs land in **MaxCompute**; a distributed SQL `GROUP BY`
+//!    aggregates them into weighted transfer edges (the paper's network
+//!    construction, a MapReduce job there);
 //! 2. the transaction network is built and **DeepWalk** learns user node
 //!    embeddings (KunPeng's distributed trainer at cluster scale; the
 //!    shared-memory trainer here);
@@ -43,8 +44,8 @@ pub struct PipelineConfig {
     pub walks_per_node: usize,
     /// Walk length (paper: 50).
     pub walk_length: usize,
-    /// Worker threads for every parallel stage (walks, SGNS, MapReduce,
-    /// GBDT, assembly, upload). `0` auto-detects via
+    /// Worker threads for every parallel stage (walks, SGNS, the SQL edge
+    /// aggregation, GBDT, assembly, upload). `0` auto-detects via
     /// [`std::thread::available_parallelism`].
     pub threads: usize,
     /// Classifier configuration (paper: 400 trees, depth 3, subsample 0.4).
@@ -170,8 +171,7 @@ impl OfflinePipeline {
         } else {
             Vec::new()
         };
-        let (train, _test) =
-            assemble::slice_datasets_with_pool(world, slice, &graph, &emb_pairs, &pool);
+        let (train, _test) = assemble::slice_datasets(world, slice, &graph, &emb_pairs, &pool);
         let (fit, val) = fit_val_split(&train, self.config.val_fraction);
 
         let mut gbdt_config = self.config.gbdt.clone();
@@ -212,18 +212,16 @@ impl OfflinePipeline {
     /// fans the scan over `threads` Fuxi-slot segments and merges the
     /// per-segment counts), then build the CSR graph.
     ///
-    /// This used to be a hand-coded MapReduce job; the SQL plan computes
-    /// the same `((from, to), count)` aggregation, and `GROUP BY` emits
-    /// groups in `BTreeMap` key order — identical to the MapReduce
-    /// engine's sorted-key reduce order — so the edge table (and the
-    /// built graph) is byte-for-byte what the old job produced.
+    /// The paper builds the network with a MapReduce job; the `GROUP BY`
+    /// computes the same `((from, to), count)` aggregation and emits groups
+    /// in sorted key order.
     fn build_graph_via_maxcompute(
         &self,
         world: &World,
         slice: &DatasetSlice,
         threads: usize,
     ) -> Result<TxGraph, TitAntError> {
-        let mc = MaxCompute::new(2, threads, 3);
+        let mc = MaxCompute::new(2 * threads);
         mc.create_account(&Account::new("titant", "offline"));
         let session = mc
             .login("titant", "offline")
@@ -243,7 +241,7 @@ impl OfflinePipeline {
         }
         session.create_table("transaction_logs", logs);
 
-        let edges = session
+        let (edges, _) = session
             .sql_distributed(
                 "SELECT transferor, transferee, COUNT(*) FROM transaction_logs \
                  GROUP BY transferor, transferee",
@@ -370,70 +368,6 @@ impl OfflinePipeline {
     }
 }
 
-/// Compute mature training labels with a distributed SQL label-join.
-///
-/// Production TitAnt joins the transaction log against the case/report
-/// table in MaxCompute to label the training window; here the same join
-/// runs through the SQL engine: `train_txns` (one row per training
-/// transaction) inner-joins `fraud_reports` (one row per fraudulent
-/// transaction with the day its victim report landed) on transaction id,
-/// keeping only reports mature by the slice's label cutoff. Unreported
-/// fraud carries `report_day == i64::MAX` and is filtered by the same
-/// predicate — exactly the [`World::label_as_of`] rule.
-///
-/// Returns one label per record of `slice.train_days`, in record order.
-/// The join fans out over `segments` Fuxi subtasks; the result is
-/// byte-identical for any segment count.
-pub fn labels_via_sql(
-    world: &World,
-    slice: &DatasetSlice,
-    segments: usize,
-) -> Result<Vec<f32>, TitAntError> {
-    let mc = MaxCompute::new(2, segments.max(1), 3);
-    mc.create_account(&Account::new("titant", "labels"));
-    let session = mc
-        .login("titant", "labels")
-        .map_err(|e| TitAntError::MaxCompute(e.to_string()))?;
-
-    let range = world.record_range(slice.train_days.clone());
-
-    let mut txns = Table::new(Schema::new(vec![("txn", ColumnType::Int)]));
-    for i in range.clone() {
-        txns.push_row(vec![(i as i64).into()]);
-    }
-    session.create_table("train_txns", txns);
-
-    let mut reports = Table::new(Schema::new(vec![
-        ("txn", ColumnType::Int),
-        ("report_day", ColumnType::Int),
-    ]));
-    for i in range.clone() {
-        if world.is_fraud(i) {
-            reports.push_row(vec![(i as i64).into(), world.report_day(i).into()]);
-        }
-    }
-    session.create_table("fraud_reports", reports);
-
-    let matured = session
-        .sql_distributed(
-            &format!(
-                "SELECT txn FROM train_txns JOIN fraud_reports \
-                 ON train_txns.txn = fraud_reports.txn \
-                 WHERE report_day <= {}",
-                slice.label_cutoff()
-            ),
-            segments.max(1),
-        )
-        .map_err(|e| TitAntError::MaxCompute(e.to_string()))?;
-
-    let mut labels = vec![0.0f32; range.len()];
-    for r in 0..matured.n_rows() {
-        let txn = matured.cell(r, 0).as_i64().unwrap() as usize;
-        labels[txn - range.start] = 1.0;
-    }
-    Ok(labels)
-}
-
 /// Score threshold achieving the given alert rate on validation scores.
 fn score_at_rate(scores: &[f32], rate: f64) -> f32 {
     if scores.is_empty() || rate <= 0.0 {
@@ -490,6 +424,8 @@ mod tests {
             .is_some());
     }
 
+    /// Every edge of the graph built through MaxCompute — endpoints and
+    /// weight — equals the one the direct `TxGraph` build gives.
     #[test]
     fn batch_layer_and_direct_graphs_agree() {
         let (world, slice) = tiny_setup();
@@ -498,18 +434,28 @@ mod tests {
         let mc_graph = via_mc
             .build_graph_via_maxcompute(&world, &slice, 2)
             .unwrap();
+        let edges = |g: &TxGraph| -> Vec<(UserId, UserId, f32)> {
+            let mut e: Vec<_> = g
+                .edges()
+                .map(|(a, b, w)| (g.user_of(a), g.user_of(b), w))
+                .collect();
+            e.sort_by_key(|&(a, b, _)| (a, b));
+            e
+        };
         assert_eq!(mc_graph.node_count(), direct.node_count());
-        assert_eq!(mc_graph.edge_count(), direct.edge_count());
+        let (got, want) = (edges(&mc_graph), edges(&direct));
+        assert!(want.len() > 50, "fixture must have a network");
+        assert_eq!(got, want);
     }
 
-    /// The SQL GROUP BY that replaced the hand-coded MapReduce job must
-    /// reproduce its output table cell-for-cell: same `(from, to, count)`
-    /// triples in the same sorted-key order, for any segment count.
+    /// The SQL GROUP BY that builds the network's edges counts every
+    /// `(transferor, transferee)` pair exactly: its rows equal a count built
+    /// here with a `BTreeMap`, in sorted key order, at any segment count.
     #[test]
-    fn sql_edge_aggregation_matches_the_old_mapreduce_job() {
-        use titant_maxcompute::Value;
+    fn sql_edge_aggregation_counts_every_transfer() {
+        use std::collections::BTreeMap;
         let (world, slice) = tiny_setup();
-        let mc = MaxCompute::new(2, 4, 3);
+        let mc = MaxCompute::new(8);
         mc.create_account(&Account::new("titant", "offline"));
         let session = mc.login("titant", "offline").unwrap();
 
@@ -517,47 +463,98 @@ mod tests {
             ("transferor", ColumnType::Int),
             ("transferee", ColumnType::Int),
         ]));
+        let mut expected: BTreeMap<(i64, i64), i64> = BTreeMap::new();
         for r in world.records_in(slice.graph_days.clone()) {
             if !r.is_self_transfer() {
-                logs.push_row(vec![
-                    (r.transferor.0 as i64).into(),
-                    (r.transferee.0 as i64).into(),
-                ]);
+                let key = (r.transferor.0 as i64, r.transferee.0 as i64);
+                *expected.entry(key).or_default() += 1;
+                logs.push_row(vec![key.0.into(), key.1.into()]);
             }
         }
+        assert!(
+            expected.values().any(|&n| n > 1),
+            "fixture must repeat some pair"
+        );
         session.create_table("transaction_logs", logs);
 
-        let via_mr = session
-            .mapreduce(
-                "transaction_logs",
-                Schema::new(vec![
-                    ("from", ColumnType::Int),
-                    ("to", ColumnType::Int),
-                    ("weight", ColumnType::Int),
-                ]),
-                &|row: &[Value]| vec![((row[0].as_i64().unwrap(), row[1].as_i64().unwrap()), 1u32)],
-                &|k: &(i64, i64), vs: &[u32]| {
-                    vec![vec![k.0.into(), k.1.into(), (vs.len() as i64).into()]]
-                },
-                2,
-            )
-            .unwrap();
-
         for segments in [1, 2, 4] {
-            let via_sql = session
+            let (via_sql, _) = session
                 .sql_distributed(
                     "SELECT transferor, transferee, COUNT(*) FROM transaction_logs \
                      GROUP BY transferor, transferee",
                     segments,
                 )
                 .unwrap();
-            assert_eq!(via_sql.n_rows(), via_mr.n_rows());
-            for i in 0..via_mr.n_rows() {
-                for c in 0..3 {
-                    assert_eq!(via_sql.cell(i, c), via_mr.cell(i, c), "row {i} col {c}");
-                }
+            let rows: Vec<((i64, i64), i64)> = (0..via_sql.n_rows())
+                .map(|i| {
+                    let cell = |c| via_sql.cell(i, c).as_i64().unwrap();
+                    ((cell(0), cell(1)), cell(2))
+                })
+                .collect();
+            assert_eq!(
+                rows,
+                expected.iter().map(|(&k, &n)| (k, n)).collect::<Vec<_>>(),
+                "segments={segments}"
+            );
+        }
+    }
+
+    /// Compute mature training labels with a distributed SQL label-join.
+    ///
+    /// Production TitAnt joins the transaction log against the case/report
+    /// table in MaxCompute to label the training window; here the same join
+    /// runs through the SQL engine: `train_txns` (one row per training
+    /// transaction) inner-joins `fraud_reports` (one row per fraudulent
+    /// transaction with the day its victim report landed) on transaction id,
+    /// keeping only reports mature by the slice's label cutoff. Unreported
+    /// fraud carries `report_day == i64::MAX` and is filtered by the same
+    /// predicate — exactly the [`World::label_as_of`] rule.
+    ///
+    /// Returns one label per record of `slice.train_days`, in record order.
+    /// The join fans out over `segments` Fuxi subtasks. The pipeline labels
+    /// with [`World::basic_dataset`]; this is the same rule as a SQL JOIN.
+    fn labels_via_sql(world: &World, slice: &DatasetSlice, segments: usize) -> Vec<f32> {
+        let mc = MaxCompute::new(2 * segments);
+        mc.create_account(&Account::new("titant", "labels"));
+        let session = mc.login("titant", "labels").unwrap();
+
+        let range = world.record_range(slice.train_days.clone());
+
+        let mut txns = Table::new(Schema::new(vec![("txn", ColumnType::Int)]));
+        for i in range.clone() {
+            txns.push_row(vec![(i as i64).into()]);
+        }
+        session.create_table("train_txns", txns);
+
+        let mut reports = Table::new(Schema::new(vec![
+            ("txn", ColumnType::Int),
+            ("report_day", ColumnType::Int),
+        ]));
+        for i in range.clone() {
+            if world.is_fraud(i) {
+                reports.push_row(vec![(i as i64).into(), world.report_day(i).into()]);
             }
         }
+        session.create_table("fraud_reports", reports);
+
+        let (matured, _) = session
+            .sql_distributed(
+                &format!(
+                    "SELECT txn FROM train_txns JOIN fraud_reports \
+                     ON train_txns.txn = fraud_reports.txn \
+                     WHERE report_day <= {}",
+                    slice.label_cutoff()
+                ),
+                segments,
+            )
+            .unwrap();
+
+        let mut labels = vec![0.0f32; range.len()];
+        for r in 0..matured.n_rows() {
+            let txn = matured.cell(r, 0).as_i64().unwrap() as usize;
+            labels[txn - range.start] = 1.0;
+        }
+        labels
     }
 
     /// The SQL label-join must reproduce [`World::label_as_of`] at the
@@ -575,9 +572,8 @@ mod tests {
             expected.iter().any(|&l| l > 0.5),
             "fixture must contain matured fraud"
         );
-        let serial = labels_via_sql(&world, &slice, 1).unwrap();
-        assert_eq!(serial, expected);
-        assert_eq!(labels_via_sql(&world, &slice, 4).unwrap(), expected);
+        assert_eq!(labels_via_sql(&world, &slice, 1), expected);
+        assert_eq!(labels_via_sql(&world, &slice, 4), expected);
     }
 
     #[test]

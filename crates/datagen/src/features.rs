@@ -24,7 +24,7 @@ const DAY_DECAY: f32 = 0.977_16;
 
 /// Night hours: 22:00–05:59.
 #[inline]
-pub fn is_night_hour(hour: u8) -> bool {
+fn is_night_hour(hour: u8) -> bool {
     !(6..22).contains(&hour)
 }
 
@@ -130,7 +130,7 @@ impl UserState {
     }
 
     /// Apply lazy exponential decay up to `day`.
-    pub fn decay_to(&mut self, day: i64) {
+    fn decay_to(&mut self, day: i64) {
         if day <= self.last_decay_day {
             return;
         }

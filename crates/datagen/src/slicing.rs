@@ -44,11 +44,6 @@ impl DatasetSlice {
         }
     }
 
-    /// All seven paper slices.
-    pub fn paper_all() -> Vec<Self> {
-        (0..PAPER_DATASET_COUNT).map(Self::paper).collect()
-    }
-
     /// The last day whose fraud reports are available when training the
     /// model for this slice's test day (T+1: training finishes before the
     /// test day starts).
@@ -93,7 +88,7 @@ mod tests {
 
     #[test]
     fn windows_are_disjoint_and_adjacent() {
-        for s in DatasetSlice::paper_all() {
+        for s in (0..PAPER_DATASET_COUNT).map(DatasetSlice::paper) {
             assert_eq!(s.graph_days.end, s.train_days.start);
             assert_eq!(s.train_days.end, s.test_day);
         }
@@ -108,7 +103,7 @@ mod tests {
     #[test]
     fn fits_default_config() {
         let cfg = WorldConfig::default();
-        for s in DatasetSlice::paper_all() {
+        for s in (0..PAPER_DATASET_COUNT).map(DatasetSlice::paper) {
             assert!(s.fits(&cfg), "slice {} does not fit", s.index);
         }
     }

@@ -145,7 +145,7 @@ impl TrafficGen {
 
     /// The id range `[start, end)` of one block — quantile boundaries that
     /// match `RegionedTable::with_user_splits` over a dense id space.
-    pub fn block_range(&self, block: u64) -> (u64, u64) {
+    fn block_range(&self, block: u64) -> (u64, u64) {
         let (n, parts) = (self.config.n_users, self.config.n_blocks);
         (block * n / parts, (block + 1) * n / parts)
     }

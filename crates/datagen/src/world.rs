@@ -9,7 +9,6 @@ use crate::config::WorldConfig;
 use crate::features::{feature_names, N_BASIC_FEATURES};
 use crate::profile::{Role, UserProfile};
 use crate::simulate::{poisson, run, SimInputs, SimOutput, NEVER_REPORTED};
-use crate::slicing::DatasetSlice;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -192,16 +191,6 @@ impl World {
                 (a, b, fraud_pairs.get(&key).copied().unwrap_or(false))
             })
             .collect()
-    }
-
-    /// Convenience: everything a detection experiment needs for one paper
-    /// slice — graph window records, train set, test set.
-    pub fn slice_ranges(&self, slice: &DatasetSlice) -> (Range<i64>, Range<i64>, Range<i64>) {
-        (
-            slice.graph_days.clone(),
-            slice.train_days.clone(),
-            slice.test_day..slice.test_day + 1,
-        )
     }
 
     /// Fraction of fraud among records in `days` (ground truth).

@@ -57,11 +57,6 @@ impl ExperimentTable {
         &self.rows
     }
 
-    /// Column labels.
-    pub fn column_names(&self) -> &[String] {
-        &self.columns
-    }
-
     /// Mean of a row across filled cells (the "on average" comparisons in
     /// the paper's §5.2 discussion).
     pub fn row_mean(&self, row: usize) -> Option<f64> {

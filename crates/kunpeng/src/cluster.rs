@@ -64,7 +64,7 @@ impl ClusterSpec {
     }
 
     /// Total worker threads.
-    pub fn worker_threads(&self) -> usize {
+    fn worker_threads(&self) -> usize {
         self.workers() * self.threads_per_machine
     }
 }

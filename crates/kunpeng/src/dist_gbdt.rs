@@ -112,7 +112,9 @@ pub fn train(data: &Dataset, config: &DistGbdtConfig, ps: &ParamServer) -> Gbdt 
 
             // Workers build local histograms; the coordinator pushes them
             // in worker order, so the f32 sums on the PS never depend on
-            // which thread finishes first.
+            // which thread finishes first. Moves onto titant-parallel's
+            // `Pool` once kunpeng may depend on it (ROADMAP 1(f)).
+            #[allow(clippy::disallowed_methods)]
             let locals: Vec<Vec<f32>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = shards
                     .iter()
@@ -233,6 +235,9 @@ pub fn ps_dim(n_features: usize, config: &DistGbdtConfig) -> usize {
 
 /// Run `f(first_row, part)` on one scoped thread per `chunk`-row part of
 /// `data`: each worker updates the per-row values of its own shard.
+/// Replaced by titant-parallel's `Pool` once kunpeng may depend on it
+/// (ROADMAP 1(f)); a new dependency edge rewrites benchmark/Cargo.lock.
+#[allow(clippy::disallowed_methods)]
 fn for_shards<T: Send>(data: &mut [T], chunk: usize, f: impl Fn(usize, &mut [T]) + Sync) {
     let f = &f;
     std::thread::scope(|scope| {

@@ -69,6 +69,9 @@ pub fn train(
     let shards = worker_shards(corpus.walk_count(), config.n_workers);
 
     for round in 0..config.rounds {
+        // Moves onto titant-parallel's `Pool` once kunpeng may depend on it
+        // (ROADMAP 1(f)); a new dependency edge rewrites benchmark/Cargo.lock.
+        #[allow(clippy::disallowed_methods)]
         let locals: Vec<Vec<f32>> = std::thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .iter()

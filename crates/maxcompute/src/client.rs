@@ -1,5 +1,5 @@
 //! The client layer: accounts, authenticated sessions, and the submit
-//! paths for SQL and MapReduce jobs.
+//! paths for SQL jobs (single-process and distributed).
 //!
 //! Per Figure 4: "developers can login with their cloud account and submit
 //! jobs by web console in client layer, where HTTP server receives the
@@ -8,11 +8,9 @@
 use crate::distsql::{self, DistReport};
 use crate::fuxi::{Fuxi, FuxiStats};
 use crate::job::Scheduler;
-use crate::mapreduce::{run_mapreduce, MapFn, ReduceFn};
 use crate::ots::Ots;
-use crate::pangu::Pangu;
 use crate::sql;
-use crate::table::{Schema, Table};
+use crate::table::Table;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,8 +24,6 @@ pub enum McError {
     UnknownTable(String),
     /// SQL failure.
     Sql(sql::SqlError),
-    /// Blob store failure.
-    Pangu(crate::pangu::PanguError),
 }
 
 impl std::fmt::Display for McError {
@@ -36,7 +32,6 @@ impl std::fmt::Display for McError {
             McError::AuthFailed => write!(f, "authentication failed"),
             McError::UnknownTable(t) => write!(f, "unknown table: {t}"),
             McError::Sql(e) => write!(f, "{e}"),
-            McError::Pangu(e) => write!(f, "{e}"),
         }
     }
 }
@@ -67,28 +62,21 @@ pub struct MaxCompute {
     scheduler: Scheduler,
     fuxi: Fuxi,
     ots: Arc<Ots>,
-    pangu: Arc<Pangu>,
 }
 
 impl MaxCompute {
-    /// Boot a cluster: `machines` × `slots_per_machine` compute slots,
-    /// `datanodes` Pangu nodes.
-    pub fn new(machines: usize, slots_per_machine: usize, datanodes: usize) -> Self {
-        let fuxi = Fuxi::new(machines, slots_per_machine);
+    /// Boot a cluster of `slots` Fuxi compute slots, one executor thread
+    /// per slot.
+    pub fn new(slots: usize) -> Self {
+        let fuxi = Fuxi::new(slots);
         let ots = Arc::new(Ots::new());
-        let scheduler =
-            Scheduler::new(fuxi.clone(), Arc::clone(&ots), machines * slots_per_machine);
+        let scheduler = Scheduler::new(fuxi.clone(), Arc::clone(&ots), slots);
         Self {
             tables: RwLock::new(HashMap::new()),
             accounts: Mutex::new(HashMap::new()),
             scheduler,
             fuxi,
             ots,
-            pangu: Arc::new(Pangu::new(
-                datanodes.max(3),
-                1 << 16,
-                3.min(datanodes.max(1)),
-            )),
         }
     }
 
@@ -115,11 +103,6 @@ impl MaxCompute {
         &self.ots
     }
 
-    /// The resource manager (observability).
-    pub fn fuxi(&self) -> &Fuxi {
-        &self.fuxi
-    }
-
     /// Scheduling-pressure snapshot (peak slots, allocations, slot-wait).
     pub fn fuxi_stats(&self) -> FuxiStats {
         self.fuxi.stats()
@@ -133,11 +116,6 @@ pub struct Session<'a> {
 }
 
 impl Session<'_> {
-    /// The logged-in account name.
-    pub fn account(&self) -> &str {
-        &self.account
-    }
-
     /// Create or replace a table.
     pub fn create_table(&self, name: &str, table: Table) {
         self.mc
@@ -181,16 +159,11 @@ impl Session<'_> {
 
     /// Run a SQL query as a coordinator/worker job: the scan (and JOIN, if
     /// any) fans out over `segments` prioritized Fuxi subtasks and the
-    /// coordinator merges the partials. The result is byte-identical to
-    /// [`Session::sql`] for any `segments` and any executor pool size.
-    pub fn sql_distributed(&self, query: &str, segments: usize) -> Result<Table, McError> {
-        self.sql_distributed_with_stats(query, segments)
-            .map(|(table, _)| table)
-    }
-
-    /// [`Session::sql_distributed`], also returning the counted-work
-    /// report (rows scanned, partials merged, top-K rows materialized).
-    pub fn sql_distributed_with_stats(
+    /// coordinator merges the partials. The table is byte-identical to
+    /// [`Session::sql`] for any `segments` and any executor pool size; the
+    /// report counts the work (rows scanned, partials merged, top-K rows
+    /// materialized).
+    pub fn sql_distributed(
         &self,
         query: &str,
         segments: usize,
@@ -211,53 +184,16 @@ impl Session<'_> {
         )
         .map_err(McError::Sql)
     }
-
-    /// Run a MapReduce job over a stored table (the transaction-network
-    /// construction path), occupying `parallelism` Fuxi slots.
-    pub fn mapreduce<K, V>(
-        &self,
-        input_table: &str,
-        output_schema: Schema,
-        map: &MapFn<K, V>,
-        reduce: &ReduceFn<K, V>,
-        parallelism: usize,
-    ) -> Result<Table, McError>
-    where
-        K: Ord + Send + Clone,
-        V: Send + Clone,
-    {
-        let input = self.table(input_table)?;
-        let instance = self
-            .mc
-            .ots
-            .register(&self.account, &format!("mapreduce over {input_table}"));
-        let slots = parallelism.clamp(1, self.mc.fuxi.total_slots());
-        let _alloc = self.mc.fuxi.allocate(slots);
-        let out = run_mapreduce(&input, output_schema, map, reduce, slots);
-        self.mc
-            .ots
-            .set_status(instance, crate::ots::InstanceStatus::Terminated);
-        Ok(out)
-    }
-
-    /// Persist a named blob to Pangu (model files, embeddings).
-    pub fn put_blob(&self, name: &str, data: &[u8]) -> Result<(), McError> {
-        self.mc.pangu.put(name, data).map_err(McError::Pangu)
-    }
-
-    /// Read a named blob back from Pangu.
-    pub fn get_blob(&self, name: &str) -> Result<Vec<u8>, McError> {
-        self.mc.pangu.get(name).map_err(McError::Pangu)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{ColumnType, Value};
+    use crate::table::Schema;
+    use crate::value::ColumnType;
 
     fn cluster_with_table() -> MaxCompute {
-        let mc = MaxCompute::new(2, 2, 3);
+        let mc = MaxCompute::new(4);
         mc.create_account(&Account::new("ant", "s3cret"));
         let session = mc.login("ant", "s3cret").unwrap();
         let mut t = Table::new(Schema::new(vec![
@@ -306,37 +242,5 @@ mod tests {
             session.sql("SELECT nope FROM tx"),
             Err(McError::Sql(_))
         ));
-    }
-
-    #[test]
-    fn mapreduce_builds_weighted_edges() {
-        let mc = cluster_with_table();
-        let session = mc.login("ant", "s3cret").unwrap();
-        let out = session
-            .mapreduce(
-                "tx",
-                Schema::new(vec![
-                    ("payer", ColumnType::Int),
-                    ("payee", ColumnType::Int),
-                    ("weight", ColumnType::Int),
-                ]),
-                &|row: &[Value]| vec![((row[0].as_i64().unwrap(), row[1].as_i64().unwrap()), 1u32)],
-                &|k: &(i64, i64), vs: &[u32]| {
-                    vec![vec![k.0.into(), k.1.into(), (vs.len() as i64).into()]]
-                },
-                4,
-            )
-            .unwrap();
-        assert_eq!(out.n_rows(), 2);
-        assert_eq!(out.cell(0, 2).as_i64(), Some(2)); // edge 1->2 collapsed
-    }
-
-    #[test]
-    fn blobs_round_trip_through_pangu() {
-        let mc = cluster_with_table();
-        let session = mc.login("ant", "s3cret").unwrap();
-        session.put_blob("model-v1", b"weights").unwrap();
-        assert_eq!(session.get_blob("model-v1").unwrap(), b"weights");
-        assert!(session.get_blob("model-v0").is_err());
     }
 }

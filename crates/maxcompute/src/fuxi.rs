@@ -2,16 +2,16 @@
 //!
 //! The paper (§4.2) describes executors requesting Fuxi to "trigger
 //! computing resources in the compute layer", with subtasks waiting until
-//! "the resource conditions are satisfied". This analogue models a cluster
-//! of machines with a fixed slot count each; allocations are granted FIFO
-//! and released when the subtask finishes. The §5.2 observation that "more
-//! resources requested, more waiting time may be needed for allocation" is
-//! directly measurable here.
+//! "the resource conditions are satisfied". This analogue models the
+//! cluster as one fixed pool of compute slots; an allocation blocks until
+//! enough slots are free and releases them when dropped. The §5.2
+//! observation that "more resources requested, more waiting time may be
+//! needed for allocation" is directly measurable here.
 
 use parking_lot::{Condvar, Mutex};
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A slot allocation; slots return to the pool on drop (RAII).
 pub struct Allocation {
@@ -67,16 +67,15 @@ pub struct Fuxi {
 }
 
 impl Fuxi {
-    /// A cluster of `machines` machines with `slots_per_machine` each.
-    pub fn new(machines: usize, slots_per_machine: usize) -> Self {
-        let total = machines * slots_per_machine;
-        assert!(total > 0, "cluster needs at least one slot");
+    /// A cluster of `slots` compute slots.
+    pub fn new(slots: usize) -> Self {
+        assert!(slots > 0, "cluster needs at least one slot");
         Self {
             pool: Arc::new(Pool {
                 state: Mutex::new(PoolState {
-                    free_slots: total,
+                    free_slots: slots,
                     peak_used: 0,
-                    total_slots: total,
+                    total_slots: slots,
                     allocations: 0,
                     waits: 0,
                     wait_micros: 0,
@@ -84,21 +83,6 @@ impl Fuxi {
                 cv: Condvar::new(),
             }),
         }
-    }
-
-    /// Total slots in the cluster.
-    pub fn total_slots(&self) -> usize {
-        self.pool.state.lock().total_slots
-    }
-
-    /// Currently free slots.
-    pub fn free_slots(&self) -> usize {
-        self.pool.state.lock().free_slots
-    }
-
-    /// Peak concurrent slot usage so far.
-    pub fn peak_used(&self) -> usize {
-        self.pool.state.lock().peak_used
     }
 
     /// Scheduling-pressure snapshot.
@@ -140,56 +124,6 @@ impl Fuxi {
             pool: Arc::clone(&self.pool),
         }
     }
-
-    /// Try to take `slots` without blocking.
-    pub fn try_allocate(&self, slots: usize) -> Option<Allocation> {
-        let mut state = self.pool.state.lock();
-        if slots > state.total_slots || state.free_slots < slots {
-            return None;
-        }
-        state.grant(slots);
-        Some(Allocation {
-            slots,
-            pool: Arc::clone(&self.pool),
-        })
-    }
-
-    /// Block until `slots` are available or the timeout elapses.
-    pub fn allocate_timeout(&self, slots: usize, timeout: Duration) -> Option<Allocation> {
-        let mut state = self.pool.state.lock();
-        if slots > state.total_slots {
-            return None;
-        }
-        if state.free_slots < slots {
-            state.waits += 1;
-            let started = Instant::now();
-            let deadline = started + timeout;
-            let waited = loop {
-                if self.pool.cv.wait_until(&mut state, deadline).timed_out() {
-                    break false;
-                }
-                if state.free_slots >= slots {
-                    break true;
-                }
-            };
-            state.wait_micros += started.elapsed().as_micros() as u64;
-            if !waited {
-                return None;
-            }
-        }
-        state.grant(slots);
-        Some(Allocation {
-            slots,
-            pool: Arc::clone(&self.pool),
-        })
-    }
-}
-
-impl Allocation {
-    /// How many slots this allocation holds.
-    pub fn slots(&self) -> usize {
-        self.slots
-    }
 }
 
 impl Drop for Allocation {
@@ -203,30 +137,27 @@ impl Drop for Allocation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn allocate_and_release() {
-        let fuxi = Fuxi::new(2, 4);
-        assert_eq!(fuxi.total_slots(), 8);
+        let fuxi = Fuxi::new(8);
+        assert_eq!(fuxi.stats().total_slots, 8);
         let a = fuxi.allocate(5);
-        assert_eq!(fuxi.free_slots(), 3);
+        assert_eq!(fuxi.stats().free_slots, 3);
         drop(a);
-        assert_eq!(fuxi.free_slots(), 8);
-        assert_eq!(fuxi.peak_used(), 5);
-    }
-
-    #[test]
-    fn try_allocate_fails_when_full() {
-        let fuxi = Fuxi::new(1, 2);
-        let _a = fuxi.try_allocate(2).unwrap();
-        assert!(fuxi.try_allocate(1).is_none());
+        let s = fuxi.stats();
+        assert_eq!(s.free_slots, 8);
+        assert_eq!(s.peak_used, 5);
     }
 
     #[test]
     fn blocking_allocation_waits_for_release() {
-        let fuxi = Fuxi::new(1, 2);
+        let fuxi = Fuxi::new(2);
         let a = fuxi.allocate(2);
         let fuxi2 = fuxi.clone();
+        // The subject is a second thread blocking on the first's slots.
+        #[allow(clippy::disallowed_methods)]
         let handle = std::thread::spawn(move || {
             let _b = fuxi2.allocate(1); // blocks until `a` drops
             true
@@ -238,25 +169,19 @@ mod tests {
     }
 
     #[test]
-    fn timeout_expires_when_slots_never_free() {
-        let fuxi = Fuxi::new(1, 1);
-        let _a = fuxi.allocate(1);
-        let got = fuxi.allocate_timeout(1, Duration::from_millis(30));
-        assert!(got.is_none());
-    }
-
-    #[test]
     #[should_panic(expected = "requested")]
     fn oversized_request_panics() {
-        let fuxi = Fuxi::new(1, 1);
+        let fuxi = Fuxi::new(1);
         let _ = fuxi.allocate(2);
     }
 
     #[test]
     fn stats_count_allocations_and_waits() {
-        let fuxi = Fuxi::new(1, 2);
+        let fuxi = Fuxi::new(2);
         let a = fuxi.allocate(2); // no wait
         let fuxi2 = fuxi.clone();
+        // The subject is a second thread blocking on the first's slots.
+        #[allow(clippy::disallowed_methods)]
         let handle = std::thread::spawn(move || {
             let _b = fuxi2.allocate(1); // must wait for `a`
         });
@@ -273,13 +198,5 @@ mod tests {
             s.wait_micros > 0,
             "blocked allocation must record wait time"
         );
-        // A failed timeout still counts as a wait but not an allocation.
-        let _c = fuxi.allocate(2);
-        assert!(fuxi
-            .allocate_timeout(1, Duration::from_millis(10))
-            .is_none());
-        let s = fuxi.stats();
-        assert_eq!(s.allocations, 3);
-        assert_eq!(s.waits, 2);
     }
 }

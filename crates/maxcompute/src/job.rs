@@ -102,6 +102,9 @@ impl Scheduler {
                 let state = Arc::clone(&state);
                 let fuxi = fuxi.clone();
                 let ots = Arc::clone(&ots);
+                // A long-lived executor draining the task pool, not chunked
+                // work, so not a `Pool` job.
+                #[allow(clippy::disallowed_methods)]
                 std::thread::spawn(move || executor_loop(state, fuxi, ots))
             })
             .collect();
@@ -233,8 +236,11 @@ fn executor_loop(state: Arc<(Mutex<SchedulerState>, Condvar)>, fuxi: Fuxi, ots: 
         };
         // "As soon as the resource conditions are satisfied, the subtasks
         // are sent to an executor, which requests Fuxi…"
-        let _slot = fuxi.allocate(1);
+        // The slot goes back before the job can be reported done, so a
+        // submitter that returns from `wait` sees every slot free again.
+        let slot = fuxi.allocate(1);
         (entry.task)();
+        drop(slot);
         let mut remaining = entry.job.remaining.lock();
         *remaining -= 1;
         if *remaining == 0 {
@@ -262,8 +268,31 @@ mod tests {
 
     fn setup(slots: usize, executors: usize) -> (Scheduler, Arc<Ots>) {
         let ots = Arc::new(Ots::new());
-        let fuxi = Fuxi::new(1, slots);
+        let fuxi = Fuxi::new(slots);
         (Scheduler::new(fuxi, Arc::clone(&ots), executors), ots)
+    }
+
+    /// A job is done only once its slots are back: read right after
+    /// `run_collect` returns, Fuxi must show every slot free, for every job
+    /// of a long back-to-back run. Jobs of one subtask on one slot, then of
+    /// four subtasks on four slots, where an executor that did not finish
+    /// last can still be between its subtask and its slot release.
+    #[test]
+    fn slots_are_free_when_a_job_returns() {
+        for width in [1usize, 4] {
+            let fuxi = Fuxi::new(width);
+            let sched = Scheduler::new(fuxi.clone(), Arc::new(Ots::new()), width);
+            for i in 0..250 {
+                let tasks: Vec<_> = (0..width).map(|k| move || i + k).collect();
+                let out = sched.run_collect("a", "back to back", 1, tasks);
+                assert_eq!(out, (i..i + width).collect::<Vec<_>>());
+                let stats = fuxi.stats();
+                assert_eq!(
+                    stats.free_slots, stats.total_slots,
+                    "width {width}, job {i} returned while a slot was still held"
+                );
+            }
+        }
     }
 
     #[test]

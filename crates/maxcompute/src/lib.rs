@@ -10,15 +10,19 @@
 //!   prioritised subtasks, register instances in the [`ots`] status table
 //!   (`Running` → `Terminated`), and hand subtasks to executors once the
 //!   [`fuxi`] resource manager grants slots;
-//! * **storage & compute layer** — [`pangu`] is the chunked, replicated
-//!   blob store results persist to, and the compute layer executes either
-//!   [`sql`] queries (SELECT/WHERE/GROUP BY/JOIN with aggregates — enough
-//!   to extract basic features and labels) or [`mapreduce`] jobs over
-//!   columnar [`table::Table`]s. SQL runs either single-process or as a
-//!   coordinator/worker job fanned over Fuxi slots ([`distsql`]): workers
-//!   scan row-range segments and ship decomposable partials (exact sums,
-//!   grouped states, bounded top-K), the coordinator merges — results are
-//!   bit-identical for any (segments × threads) combination.
+//! * **storage & compute layer** — columnar [`table::Table`]s held in the
+//!   session catalog, and a [`sql`] engine (SELECT/WHERE/GROUP BY/JOIN with
+//!   aggregates — enough to extract basic features and labels and to
+//!   aggregate transfers into the transaction network). SQL runs either
+//!   single-process or as a coordinator/worker job fanned over Fuxi slots
+//!   ([`distsql`]): workers scan row-range segments and ship decomposable
+//!   partials (exact sums, grouped states, bounded top-K), the coordinator
+//!   merges — results are bit-identical for any (segments × threads)
+//!   combination.
+//!
+//! Two parts of the paper's platform are not reproduced. Its MapReduce
+//! stage (network construction) runs here as a SQL `GROUP BY`, and there
+//! is no Pangu blob store: nothing in the T+1 loop persists a blob.
 
 #![forbid(unsafe_code)]
 
@@ -27,9 +31,7 @@ pub mod distsql;
 pub mod exact;
 pub mod fuxi;
 pub mod job;
-pub mod mapreduce;
 pub mod ots;
-pub mod pangu;
 pub mod sql;
 pub mod table;
 pub mod value;

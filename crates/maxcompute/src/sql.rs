@@ -609,12 +609,6 @@ impl CompiledExpr {
     }
 }
 
-/// Execute a parsed query against a table. Queries with a JOIN clause need
-/// [`execute_with`] so the right-side table can be supplied.
-pub fn execute(query: &Query, table: &Table) -> Result<Table, SqlError> {
-    execute_with(query, table, None)
-}
-
 /// Execute a parsed query, supplying the JOIN right-side table if the query
 /// has one. This is the single-process reference engine: it runs the exact
 /// same plan → partial → merge pipeline the distributed engine fans out,
@@ -1434,6 +1428,10 @@ pub(crate) fn join_tables(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn execute(query: &Query, table: &Table) -> Result<Table, SqlError> {
+        execute_with(query, table, None)
+    }
 
     fn tx_table() -> Table {
         let mut t = Table::new(Schema::new(vec![

@@ -177,11 +177,6 @@ impl Table {
         &self.columns[col]
     }
 
-    /// Column by name.
-    pub fn column_by_name(&self, name: &str) -> Option<&[Value]> {
-        self.schema.index_of(name).map(|i| self.column(i))
-    }
-
     /// Materialise row `i`.
     pub fn row(&self, i: usize) -> Vec<Value> {
         self.columns.iter().map(|c| c[i].clone()).collect()
@@ -190,18 +185,6 @@ impl Table {
     /// Iterate rows (materialised; fine at this scale).
     pub fn rows(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
         (0..self.n_rows()).map(move |i| self.row(i))
-    }
-
-    /// Split row indices into `n` contiguous partitions for parallel /
-    /// subtask execution.
-    pub fn partitions(&self, n: usize) -> Vec<std::ops::Range<usize>> {
-        let n = n.max(1);
-        let rows = self.n_rows();
-        let chunk = rows.div_ceil(n).max(1);
-        (0..n)
-            .map(|i| (i * chunk).min(rows)..((i + 1) * chunk).min(rows))
-            .filter(|r| !r.is_empty())
-            .collect()
     }
 }
 
@@ -226,8 +209,7 @@ mod tests {
         let t = users_table();
         assert_eq!(t.n_rows(), 3);
         assert_eq!(t.cell(1, 1), &Value::Text("bj".into()));
-        assert_eq!(t.column_by_name("amount").unwrap().len(), 3);
-        assert!(t.column_by_name("nope").is_none());
+        assert_eq!(t.column(2).len(), 3);
         assert_eq!(t.row(0), vec![1.into(), "hz".into(), 10.5.into()]);
     }
 
@@ -255,17 +237,5 @@ mod tests {
     #[should_panic(expected = "duplicate column")]
     fn duplicate_columns_rejected() {
         Schema::new(vec![("a", ColumnType::Int), ("a", ColumnType::Int)]);
-    }
-
-    #[test]
-    fn partitions_cover_all_rows() {
-        let t = users_table();
-        let parts = t.partitions(2);
-        let total: usize = parts.iter().map(|r| r.len()).sum();
-        assert_eq!(total, 3);
-        let parts_many = t.partitions(10);
-        let total: usize = parts_many.iter().map(|r| r.len()).sum();
-        assert_eq!(total, 3);
-        assert!(t.partitions(0).len() == 1);
     }
 }

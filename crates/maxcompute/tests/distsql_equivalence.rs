@@ -45,8 +45,8 @@ const QUERIES: &[&str] = &[
      ORDER BY amount DESC LIMIT 5",
 ];
 
-fn cluster(slots_per_machine: usize) -> MaxCompute {
-    let mc = MaxCompute::new(1, slots_per_machine, 3);
+fn cluster(slots: usize) -> MaxCompute {
+    let mc = MaxCompute::new(slots);
     mc.create_account(&Account::new("prop", "test"));
     mc
 }
@@ -123,7 +123,7 @@ fn assert_distributed_matches(
             let session = mc.login("prop", "test").unwrap();
             for segments in [1usize, 2, 4, 8] {
                 let (out, report) = session
-                    .sql_distributed_with_stats(query, segments)
+                    .sql_distributed(query, segments)
                     .unwrap_or_else(|e| panic!("distributed failed for {query}: {e}"));
                 prop_assert!(
                     out.canonical_bytes() == reference,
@@ -171,7 +171,7 @@ fn empty_table_yields_the_neutral_aggregate_row_for_any_segments() {
     );
     assert_eq!(reference.cell(0, 3), &Value::Null);
     for segments in [1, 2, 8] {
-        let out = session
+        let (out, _) = session
             .sql_distributed(
                 "SELECT COUNT(*), SUM(amount), AVG(amount), MIN(day) FROM tx",
                 segments,
@@ -192,7 +192,7 @@ fn more_segments_than_rows_is_byte_identical() {
     let query = "SELECT user, SUM(amount) FROM tx GROUP BY user";
     let reference = session.sql(query).unwrap().canonical_bytes();
     for segments in [3, 8, 100] {
-        let (out, report) = session.sql_distributed_with_stats(query, segments).unwrap();
+        let (out, report) = session.sql_distributed(query, segments).unwrap();
         assert_eq!(out.canonical_bytes(), reference);
         assert_eq!(report.rows_scanned, 2, "scan work must be conserved");
     }
@@ -215,7 +215,7 @@ fn avg_over_all_null_group_is_null() {
     assert_eq!(reference.cell(0, 2), &Value::Int(0));
     assert_eq!(reference.cell(1, 1), &Value::Float(4.0));
     for segments in [1, 2, 3] {
-        let out = session.sql_distributed(query, segments).unwrap();
+        let (out, _) = session.sql_distributed(query, segments).unwrap();
         assert_eq!(out.canonical_bytes(), reference.canonical_bytes());
     }
 }
@@ -240,7 +240,7 @@ fn join_null_keys_dropped_identically_across_segments() {
     let reference = session.sql(query).unwrap();
     assert_eq!(reference.n_rows(), 2, "NULL keys must not match");
     for segments in [1, 2, 4] {
-        let (out, report) = session.sql_distributed_with_stats(query, segments).unwrap();
+        let (out, report) = session.sql_distributed(query, segments).unwrap();
         assert_eq!(out.canonical_bytes(), reference.canonical_bytes());
         let join = report.join.expect("join stage must report");
         assert_eq!(join.null_keys_dropped, 2);
@@ -262,7 +262,7 @@ fn top_k_tie_break_is_stable_across_segments() {
     session.create_table("tx", t);
     let query = "SELECT user, amount FROM tx ORDER BY amount DESC LIMIT 6";
     for segments in [1, 2, 4, 8] {
-        let out = session.sql_distributed(query, segments).unwrap();
+        let (out, _) = session.sql_distributed(query, segments).unwrap();
         let users: Vec<i64> = (0..out.n_rows())
             .map(|r| out.cell(r, 0).as_i64().unwrap())
             .collect();
@@ -288,7 +288,7 @@ fn float_sums_are_exact_for_every_segmentation() {
     session.create_table("tx", t);
     let query = "SELECT SUM(amount) FROM tx";
     for segments in [1, 2, 3, 6] {
-        let out = session.sql_distributed(query, segments).unwrap();
+        let (out, _) = session.sql_distributed(query, segments).unwrap();
         assert_eq!(
             out.cell(0, 0),
             &Value::Float(1.001),
@@ -313,7 +313,7 @@ fn limit_zero_and_oversized_limit_match_reference() {
     ] {
         let reference = session.sql(query).unwrap();
         for segments in [1, 3, 8] {
-            let out = session.sql_distributed(query, segments).unwrap();
+            let (out, _) = session.sql_distributed(query, segments).unwrap();
             assert_eq!(out.canonical_bytes(), reference.canonical_bytes());
         }
     }

@@ -126,7 +126,7 @@ impl Dataset {
     }
 
     /// Name of feature `j`, or a generated `f{j}` placeholder.
-    pub fn feature_name(&self, j: usize) -> String {
+    fn feature_name(&self, j: usize) -> String {
         self.feature_names
             .get(j)
             .cloned()

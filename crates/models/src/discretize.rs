@@ -109,11 +109,6 @@ impl Discretizer {
         cuts.partition_point(|&c| c <= value)
     }
 
-    /// Offset of column `j`'s bin 0 within the flattened one-hot space.
-    pub fn onehot_offset(&self, j: usize) -> usize {
-        self.cuts[..j].iter().map(|c| c.len() + 1).sum()
-    }
-
     /// Map a raw feature row to flat one-hot indices (one per column).
     pub fn onehot_indices(&self, row: &[f32], out: &mut Vec<u32>) {
         debug_assert_eq!(row.len(), self.cuts.len());
@@ -241,8 +236,10 @@ mod tests {
         let mut idx = Vec::new();
         disc.onehot_indices(&[0.0, 10.0], &mut idx);
         assert_eq!(idx.len(), 2);
-        assert!(idx[1] >= disc.onehot_offset(1) as u32);
-        assert!(idx[0] < disc.onehot_offset(1) as u32);
+        // Column 1's bins start after column 0's `cuts + 1` bins.
+        let col1 = (disc.cuts[0].len() + 1) as u32;
+        assert!(idx[1] >= col1);
+        assert!(idx[0] < col1);
         assert!((disc.total_bins() as u32) > idx[1]);
     }
 

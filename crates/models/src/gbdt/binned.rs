@@ -56,6 +56,10 @@ impl BinnedMatrix {
                 }
                 out
             };
+            // Not on `Pool` yet: there the one-thread fit bins inline, and
+            // the benchmark's `ingest_durable` peak RSS rose 603 -> 641 MB
+            // with the same model (2-vCPU box). See ROADMAP small items.
+            #[allow(clippy::disallowed_methods)]
             std::thread::scope(|scope| {
                 let handles: Vec<_> = codes_chunks
                     .into_iter()

@@ -169,11 +169,6 @@ impl FlatForest {
         self.feature.len()
     }
 
-    /// Leaves across all trees.
-    pub fn n_leaves(&self) -> usize {
-        self.leaf_values.len()
-    }
-
     /// Expected input width.
     pub fn n_features(&self) -> usize {
         self.n_features
@@ -400,7 +395,7 @@ mod tests {
         let flat = m.flat();
         assert_eq!(flat.n_trees(), 3);
         assert_eq!(flat.n_internal_nodes(), 0);
-        assert_eq!(flat.n_leaves(), 3);
+        assert_eq!(flat.leaf_values.len(), 3);
         for i in 0..d.n_rows() {
             assert_eq!(
                 flat.raw_score(d.row(i)).to_bits(),

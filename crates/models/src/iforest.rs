@@ -86,7 +86,7 @@ impl ITree {
 
 /// Expected path length of an unsuccessful search in a BST of `n` nodes —
 /// the normalisation constant `c(n)` from the iForest paper.
-pub fn c_factor(n: usize) -> f64 {
+fn c_factor(n: usize) -> f64 {
     if n <= 1 {
         return 0.0;
     }

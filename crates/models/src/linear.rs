@@ -165,21 +165,6 @@ impl LogisticRegressionConfig {
     }
 }
 
-impl LogisticRegression {
-    /// Fraction of exactly-zero weights (the L1 sparsity effect).
-    pub fn sparsity(&self) -> f64 {
-        if self.weights.is_empty() {
-            return 0.0;
-        }
-        self.weights.iter().filter(|&&w| w == 0.0).count() as f64 / self.weights.len() as f64
-    }
-
-    /// Number of one-hot parameters.
-    pub fn n_parameters(&self) -> usize {
-        self.weights.len() + 1
-    }
-}
-
 impl Classifier for LogisticRegression {
     fn predict_proba(&self, features: &[f32]) -> f32 {
         let mut z = f64::from(self.bias);
@@ -200,6 +185,12 @@ impl Classifier for LogisticRegression {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fraction of exactly-zero weights (the L1 sparsity effect).
+    fn sparsity(m: &LogisticRegression) -> f64 {
+        let zeros = m.weights.iter().filter(|&&w| w == 0.0).count();
+        zeros as f64 / m.weights.len() as f64
+    }
 
     /// Linearly separable-in-bins data: label = 1 iff f0 > 5.
     fn step_data(n: usize) -> Dataset {
@@ -257,10 +248,10 @@ mod tests {
         }
         .fit(&d);
         assert!(
-            strong.sparsity() > weak.sparsity(),
+            sparsity(&strong) > sparsity(&weak),
             "strong {} vs weak {}",
-            strong.sparsity(),
-            weak.sparsity()
+            sparsity(&strong),
+            sparsity(&weak)
         );
     }
 

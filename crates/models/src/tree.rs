@@ -61,11 +61,6 @@ impl DecisionTree {
         self.nodes.len()
     }
 
-    /// Number of leaf nodes.
-    pub fn leaf_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.feature == NONE).count()
-    }
-
     /// Maximum depth (root = 0). Walks the stored structure.
     pub fn depth(&self) -> usize {
         fn walk(nodes: &[TreeNode], idx: u32, d: usize) -> usize {
@@ -648,7 +643,8 @@ mod tests {
     fn leaf_and_node_counts_consistent() {
         let d = xor_data(4);
         let tree = C50Config::default().fit(&d);
-        assert!(tree.leaf_count() <= tree.node_count());
-        assert!(tree.leaf_count() >= 1);
+        let leaves = tree.nodes.iter().filter(|n| n.feature == NONE).count();
+        assert!(leaves <= tree.node_count());
+        assert!(leaves >= 1);
     }
 }

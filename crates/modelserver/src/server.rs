@@ -764,6 +764,9 @@ impl ModelServer {
             let on_error = Arc::clone(&on_error);
             let live = Arc::clone(&live);
             live.fetch_add(1, Ordering::SeqCst);
+            // A long-lived service thread draining the request queue, not
+            // chunked work, so not a `Pool` job.
+            #[allow(clippy::disallowed_methods)]
             workers.push(std::thread::spawn(move || {
                 while let Ok(req) = rx.recv() {
                     let tx_id = req.tx_id;

@@ -52,7 +52,7 @@ impl EmbeddingMatrix {
 
     /// Mutable access to a node's embedding.
     #[inline]
-    pub fn row_mut(&mut self, node: NodeId) -> &mut [f32] {
+    fn row_mut(&mut self, node: NodeId) -> &mut [f32] {
         let a = node.index() * self.dim;
         &mut self.data[a..a + self.dim]
     }

@@ -305,7 +305,7 @@ fn forward(
 
 /// Structural input features per node: log-scaled degrees, weight sums,
 /// reciprocity and mean edge weights.
-pub fn structural_features(graph: &TxGraph) -> Vec<f32> {
+fn structural_features(graph: &TxGraph) -> Vec<f32> {
     let n = graph.node_count();
     let mut x = vec![0f32; n * N_STRUCT_FEATURES];
     for i in 0..n {

@@ -21,6 +21,8 @@
 //! GBDT trainer's cross-thread determinism test asserts.
 
 #![forbid(unsafe_code)]
+// This crate is the one place the workspace starts threads (clippy.toml).
+#![allow(clippy::disallowed_methods)]
 
 use std::num::NonZeroUsize;
 use std::ops::Range;

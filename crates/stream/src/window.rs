@@ -211,12 +211,6 @@ impl VelocityAggregator {
         &self.config
     }
 
-    /// The currently open tick: only events stamped with exactly this
-    /// tick are accepted.
-    pub fn current_tick(&self) -> u64 {
-        self.tick
-    }
-
     /// Counters accumulated so far.
     pub fn stats(&self) -> StreamStats {
         self.stats
@@ -302,7 +296,7 @@ impl VelocityAggregator {
     /// observed in the open tick, and one whose slot for it the previous
     /// commit evicted — a payer of tick `T - w` for some window `w`. Every
     /// other user was diffed clean at the last flush and has not moved.
-    pub fn pending_deltas(&self) -> Vec<FeatureDelta> {
+    fn pending_deltas(&self) -> Vec<FeatureDelta> {
         let mut users = self.observed.clone();
         for &w in &self.config.windows {
             if let Some(left) = self.tick.checked_sub(u64::from(w)) {

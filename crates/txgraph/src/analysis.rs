@@ -9,32 +9,6 @@
 use crate::csr::TxGraph;
 use crate::ids::NodeId;
 
-/// Summary statistics of a degree distribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegreeStats {
-    pub min: usize,
-    pub max: usize,
-    pub mean: f64,
-    /// 95th percentile (nearest-rank).
-    pub p95: usize,
-}
-
-/// Compute degree statistics using the provided per-node degree function.
-pub fn degree_stats(graph: &TxGraph, degree: impl Fn(NodeId) -> usize) -> DegreeStats {
-    let n = graph.node_count();
-    assert!(n > 0, "degree stats of an empty graph are undefined");
-    let mut degs: Vec<usize> = (0..n).map(|i| degree(NodeId(i as u32))).collect();
-    degs.sort_unstable();
-    let sum: usize = degs.iter().sum();
-    let p95_idx = ((n as f64) * 0.95).ceil() as usize;
-    DegreeStats {
-        min: degs[0],
-        max: degs[n - 1],
-        mean: sum as f64 / n as f64,
-        p95: degs[p95_idx.saturating_sub(1).min(n - 1)],
-    }
-}
-
 /// Nodes reachable from `start` in exactly `k` undirected hops or fewer,
 /// excluding `start` itself. Returned sorted and deduplicated.
 pub fn k_hop_neighborhood(graph: &TxGraph, start: NodeId, k: usize) -> Vec<NodeId> {
@@ -77,30 +51,6 @@ pub fn are_two_hop_neighbors(graph: &TxGraph, a: NodeId, b: NodeId) -> bool {
         .und_neighbors(small)
         .iter()
         .any(|v| nb.binary_search(v).is_ok())
-}
-
-/// Weakly connected component label per node (labels are the smallest node
-/// index in the component).
-pub fn weakly_connected_components(graph: &TxGraph) -> Vec<u32> {
-    let n = graph.node_count();
-    let mut label = vec![u32::MAX; n];
-    let mut stack = Vec::new();
-    for root in 0..n as u32 {
-        if label[root as usize] != u32::MAX {
-            continue;
-        }
-        label[root as usize] = root;
-        stack.push(root);
-        while let Some(u) = stack.pop() {
-            for &v in graph.und_neighbors(NodeId(u)) {
-                if label[v as usize] == u32::MAX {
-                    label[v as usize] = root;
-                    stack.push(v);
-                }
-            }
-        }
-    }
-    label
 }
 
 /// Nodes whose in-degree is at least `min_in` and whose in/out ratio is at
@@ -156,31 +106,9 @@ mod tests {
     }
 
     #[test]
-    fn components_separate_star_and_chain() {
-        let g = fraud_star();
-        let labels = weakly_connected_components(&g);
-        let star_label = labels[g.node_of(UserId(0)).unwrap().index()];
-        let chain_label = labels[g.node_of(UserId(6)).unwrap().index()];
-        assert_ne!(star_label, chain_label);
-        for v in 1..=5 {
-            assert_eq!(labels[g.node_of(UserId(v)).unwrap().index()], star_label);
-        }
-    }
-
-    #[test]
     fn gathering_hub_detection_finds_the_fraudster() {
         let g = fraud_star();
         let hubs = gathering_hubs(&g, 4, 2.0);
         assert_eq!(hubs, vec![g.node_of(UserId(0)).unwrap()]);
-    }
-
-    #[test]
-    fn degree_stats_are_consistent() {
-        let g = fraud_star();
-        let stats = degree_stats(&g, |n| g.degree(n));
-        assert_eq!(stats.max, 5); // the hub
-        assert_eq!(stats.min, 1);
-        assert!(stats.mean > 1.0 && stats.mean < 3.0);
-        assert!(stats.p95 <= stats.max);
     }
 }

@@ -22,25 +22,16 @@ pub struct TxGraphBuilder {
     /// given record stream.
     users: Vec<UserId>,
     index_of: HashMap<UserId, NodeId>,
-    min_edge_weight: f32,
 }
 
 impl TxGraphBuilder {
-    /// A builder with no records and no weight threshold.
+    /// A builder with no records.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Drop edges with fewer than `w` collapsed transfers at build time.
-    /// Industrial pipelines prune singleton edges to control graph size;
-    /// the default keeps everything.
-    pub fn min_edge_weight(mut self, w: f32) -> Self {
-        self.min_edge_weight = w;
-        self
-    }
-
     /// Add one record. Self-transfers are ignored.
-    pub fn add_record(&mut self, record: &TransactionRecord) -> &mut Self {
+    fn add_record(&mut self, record: &TransactionRecord) -> &mut Self {
         if record.is_self_transfer() {
             return self;
         }
@@ -83,21 +74,14 @@ impl TxGraphBuilder {
         n
     }
 
-    /// Number of distinct users seen so far.
-    pub fn user_count(&self) -> usize {
-        self.users.len()
-    }
-
     /// Finalise into an immutable CSR graph.
     pub fn build(self) -> TxGraph {
         let n = self.users.len();
-        let threshold = self.min_edge_weight;
 
-        // Collect surviving edges as dense index triples.
+        // Collect edges as dense index triples.
         let mut edges: Vec<(u32, u32, f32)> = self
             .edge_weights
             .iter()
-            .filter(|(_, &w)| w >= threshold)
             .map(|(&(a, b), &w)| (self.index_of[&a].0, self.index_of[&b].0, w))
             .collect();
         // Sort for deterministic CSR layout regardless of hash order.
@@ -187,17 +171,6 @@ mod tests {
             .add_records(&[rec(1, 1, 0), rec(1, 2, 1)])
             .build();
         assert_eq!(g.edge_count(), 1);
-    }
-
-    #[test]
-    fn min_edge_weight_prunes_singletons() {
-        let g = TxGraphBuilder::new()
-            .min_edge_weight(2.0)
-            .add_records(&[rec(1, 2, 0), rec(1, 2, 1), rec(1, 3, 2)])
-            .build();
-        // 1->3 has weight 1 and is pruned; nodes stay.
-        assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.node_count(), 3);
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl TxGraph {
 
     /// Outgoing neighbour node indices of `node` (users this node paid).
     #[inline]
-    pub fn out_neighbors(&self, node: NodeId) -> &[u32] {
+    fn out_neighbors(&self, node: NodeId) -> &[u32] {
         let (a, b) = self.range(&self.out_offsets, node);
         &self.out_targets[a..b]
     }

@@ -10,8 +10,8 @@
 //! The crate is deliberately free of any machine-learning code: it owns the
 //! raw [`TransactionRecord`] type, the [`TxGraphBuilder`] that aggregates
 //! records into a weighted [`TxGraph`], the [`walk`] engine that linearises
-//! topology into node sequences, and the [`analysis`] helpers (degrees,
-//! k-hop neighbourhoods, weakly connected components) that the paper's
+//! topology into node sequences, and the [`analysis`] helpers (2-hop
+//! neighbours, k-hop neighbourhoods, gathering hubs) that the paper's
 //! "gathering behaviour" discussion relies on.
 //!
 //! ## Quick example

@@ -5,7 +5,8 @@
 #   ./scripts/verify.sh           # build + tests + clippy + fmt
 #                                 # + the vendored bytes crate's own tests
 #                                 # + benchmark/ package build, tests and clippy
-#                                 # + the surface.sh size table (never fails)
+#                                 # + the surface.sh size table and its
+#                                 #   unreferenced pub fn count (never fails)
 #   ./scripts/verify.sh --quick   # also run the nine gates through the one
 #                                 # `gates` runner, each writing its
 #                                 # BENCH_<name>.json at the repo root, and
@@ -100,8 +101,10 @@ if [[ $QUICK -eq 1 ]]; then
     bash benchmark/run.sh --workload stream_mixed --trace 0
 fi
 
-# Information only: the one size measure (see scripts/surface.sh).
+# Information only: the one size measure (see scripts/surface.sh) and the
+# count of pub fns no other file names.
 echo "==> surface (non-test lines and pub fn per crate)"
 bash scripts/surface.sh || true
+bash scripts/surface.sh --unreferenced 2>/dev/null | tail -n 1 || true
 
 echo "verify: all green"

@@ -15,7 +15,7 @@ fn tiny_world() -> World {
 #[test]
 fn sql_over_simulated_transactions_matches_direct_counts() {
     let world = tiny_world();
-    let mc = MaxCompute::new(2, 2, 3);
+    let mc = MaxCompute::new(4);
     mc.create_account(&Account::new("analyst", "pw"));
     let session = mc.login("analyst", "pw").unwrap();
 
