@@ -3,6 +3,7 @@
 use crate::types::{Cell, CellKey, RowKey, Version};
 use bytes::Bytes;
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::ops::Bound;
 
 /// Sorted buffer of recent writes. Each cell key holds its versions newest
 /// first; locating a row is O(log n).
@@ -59,29 +60,32 @@ impl MemTable {
         self.entries.is_empty()
     }
 
-    /// Drain into a sorted `(key, cells)` stream for flushing.
-    pub fn drain_sorted(&mut self) -> Vec<(CellKey, Vec<Cell>)> {
+    /// Drain into run order for flushing: key ascending, each key's
+    /// versions newest first.
+    pub fn drain_sorted(&mut self) -> Vec<(CellKey, Cell)> {
         self.approx_bytes = 0;
-        std::mem::take(&mut self.entries).into_iter().collect()
+        let entries = std::mem::take(&mut self.entries);
+        let mut out = Vec::with_capacity(entries.len());
+        for (key, cells) in entries {
+            out.extend(cells.into_iter().map(|cell| (key.clone(), cell)));
+        }
+        out
     }
 
-    /// Iterate entries in key order (scans).
-    pub fn iter(&self) -> impl Iterator<Item = (&CellKey, &Vec<Cell>)> {
-        self.entries.iter()
-    }
-
-    /// Iterate only the cells of one row, in key order. O(log n) to locate
-    /// the row, then linear in the row's own cells — the memtable half of a
-    /// single-row multi-get.
-    pub fn iter_row<'a>(
+    /// The cells of the rows in `[start, end)` (`None` = unbounded, and
+    /// `start` must not lie above `end`), in key order, each key's versions
+    /// newest first. O(log n) to locate `start`.
+    pub(crate) fn cells<'a>(
         &'a self,
-        row: &'a RowKey,
-    ) -> impl Iterator<Item = (&'a CellKey, &'a Vec<Cell>)> + Clone + 'a {
-        // The empty family and qualifier sort first within the row.
-        let start = CellKey::new(row.clone(), "", "");
-        self.entries
-            .range(start..)
-            .take_while(move |(k, _)| k.row == *row)
+        start: Option<&RowKey>,
+        end: Option<&RowKey>,
+    ) -> impl Iterator<Item = (&'a CellKey, &'a Cell)> + Clone + 'a {
+        // The empty family and qualifier sort first within a row.
+        let first_key = |row: &RowKey| CellKey::new(row.clone(), "", "");
+        let lo = start.map_or(Bound::Unbounded, |row| Bound::Included(first_key(row)));
+        let hi = end.map_or(Bound::Unbounded, |row| Bound::Excluded(first_key(row)));
+        let keys = self.entries.range((lo, hi));
+        keys.flat_map(|(key, cells)| cells.iter().map(move |cell| (key, cell)))
     }
 }
 

@@ -41,15 +41,10 @@ pub struct SsTable {
 }
 
 impl SsTable {
-    /// Build from the drain of a memtable (already sorted by key, versions
-    /// descending).
-    pub fn from_sorted(drained: Vec<(CellKey, Vec<Cell>)>) -> Self {
-        let mut entries = Vec::new();
-        for (key, cells) in drained {
-            for cell in cells {
-                entries.push((key.clone(), cell));
-            }
-        }
+    /// Build from entries already in run order: key ascending, each key's
+    /// versions strictly descending (a memtable drain, or a merge's
+    /// keep-all output).
+    pub fn from_sorted(entries: Vec<(CellKey, Cell)>) -> Self {
         debug_assert!(entries
             .windows(2)
             .all(|w| w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1.version > w[1].1.version)));
@@ -125,7 +120,7 @@ impl SsTable {
     }
 
     /// Iterate all `(key, cell)` pairs in order.
-    pub fn iter(&self) -> impl Iterator<Item = &(CellKey, Cell)> {
+    pub fn iter(&self) -> std::slice::Iter<'_, (CellKey, Cell)> {
         self.entries.iter()
     }
 
@@ -139,42 +134,14 @@ impl SsTable {
         &rest[..len]
     }
 
-    /// Merge several runs (newest first) **conservatively**: every version
-    /// and every tombstone is kept; the only change is physical — entries
-    /// re-sorted into one run, with duplicate `(key, version)` pairs deduped
-    /// newest-run-wins (exactly the tie the read path would have resolved by
-    /// run order). Because nothing readable is added or removed, a
-    /// conservative merge is invisible to `get_row` / `scan_rows` at
-    /// *every* `as_of` — the property the background compaction scheduler
-    /// relies on to keep mid-compaction reads byte-identical. It is the
-    /// store's only merge: no version is ever trimmed, so rollback versions
-    /// stay readable.
-    pub fn merge_keep_all(runs: &[&SsTable]) -> SsTable {
-        let mut all: Vec<(CellKey, Cell, usize)> = Vec::new();
-        for (rank, run) in runs.iter().enumerate() {
-            for (k, c) in run.iter() {
-                all.push((k.clone(), c.clone(), rank));
-            }
-        }
-        // Key asc, version desc, then newest run wins ties.
-        all.sort_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then(b.1.version.cmp(&a.1.version))
-                .then(a.2.cmp(&b.2))
-        });
-        let mut entries: Vec<(CellKey, Cell)> = Vec::with_capacity(all.len());
-        for (k, c, _) in all {
-            if let Some((last_key, last_cell)) = entries.last() {
-                if *last_key == k && last_cell.version == c.version {
-                    continue; // duplicate version: the newer run already won
-                }
-            }
-            entries.push((k, c));
-        }
-        SsTable {
-            entries,
-            bloom: None,
-        }
+    /// The entries of the rows in `[start, end)` (`None` = unbounded, and
+    /// `start` must not lie above `end`), sorted like the run: two binary
+    /// searches.
+    pub(crate) fn rows(&self, start: Option<&RowKey>, end: Option<&RowKey>) -> &[(CellKey, Cell)] {
+        let first_at = |row: &RowKey| self.entries.partition_point(|(k, _)| k.row < *row);
+        let lo = start.map_or(0, first_at);
+        let hi = end.map_or(self.entries.len(), first_at);
+        &self.entries[lo..hi]
     }
 
     /// Persist to a file (length-prefixed CRC frame).
@@ -548,48 +515,5 @@ mod tests {
                 b.row_presence(&row, &OnceCell::new())
             );
         }
-    }
-
-    #[test]
-    fn merge_keep_all_preserves_versions_and_tombstones() {
-        let old = table_with(&[
-            ("u1", "age", 1, Some(b"a")),
-            ("u1", "age", 2, Some(b"b")),
-            ("u2", "age", 1, Some(b"x")),
-        ]);
-        let new = table_with(&[
-            ("u1", "age", 3, Some(b"c")),
-            ("u2", "age", 2, None), // tombstone must survive
-        ]);
-        let merged = SsTable::merge_keep_all(&[&new, &old]);
-        assert_eq!(merged.len(), 5, "nothing dropped");
-        for (as_of, expect) in [(1, b"a" as &[u8]), (2, b"b"), (3, b"c")] {
-            assert_eq!(
-                get(&merged, &key("u1", "age"), as_of)
-                    .unwrap()
-                    .value
-                    .as_deref(),
-                Some(expect)
-            );
-        }
-        assert!(
-            get(&merged, &key("u2", "age"), u64::MAX)
-                .unwrap()
-                .value
-                .is_none(),
-            "tombstone kept so it still shadows older runs"
-        );
-        // Duplicate (key, version) across runs: newest run wins, once.
-        let dup_new = table_with(&[("u1", "age", 5, Some(b"new"))]);
-        let dup_old = table_with(&[("u1", "age", 5, Some(b"old"))]);
-        let merged = SsTable::merge_keep_all(&[&dup_new, &dup_old]);
-        assert_eq!(merged.len(), 1);
-        assert_eq!(
-            get(&merged, &key("u1", "age"), u64::MAX)
-                .unwrap()
-                .value
-                .as_deref(),
-            Some(b"new".as_ref())
-        );
     }
 }

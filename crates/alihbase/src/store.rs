@@ -121,32 +121,92 @@ crate::counter_set! {
     }
 }
 
-/// One sorted source of a row read: the memtable's row range (a key with
-/// its versions, newest first) or a run's row slice (one entry per version,
+/// One sorted source of a merge: the memtable's cells in a key range (a
+/// key's versions newest first) or a run's slice (one entry per version,
 /// newest first within a key).
-enum RowSource<'a, M> {
+enum Source<'a, M> {
     Memtable(M),
     Run(std::slice::Iter<'a, (CellKey, Cell)>),
 }
 
-impl<'a, M: Iterator<Item = (&'a CellKey, &'a Vec<Cell>)>> RowSource<'a, M> {
-    /// Step to the source's next cell key that has a version at or below
-    /// `as_of`, and return it with the newest such cell.
-    fn next_key(&mut self, as_of: Version) -> Option<(&'a CellKey, &'a Cell)> {
+impl<'a, M: Iterator<Item = (&'a CellKey, &'a Cell)>> Iterator for Source<'a, M> {
+    type Item = (&'a CellKey, &'a Cell);
+
+    fn next(&mut self) -> Option<Self::Item> {
         match self {
-            Self::Memtable(keys) => keys.find_map(|(key, cells)| {
-                let cell = cells.iter().find(|c| c.version <= as_of)?;
-                Some((key, cell))
-            }),
-            Self::Run(entries) => {
-                let (key, cell) = entries.find(|(_, c)| c.version <= as_of)?;
-                // The key's older versions follow; none can win.
-                while entries.as_slice().first().is_some_and(|(k, _)| k == key) {
-                    entries.next();
-                }
-                Some((key, cell))
+            Self::Memtable(cells) => cells.next(),
+            Self::Run(entries) => entries.next().map(|(key, cell)| (key, cell)),
+        }
+    }
+}
+
+/// The store's one merge: a k-way cursor over sorted sources, given newest
+/// first (the memtable, then runs newest first). It yields cells key
+/// ascending, version descending; a `(key, version)` that several sources
+/// hold comes out once, as the first (newest) source's copy — the tie the
+/// memtable's last-write-wins and a newer run shadowing an older one both
+/// promise. Two consumers: [`Self::visible`] (row reads and scans) and
+/// [`Self::keep_all`] (compaction, region split, sibling merge).
+struct Merge<'a, M> {
+    sources: Vec<Source<'a, M>>,
+    /// Each source's current cell.
+    heads: Vec<Option<(&'a CellKey, &'a Cell)>>,
+}
+
+impl<'a, M: Iterator<Item = (&'a CellKey, &'a Cell)>> Merge<'a, M> {
+    fn new(sources: impl IntoIterator<Item = Source<'a, M>>) -> Self {
+        let mut sources: Vec<_> = sources.into_iter().collect();
+        let heads = sources.iter_mut().map(Iterator::next).collect();
+        Self { sources, heads }
+    }
+
+    /// The smallest head; the earliest source wins a tie.
+    fn peek(&self) -> Option<(&'a CellKey, &'a Cell)> {
+        let mut best: Option<(&CellKey, &Cell)> = None;
+        for &(key, cell) in self.heads.iter().flatten() {
+            if best.is_none_or(|(k, c)| (key, Reverse(cell.version)) < (k, Reverse(c.version))) {
+                best = Some((key, cell));
             }
         }
+        best
+    }
+
+    /// Step every source past the head cells `skip` accepts.
+    fn skip(&mut self, skip: impl Fn(&CellKey, &Cell) -> bool) {
+        for (head, source) in self.heads.iter_mut().zip(&mut self.sources) {
+            while head.is_some_and(|(key, cell)| skip(key, cell)) {
+                *head = source.next();
+            }
+        }
+    }
+
+    /// Every version and tombstone, in run order: what a merged run holds.
+    fn keep_all(mut self) -> Vec<(CellKey, Cell)> {
+        let mut out = Vec::with_capacity(self.sources.iter().map(|s| s.size_hint().0).sum());
+        while let Some((key, cell)) = self.peek() {
+            self.skip(|k, c| k == key && c.version == cell.version);
+            out.push((key.clone(), cell.clone()));
+        }
+        out
+    }
+
+    /// For each key the newest version at or below `as_of`, tombstones
+    /// elided: what a read sees.
+    fn visible(mut self, as_of: Version, capacity: usize) -> Vec<(CellKey, Bytes)> {
+        let mut out = Vec::with_capacity(capacity);
+        while let Some((key, cell)) = self.peek() {
+            if cell.version > as_of {
+                // Invisible in every source.
+                self.skip(|k, c| k == key && c.version > as_of);
+                continue;
+            }
+            // The key's older versions cannot win.
+            self.skip(|k, _| k == key);
+            if let Some(value) = &cell.value {
+                out.push((key.clone(), value.clone()));
+            }
+        }
+        out
     }
 }
 
@@ -181,6 +241,24 @@ struct Inner {
     run_ids: Vec<u64>,
     wal: Option<Wal>,
     next_run_id: u64,
+}
+
+impl Inner {
+    /// The merge sources of rows `[start, end)`, newest first: the
+    /// memtable's range, then each run's slice.
+    fn sources(
+        &self,
+        start: Option<&RowKey>,
+        end: Option<&RowKey>,
+    ) -> Vec<Source<'_, impl Iterator<Item = (&CellKey, &Cell)> + '_>> {
+        let mut out = vec![Source::Memtable(self.memtable.cells(start, end))];
+        out.extend(
+            self.runs
+                .iter()
+                .map(|run| Source::Run(run.rows(start, end).iter())),
+        );
+        out
+    }
 }
 
 /// A single-region LSM store (one "HStore" in HBase terms). Thread-safe:
@@ -460,44 +538,16 @@ impl Store {
         self.reads.runs_skipped.add(skipped);
         self.reads.bloom_false_positives.add(false_positives);
 
-        let mut memtable = inner.memtable.iter_row(row).peekable();
+        let from_row = inner.memtable.cells(Some(row), None);
+        let mut memtable = from_row.take_while(|(k, _)| k.row == *row).peekable();
         if memtable.peek().is_none() && more.is_empty() {
             return first.map_or_else(Vec::new, |cells| newest_visible(cells, as_of));
         }
         // Sized by a copy of the positioned cursor: no second descent.
         let capacity =
             memtable.clone().count() + first.iter().chain(&more).map(|c| c.len()).sum::<usize>();
-        let mut sources = Vec::with_capacity(1 + usize::from(first.is_some()) + more.len());
-        sources.push(RowSource::Memtable(memtable));
-        sources.extend(
-            first
-                .into_iter()
-                .chain(more)
-                .map(|c| RowSource::Run(c.iter())),
-        );
-
-        let mut heads: Vec<_> = sources.iter_mut().map(|s| s.next_key(as_of)).collect();
-        let mut out = Vec::with_capacity(capacity);
-        loop {
-            // The smallest key any source is at, and its winning cell.
-            let mut best: Option<(&CellKey, &Cell)> = None;
-            for &(key, cell) in heads.iter().flatten() {
-                best = match best {
-                    Some((k, c)) if (k, Reverse(c.version)) <= (key, Reverse(cell.version)) => best,
-                    _ => Some((key, cell)),
-                };
-            }
-            let Some((key, cell)) = best else { break };
-            if let Some(value) = &cell.value {
-                out.push((key.clone(), value.clone()));
-            }
-            for (head, source) in heads.iter_mut().zip(&mut sources) {
-                if head.is_some_and(|(k, _)| k == key) {
-                    *head = source.next_key(as_of);
-                }
-            }
-        }
-        out
+        let runs = first.into_iter().chain(more).map(|c| Source::Run(c.iter()));
+        Merge::new(std::iter::once(Source::Memtable(memtable)).chain(runs)).visible(as_of, capacity)
     }
 
     /// [`Self::get_row`] behind a fault hook: consult `hook` (when present)
@@ -587,36 +637,54 @@ impl Store {
     /// yield identical medians.
     pub fn median_resident_row(&self) -> Option<RowKey> {
         let inner = self.inner.read();
-        let mut rows: std::collections::BTreeSet<&RowKey> =
-            inner.memtable.iter().map(|(k, _)| &k.row).collect();
-        rows.extend(
-            inner
-                .runs
-                .iter()
-                .flat_map(|r| r.iter().map(|(k, _)| &k.row)),
-        );
+        let rows: std::collections::BTreeSet<&RowKey> = inner
+            .sources(None, None)
+            .into_iter()
+            .flatten()
+            .map(|(k, _)| &k.row)
+            .collect();
         if rows.len() < 2 {
             return None;
         }
         rows.iter().nth(rows.len() / 2).map(|r| (*r).clone())
     }
 
-    /// Export every cell (all versions, tombstones included) — the bulk
-    /// copy that seeds a fresh read replica from the primary.
+    /// Export every cell (all versions, tombstones included): the memtable
+    /// first, then the runs newest first. The audit surface crash tests
+    /// compare whole tables by.
     pub fn export_cells(&self) -> Vec<(CellKey, Version, Option<Bytes>)> {
         let inner = self.inner.read();
-        let mut out = Vec::new();
-        for (k, cells) in inner.memtable.iter() {
-            for c in cells {
-                out.push((k.clone(), c.version, c.value.clone()));
-            }
+        inner
+            .sources(None, None)
+            .into_iter()
+            .flatten()
+            .map(|(k, c)| (k.clone(), c.version, c.value.clone()))
+            .collect()
+    }
+
+    /// Open a fresh store at `config` whose one run is the keep-all merge
+    /// of the rows `[start, end)` (`None` = unbounded) of `parents`, given
+    /// newest first: every version and tombstone, a duplicate `(key,
+    /// version)` kept once from the newest source. The run is saved as the
+    /// store's first run file and the WAL starts empty — no cell re-enters
+    /// a WAL or a memtable. A region split builds each child this way from
+    /// one parent, a sibling merge from the two siblings.
+    pub(crate) fn open_merged(
+        config: StoreConfig,
+        parents: &[&Store],
+        start: Option<&RowKey>,
+        end: Option<&RowKey>,
+    ) -> std::io::Result<Self> {
+        let run = {
+            let inners: Vec<_> = parents.iter().map(|store| store.inner.read()).collect();
+            let sources = inners.iter().flat_map(|inner| inner.sources(start, end));
+            SsTable::from_sorted(Merge::new(sources).keep_all())
+        };
+        let store = Self::open(config)?;
+        if !run.is_empty() {
+            store.push_run(&mut store.inner.write(), run)?;
         }
-        for run in &inner.runs {
-            for (k, c) in run.iter() {
-                out.push((k.clone(), c.version, c.value.clone()));
-            }
-        }
-        out
+        Ok(store)
     }
 
     /// Force-flush the memtable into a new run.
@@ -631,7 +699,17 @@ impl Store {
         if inner.memtable.is_empty() {
             return Ok(());
         }
-        let mut run = SsTable::from_sorted(inner.memtable.drain_sorted());
+        let run = SsTable::from_sorted(inner.memtable.drain_sorted());
+        self.push_run(inner, run)?;
+        if let Some(wal) = &mut inner.wal {
+            wal.truncate()?;
+        }
+        Ok(())
+    }
+
+    /// Index `run` and install it as the newest run, under the next run id
+    /// (saved as that id's run file when the store has a directory).
+    fn push_run(&self, inner: &mut Inner, mut run: SsTable) -> std::io::Result<()> {
         run.rebuild_index(self.config.bloom_bits_per_key);
         let id = inner.next_run_id;
         inner.next_run_id += 1;
@@ -640,9 +718,6 @@ impl Store {
         }
         inner.runs.insert(0, run);
         inner.run_ids.insert(0, id);
-        if let Some(wal) = &mut inner.wal {
-            wal.truncate()?;
-        }
         Ok(())
     }
 
@@ -693,8 +768,10 @@ impl Store {
         inner: &mut Inner,
         range: std::ops::Range<usize>,
     ) -> std::io::Result<()> {
-        let refs: Vec<&SsTable> = inner.runs[range.clone()].iter().collect();
-        let mut merged = SsTable::merge_keep_all(&refs);
+        let window = inner.runs[range.clone()]
+            .iter()
+            .map(|run| Source::Run(run.iter()));
+        let mut merged = SsTable::from_sorted(Merge::<std::iter::Empty<_>>::new(window).keep_all());
         merged.rebuild_index(self.config.bloom_bits_per_key);
         // Reuse the window's *newest* member id: ids are descending along
         // `runs`, so the spliced result keeps strictly descending ids and
@@ -726,48 +803,21 @@ impl Store {
     }
 
     /// Scan all live cells (latest non-tombstone version per key) in key
-    /// order within `[start, end)` row-key bounds. Runs whose [min, max]
-    /// bounds provably miss the range are skipped (counted in
-    /// `runs_skipped`); runs actually walked count in `runs_scanned`, so
-    /// scan *work* is auditable the same way point/row reads are.
+    /// order within `[start, end)` row-key bounds: the merge over the
+    /// memtable's range and each run's slice of it. Runs whose [min, max]
+    /// bounds provably miss the range count in `runs_skipped`, the others
+    /// in `runs_scanned`, so scan *work* is auditable the same way row
+    /// reads are.
     pub fn scan_rows(&self, start: &RowKey, end: &RowKey) -> Vec<(CellKey, Bytes)> {
         let inner = self.inner.read();
-        use std::collections::BTreeMap;
-        let mut latest: BTreeMap<CellKey, Cell> = BTreeMap::new();
-        let mut consider = |k: &CellKey, c: &Cell| {
-            if k.row < *start || k.row >= *end {
-                return;
-            }
-            match latest.get(k) {
-                Some(existing) if existing.version >= c.version => {}
-                _ => {
-                    latest.insert(k.clone(), c.clone());
-                }
-            }
-        };
-        for (k, cells) in inner.memtable.iter() {
-            for c in cells {
-                consider(k, c);
-            }
-        }
-        let mut scanned = 0u64;
-        let mut skipped = 0u64;
-        for run in &inner.runs {
-            if !run.overlaps(start, end) {
-                skipped += 1;
-                continue;
-            }
-            scanned += 1;
-            for (k, c) in run.iter() {
-                consider(k, c);
-            }
-        }
+        // An inverted range is empty; clamped, it stays a valid bound pair.
+        let end = std::cmp::max(start, end);
+        let scanned = inner.runs.iter().filter(|r| r.overlaps(start, end)).count() as u64;
         self.reads.runs_scanned.add(scanned);
-        self.reads.runs_skipped.add(skipped);
-        latest
-            .into_iter()
-            .filter_map(|(k, c)| c.value.map(|v| (k, v)))
-            .collect()
+        self.reads
+            .runs_skipped
+            .add(inner.runs.len() as u64 - scanned);
+        Merge::new(inner.sources(Some(start), Some(end))).visible(Version::MAX, 0)
     }
 }
 
@@ -1587,6 +1637,86 @@ mod tests {
         assert_eq!(select_tier_window(&[3, 3, 3, 3], 3), Some(0..2));
         // max_runs 0 is clamped to 1 (merge everything into one run).
         assert_eq!(select_tier_window(&[1, 1], 0), Some(0..2));
+    }
+
+    /// A run holding `cells`, each `(row, qualifier, version, value)`.
+    fn run(cells: &[(&str, &str, Version, Option<&'static [u8]>)]) -> SsTable {
+        let mut m = MemTable::new();
+        for &(row, q, version, value) in cells {
+            m.put(key(row, q), version, value.map(Bytes::from_static));
+        }
+        SsTable::from_sorted(m.drain_sorted())
+    }
+
+    /// The keep-all merge of `runs`, given newest first.
+    fn keep_all(runs: &[&SsTable]) -> Vec<(CellKey, Cell)> {
+        let sources = runs.iter().map(|r| Source::Run(r.iter()));
+        Merge::<std::iter::Empty<_>>::new(sources).keep_all()
+    }
+
+    #[test]
+    fn keep_all_merge_preserves_versions_and_tombstones() {
+        let old = [
+            ("u1", "age", 1, Some(b"a".as_ref())),
+            ("u1", "age", 2, Some(b"b")),
+            ("u2", "age", 1, Some(b"x")),
+        ];
+        let new = [
+            ("u1", "age", 3, Some(b"c".as_ref())),
+            ("u2", "age", 2, None), // tombstone must survive
+        ];
+        let merged = keep_all(&[&run(&new), &run(&old)]);
+        assert_eq!(merged.len(), 5, "nothing dropped");
+        // Disjoint versions: the merge is the one run of the union.
+        let union: Vec<_> = run(&[&old[..], &new[..]].concat())
+            .iter()
+            .cloned()
+            .collect();
+        assert_eq!(merged, union);
+        // Duplicate (key, version) across runs: newest run wins, once.
+        let dup_new = run(&[("u1", "age", 5, Some(b"new"))]);
+        let dup_old = run(&[("u1", "age", 5, Some(b"old"))]);
+        let merged = keep_all(&[&dup_new, &dup_old]);
+        assert_eq!(merged.len(), 1);
+        assert_eq!(merged[0].1.value.as_deref(), Some(b"new".as_ref()));
+    }
+
+    /// A same-version rewrite in the memtable shadows the flushed copy, and
+    /// a store opened around the parent's keep-all merge keeps the rewrite —
+    /// the region split's child.
+    #[test]
+    fn open_merged_keeps_the_newest_copy_of_a_rewritten_version() {
+        let s = mem_store();
+        put(&s, key("u1", "a"), 1, Bytes::from_static(b"old"));
+        put(&s, key("u2", "a"), 1, Bytes::from_static(b"right"));
+        s.flush().unwrap();
+        put(&s, key("u1", "a"), 1, Bytes::from_static(b"new"));
+        let at = RowKey::from_str("u2");
+        let left = Store::open_merged(StoreConfig::default(), &[&s], None, Some(&at)).unwrap();
+        let right = Store::open_merged(StoreConfig::default(), &[&s], Some(&at), None).unwrap();
+        for child in [&left, &right] {
+            assert_eq!(child.run_count(), 1);
+            assert_eq!(child.write_stats(), WriteStatsSnapshot::default());
+        }
+        assert_eq!(
+            get(&left, &key("u1", "a"), 1).as_deref(),
+            Some(b"new".as_ref())
+        );
+        assert!(get(&left, &key("u2", "a"), 1).is_none());
+        assert_eq!(
+            get(&right, &key("u2", "a"), 1).as_deref(),
+            Some(b"right".as_ref())
+        );
+        // The siblings merged back read like the parent.
+        let merged =
+            Store::open_merged(StoreConfig::default(), &[&left, &right], None, None).unwrap();
+        assert_eq!(
+            merged.export_cells(),
+            left.export_cells()
+                .into_iter()
+                .chain(right.export_cells())
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -10,20 +10,35 @@
 //!   ground truth for what every read should see.
 //!
 //! The contract: `scheduled` must match `reference` **at every `as_of`
-//! cut** (conservative merges keep all versions and tombstones). Versions
-//! are monotone, as in production where they are upload date-times.
+//! cut** (conservative merges keep all versions and tombstones). Each
+//! cell's versions are monotone, as in production where they are upload
+//! date-times; a rewrite puts a new value at a cell's last version, and the
+//! merge must keep the newest copy.
 
 mod common;
 
 use bytes::Bytes;
 use common::sized_value;
 use proptest::prelude::*;
+use std::collections::HashMap;
 use titant_alihbase::{CellKey, RowKey, Store, StoreConfig, Version};
 
 #[derive(Debug, Clone)]
 enum Op {
-    Put { user: u64, qual: u8 },
-    Delete { user: u64, qual: u8 },
+    Put {
+        user: u64,
+        qual: u8,
+    },
+    /// A new value at the cell's last written version (the current one for
+    /// a cell never written).
+    Rewrite {
+        user: u64,
+        qual: u8,
+    },
+    Delete {
+        user: u64,
+        qual: u8,
+    },
     Flush,
     Tick,
 }
@@ -33,7 +48,8 @@ enum Op {
 fn decode(raw: &(u8, u64, u8)) -> Op {
     let (selector, user, qual) = *raw;
     match selector % 10 {
-        0..=5 => Op::Put { user, qual },
+        0..=4 => Op::Put { user, qual },
+        5 => Op::Rewrite { user, qual },
         6 | 7 => Op::Delete { user, qual },
         8 => Op::Flush,
         _ => Op::Tick,
@@ -49,7 +65,7 @@ fn put(store: &Store, key: CellKey, version: Version, value: Option<Bytes>) {
     store.put_batch(vec![(key, version, value)]).unwrap();
 }
 
-/// Apply one op; mutations use the monotone `version` counter.
+/// Apply one op at `version` (see [`Versions::of`]).
 fn apply(store: &Store, op: &Op, version: u64) {
     match op {
         Op::Put { user, qual } => put(
@@ -61,10 +77,39 @@ fn apply(store: &Store, op: &Op, version: u64) {
                 version as usize,
             )),
         ),
+        Op::Rewrite { user, qual } => put(
+            store,
+            cell_key(*user, *qual),
+            version,
+            Some(Bytes::from(format!("w{user}-{qual}-{version}"))),
+        ),
         Op::Delete { user, qual } => put(store, cell_key(*user, *qual), version, None),
         Op::Flush => store.flush().unwrap(),
         Op::Tick => {
             store.tick().unwrap();
+        }
+    }
+}
+
+/// The version clock: puts and deletes advance it, a rewrite reuses its
+/// cell's last version.
+#[derive(Default)]
+struct Versions {
+    now: u64,
+    last: HashMap<(u64, u8), u64>,
+}
+
+impl Versions {
+    /// The version `op` writes at.
+    fn of(&mut self, op: &Op) -> u64 {
+        match *op {
+            Op::Put { user, qual } | Op::Delete { user, qual } => {
+                self.now += 1;
+                self.last.insert((user, qual), self.now);
+                self.now
+            }
+            Op::Rewrite { user, qual } => *self.last.get(&(user, qual)).unwrap_or(&self.now),
+            Op::Flush | Op::Tick => self.now,
         }
     }
 }
@@ -84,16 +129,14 @@ proptest! {
     ) {
         let scheduled = store(2);
         let reference = store(10_000);
-        let mut version = 0u64;
+        let mut versions = Versions::default();
         for raw in &raw_ops {
             let op = decode(raw);
-            if matches!(op, Op::Put { .. } | Op::Delete { .. }) {
-                version += 1;
-            }
+            let version = versions.of(&op);
             apply(&scheduled, &op, version);
             apply(&reference, &op, version);
         }
-        let max_version = version;
+        let max_version = versions.now;
         for user in 0..28u64 {
             let row = RowKey::from_user(user);
             // Conservative tiered merges are invisible at EVERY cut, even

@@ -12,19 +12,34 @@
 //!   every read should see.
 //!
 //! The contract: whatever layout history the pressure windows produce,
-//! `get_row` must match the reference **at every `as_of` cut** (migration
-//! via `export_cells` + `put_batch` carries all versions and tombstones)
-//! and full scans must be byte-identical. Versions are monotone, as in
-//! production where they are upload date-times.
+//! `get_row` must match the reference **at every `as_of` cut** (a child
+//! store opens around the keep-all merge of its parent's memtable and
+//! runs, which carries all versions and tombstones) and full scans must be
+//! byte-identical. Each cell's versions are monotone, as in production
+//! where they are upload date-times; a rewrite puts a new value at a cell's
+//! last version, whose newest copy must win before and after a migration.
 
 use bytes::Bytes;
 use proptest::prelude::*;
+use std::collections::HashMap;
 use titant_alihbase::{CellKey, RegionedTable, RowKey, SplitConfig, StoreConfig, Version};
 
 #[derive(Debug, Clone)]
 enum Op {
-    Put { user: u64, qual: u8 },
-    Delete { user: u64, qual: u8 },
+    Put {
+        user: u64,
+        qual: u8,
+    },
+    /// A new value at the cell's last written version (the current one for
+    /// a cell never written).
+    Rewrite {
+        user: u64,
+        qual: u8,
+    },
+    Delete {
+        user: u64,
+        qual: u8,
+    },
     Flush,
     Tick,
 }
@@ -36,7 +51,8 @@ enum Op {
 fn decode(raw: &(u8, u64, u8)) -> Op {
     let (selector, user, qual) = *raw;
     match selector % 10 {
-        0..=4 => Op::Put { user, qual },
+        0..=3 => Op::Put { user, qual },
+        4 => Op::Rewrite { user, qual },
         5 | 6 => Op::Delete { user, qual },
         7 => Op::Flush,
         _ => Op::Tick,
@@ -52,7 +68,7 @@ fn put(table: &RegionedTable, key: CellKey, version: Version, value: Option<Byte
     table.put_rows(vec![(key, version, value)]).unwrap();
 }
 
-/// Apply one op; mutations use the monotone `version` counter.
+/// Apply one op at `version` (see [`Versions::of`]).
 fn apply(table: &RegionedTable, op: &Op, version: u64) {
     match op {
         Op::Put { user, qual } => put(
@@ -61,10 +77,39 @@ fn apply(table: &RegionedTable, op: &Op, version: u64) {
             version,
             Some(Bytes::from(format!("v{user}-{qual}-{version}"))),
         ),
+        Op::Rewrite { user, qual } => put(
+            table,
+            cell_key(*user, *qual),
+            version,
+            Some(Bytes::from(format!("w{user}-{qual}-{version}"))),
+        ),
         Op::Delete { user, qual } => put(table, cell_key(*user, *qual), version, None),
         Op::Flush => table.flush().unwrap(),
         Op::Tick => {
             table.tick().unwrap();
+        }
+    }
+}
+
+/// The version clock: puts and deletes advance it, a rewrite reuses its
+/// cell's last version.
+#[derive(Default)]
+struct Versions {
+    now: u64,
+    last: HashMap<(u64, u8), u64>,
+}
+
+impl Versions {
+    /// The version `op` writes at.
+    fn of(&mut self, op: &Op) -> u64 {
+        match *op {
+            Op::Put { user, qual } | Op::Delete { user, qual } => {
+                self.now += 1;
+                self.last.insert((user, qual), self.now);
+                self.now
+            }
+            Op::Rewrite { user, qual } => *self.last.get(&(user, qual)).unwrap_or(&self.now),
+            Op::Flush | Op::Tick => self.now,
         }
     }
 }
@@ -101,12 +146,10 @@ proptest! {
     ) {
         let dynamic = dynamic_table();
         let reference = reference_table();
-        let mut version = 0u64;
+        let mut versions = Versions::default();
         for raw in &raw_ops {
             let op = decode(raw);
-            if matches!(op, Op::Put { .. } | Op::Delete { .. }) {
-                version += 1;
-            }
+            let version = versions.of(&op);
             apply(&dynamic, &op, version);
             apply(&reference, &op, version);
             // The layout may differ after every tick; reads may not. Spot
@@ -120,7 +163,7 @@ proptest! {
                 );
             }
         }
-        let max_version = version;
+        let max_version = versions.now;
         // Full scans are byte-identical whatever the final layout is.
         let lo = RowKey::from_str("");
         let hi = RowKey::from_str("v");
